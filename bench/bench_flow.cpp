@@ -62,10 +62,10 @@ BENCHMARK(BM_FlowTableChurn)
     ->Unit(benchmark::kMillisecond);
 
 /// The full element path: FlowManager classification plus a sticky LB,
-/// batches of 32 packets cycling through 1k concurrent flows.
+/// 32 packets per iteration cycling through 1k concurrent flows.
 void BM_FlowManagerPush(benchmark::State& state) {
   constexpr std::uint32_t kFlows = 1000;
-  constexpr std::size_t kBatch = 32;
+  constexpr std::size_t kPerIteration = 32;
   EventScheduler sched;
   auto router = click::build_router(R"(
     from :: FromDevice(DEVNAME in0);
@@ -100,13 +100,11 @@ void BM_FlowManagerPush(benchmark::State& state) {
   std::uint64_t pushed = 0;
   std::uint32_t next = 0;
   for (auto _ : state) {
-    net::PacketBatch batch(kBatch);
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      batch.push_back(net::Packet(frames[next]));
+    for (std::size_t i = 0; i < kPerIteration; ++i) {
+      from->inject(net::Packet(frames[next]));
       next = (next + 1) % kFlows;
     }
-    from->inject_batch(std::move(batch));
-    pushed += kBatch;
+    pushed += kPerIteration;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(pushed));
   state.counters["sunk"] = static_cast<double>(sunk);

@@ -148,22 +148,6 @@ std::optional<Packet> Element::pull(int) {
   return std::nullopt;
 }
 
-void Element::push_batch(int port, PacketBatch&& batch) {
-  // Fallback: unroll through the scalar path so elements without a batch
-  // override behave identically in both modes.
-  for (auto& p : batch) push(port, std::move(p));
-}
-
-PacketBatch Element::pull_batch(int port, std::size_t max) {
-  PacketBatch out(max);
-  while (out.size() < max) {
-    auto p = pull(port);
-    if (!p) break;
-    out.push_back(std::move(*p));
-  }
-  return out;
-}
-
 void Element::output_push(int port, Packet&& p) {
   auto& out = outputs_[static_cast<std::size_t>(port)];
   if (!out.peer) {
@@ -171,15 +155,6 @@ void Element::output_push(int port, Packet&& p) {
     return;
   }
   out.peer->push(out.peer_port, std::move(p));
-}
-
-void Element::output_push_batch(int port, PacketBatch&& batch) {
-  auto& out = outputs_[static_cast<std::size_t>(port)];
-  if (!out.peer) {
-    unconnected_drops_ += batch.size();
-    return;
-  }
-  out.peer->push_batch(out.peer_port, std::move(batch));
 }
 
 void Element::output_push_all(Packet&& p) {
@@ -208,38 +183,10 @@ void Element::output_push_all(Packet&& p) {
   output_push(last, std::move(p));
 }
 
-void Element::output_push_all_batch(PacketBatch&& batch) {
-  int last = -1;
-  for (int i = n_outputs() - 1; i >= 0; --i) {
-    if (output_connected(i)) {
-      last = i;
-      break;
-    }
-  }
-  if (last < 0) {
-    unconnected_drops_ += static_cast<std::uint64_t>(n_outputs()) * batch.size();
-    return;
-  }
-  for (int i = 0; i < last; ++i) {
-    if (!output_connected(i)) {
-      unconnected_drops_ += batch.size();
-      continue;
-    }
-    output_push_batch(i, batch.clone());
-  }
-  output_push_batch(last, std::move(batch));
-}
-
 std::optional<Packet> Element::input_pull(int port) {
   auto& in = inputs_[static_cast<std::size_t>(port)];
   if (!in.peer) return std::nullopt;
   return in.peer->pull(in.peer_port);
-}
-
-PacketBatch Element::input_pull_batch(int port, std::size_t max) {
-  auto& in = inputs_[static_cast<std::size_t>(port)];
-  if (!in.peer) return PacketBatch{};
-  return in.peer->pull_batch(in.peer_port, max);
 }
 
 bool Element::output_connected(int port) const {
@@ -286,39 +233,6 @@ Status Element::call_write(std::string_view handler, std::string_view value) {
                                     static_cast<int>(handler.size()), handler.data()));
 }
 
-// --- RunEmitter --------------------------------------------------------------
-
-void RunEmitter::keep(std::size_t i, int port) {
-  if (start_ == end_) {  // no open run
-    start_ = i;
-    end_ = i + 1;
-    run_port_ = port;
-    return;
-  }
-  if (port == run_port_ && i == end_) {
-    ++end_;
-    return;
-  }
-  flush();
-  start_ = i;
-  end_ = i + 1;
-  run_port_ = port;
-}
-
-void RunEmitter::flush() {
-  if (start_ == end_) return;
-  if (start_ == 0 && end_ == batch_.size()) {
-    // Every packet survived to one port: forward the batch untouched.
-    // (Only reachable as the final flush, so moving batch_ is safe.)
-    element_.output_push_batch(run_port_, std::move(batch_));
-  } else {
-    PacketBatch run(end_ - start_);
-    for (std::size_t k = start_; k < end_; ++k) run.push_back(std::move(batch_[k]));
-    element_.output_push_batch(run_port_, std::move(run));
-  }
-  start_ = end_;
-}
-
 // --- SimpleElement -----------------------------------------------------------
 
 void SimpleElement::push(int, Packet&& p) {
@@ -334,28 +248,6 @@ std::optional<Packet> SimpleElement::pull(int) {
     if (v.keep) return p;
     // Dropped in pull context: try the next upstream packet.
   }
-}
-
-void SimpleElement::push_batch(int, PacketBatch&& batch) {
-  RunEmitter out(*this, std::move(batch));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    Verdict v = process(out[i]);
-    if (v.keep) out.keep(i, v.out_port);
-  }
-}
-
-PacketBatch SimpleElement::pull_batch(int, std::size_t max) {
-  PacketBatch kept(max);
-  while (kept.size() < max) {
-    // Pull the remaining quota upstream in one call; stop when dry.
-    PacketBatch in = input_pull_batch(0, max - kept.size());
-    if (in.empty()) break;
-    for (auto& p : in) {
-      Verdict v = process(p);
-      if (v.keep) kept.push_back(std::move(p));
-    }
-  }
-  return kept;
 }
 
 }  // namespace escape::click

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "net/packet_batch.hpp"
 #include "util/event.hpp"
 #include "util/result.hpp"
 
@@ -32,7 +31,6 @@ class Element;
 class Router;
 
 using net::Packet;
-using net::PacketBatch;
 
 enum class PortMode : std::uint8_t { kPush, kPull, kAgnostic };
 
@@ -139,22 +137,6 @@ class Element {
   /// Default: pull from input 0 and pass through.
   virtual std::optional<Packet> pull(int port);
 
-  // --- batch movement -----------------------------------------------------
-  //
-  // Every element accepts batches: the default implementations unroll
-  // the batch through the per-packet push/pull above, so an element
-  // without a batch override behaves *exactly* like the scalar path.
-  // Hot elements override these to process the whole run in one virtual
-  // call. Overrides must preserve the scalar packet order (see the
-  // determinism rule in DESIGN.md "Batched data plane").
-
-  /// Receives a batch pushed into `port`. Default: per-packet push loop.
-  virtual void push_batch(int port, PacketBatch&& batch);
-
-  /// Produces up to `max` packets when downstream pulls a burst from
-  /// output `port`. Default: per-packet pull loop.
-  virtual PacketBatch pull_batch(int port, std::size_t max);
-
   // --- handlers (the Clicky / NETCONF management surface) -----------------
 
   using ReadHandler = std::function<std::string()>;
@@ -179,26 +161,15 @@ class Element {
   /// ports are counted and dropped (Click wires such ports to Discard).
   void output_push(int port, Packet&& p);
 
-  /// Pushes a whole batch out of `port` with one downstream call.
-  void output_push_batch(int port, PacketBatch&& batch);
-
   /// Fan-out emission (the Tee primitive): pushes `p` to every output in
   /// [0, n_outputs()), cloning only for the first N-1 connected outputs
   /// and moving the original into the last. Clones are counted in
   /// stats::packet_clones().
   void output_push_all(Packet&& p);
 
-  /// Batch fan-out: clones the batch for the first N-1 connected outputs
-  /// (counted per packet) and moves it into the last.
-  void output_push_all_batch(PacketBatch&& batch);
-
   /// Pulls a packet from upstream of input `port` (nullopt if none or
   /// unconnected).
   std::optional<Packet> input_pull(int port);
-
-  /// Pulls up to `max` packets from upstream of input `port` in one
-  /// call (empty batch if unconnected or dry).
-  PacketBatch input_pull_batch(int port, std::size_t max);
 
   /// True if output `port` has a downstream element.
   bool output_connected(int port) const;
@@ -218,7 +189,6 @@ class Element {
 
  private:
   friend class Router;
-  friend class RunEmitter;
 
   struct InPort {
     PortMode declared = PortMode::kAgnostic;
@@ -242,40 +212,6 @@ class Element {
   std::vector<std::pair<std::string, WriteHandler>> write_handlers_;
 };
 
-/// Order-preserving batch splitter for classify-style elements. Scalar
-/// classifiers emit each packet downstream as soon as it is classified;
-/// a batch override must not reorder that sequence even when the batch
-/// fans out over several output ports. RunEmitter owns the incoming
-/// batch, regroups it into maximal runs of consecutive packets bound
-/// for the same port, and emits the runs in arrival order, so the
-/// global emission order matches the scalar path exactly while
-/// same-port bursts still move as batches. When every packet survives
-/// to a single port -- the pass-through hot case -- the original batch
-/// is forwarded whole, with no per-packet repacking.
-class RunEmitter {
- public:
-  RunEmitter(Element& element, PacketBatch&& batch)
-      : element_(element), batch_(std::move(batch)) {}
-  ~RunEmitter() { flush(); }
-
-  std::size_t size() const { return batch_.size(); }
-  Packet& operator[](std::size_t i) { return batch_[i]; }
-
-  /// Marks packet `i` as surviving on `port`. Call with strictly
-  /// increasing indices; skipped indices are drops (they end the
-  /// current run and die with the emitter).
-  void keep(std::size_t i, int port);
-
- private:
-  void flush();
-
-  Element& element_;
-  PacketBatch batch_;
-  std::size_t start_ = 0;  // current run: batch_[start_, end_) -> run_port_
-  std::size_t end_ = 0;
-  int run_port_ = -1;
-};
-
 /// Convenience base for elements that process one packet at a time and
 /// work in either push or pull context (Click's "agnostic" elements).
 /// Subclasses implement process(); returning nullopt drops the packet,
@@ -286,11 +222,6 @@ class SimpleElement : public Element {
 
   void push(int port, Packet&& p) final;
   std::optional<Packet> pull(int port) final;
-
-  /// Batch path: processes every packet with one virtual call, emitting
-  /// run-wise so the downstream order matches the scalar path.
-  void push_batch(int port, PacketBatch&& batch) override;
-  PacketBatch pull_batch(int port, std::size_t max) override;
 
  protected:
   /// Output port selection result.

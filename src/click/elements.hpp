@@ -15,7 +15,6 @@
 #include "click/config.hpp"
 #include "click/element.hpp"
 #include "click/filter_expr.hpp"
-#include "click/flow_cache.hpp"
 #include "net/builder.hpp"
 #include "net/packet_pool.hpp"
 #include "util/random.hpp"
@@ -55,7 +54,6 @@ class Discard : public Element {
   Discard();
   std::string_view class_name() const override { return "Discard"; }
   void push(int port, Packet&& p) override;
-  void push_batch(int port, PacketBatch&& batch) override;
 
  private:
   std::uint64_t count_ = 0;
@@ -131,7 +129,6 @@ class Counter : public SimpleElement {
  public:
   Counter();
   std::string_view class_name() const override { return "Counter"; }
-  void push_batch(int port, PacketBatch&& batch) override;
 
   std::uint64_t count() const { return count_; }
   std::uint64_t byte_count() const { return bytes_; }
@@ -171,7 +168,6 @@ class Tee : public Element {
   std::string_view class_name() const override { return "Tee"; }
   Status configure(const ConfigArgs& args) override;
   void push(int port, Packet&& p) override;
-  void push_batch(int port, PacketBatch&& batch) override;
 };
 
 /// Statically routes every packet to output K; K settable at runtime via
@@ -182,7 +178,6 @@ class Switch : public Element {
   std::string_view class_name() const override { return "Switch"; }
   Status configure(const ConfigArgs& args) override;
   void push(int port, Packet&& p) override;
-  void push_batch(int port, PacketBatch&& batch) override;
 
  private:
   int current_ = 0;
@@ -221,7 +216,6 @@ class PaintSwitch : public Element {
   std::string_view class_name() const override { return "PaintSwitch"; }
   Status configure(const ConfigArgs& args) override;
   void push(int port, Packet&& p) override;
-  void push_batch(int port, PacketBatch&& batch) override;
 };
 
 /// CheckPaint(COLOR c): packets painted c -> output 0, others -> output 1.
@@ -231,7 +225,6 @@ class CheckPaint : public Element {
   std::string_view class_name() const override { return "CheckPaint"; }
   Status configure(const ConfigArgs& args) override;
   void push(int port, Packet&& p) override;
-  void push_batch(int port, PacketBatch&& batch) override;
 
  private:
   std::uint8_t color_ = 0;
@@ -245,7 +238,6 @@ class Classifier : public Element {
   std::string_view class_name() const override { return "Classifier"; }
   Status configure(const ConfigArgs& args) override;
   void push(int port, Packet&& p) override;
-  void push_batch(int port, PacketBatch&& batch) override;
 
  private:
   int classify(const Packet& p) const;
@@ -267,11 +259,9 @@ class IPClassifier : public Element {
   Status configure(const ConfigArgs& args) override;
   Status initialize(Router& router) override;
   void push(int port, Packet&& p) override;
-  void push_batch(int port, PacketBatch&& batch) override;
 
  private:
   int classify(const ClassifyCtx& ctx) const;
-  int classify_cached(const Packet& p);
 
   struct Rule {
     bool catch_all = false;
@@ -280,7 +270,6 @@ class IPClassifier : public Element {
   std::vector<Rule> rules_;
   ClassifierTree tree_;  // compiled in initialize(); rules_ keeps sources
   std::uint64_t no_match_drops_ = 0;
-  FlowVerdictCache cache_;
 };
 
 /// Two-output filter: IPFilter(<expr>): match -> 0, else -> 1 (or drop).
@@ -289,17 +278,12 @@ class IPFilter : public Element {
   IPFilter();
   std::string_view class_name() const override { return "IPFilter"; }
   Status configure(const ConfigArgs& args) override;
-  Status initialize(Router& router) override;
   void push(int port, Packet&& p) override;
-  void push_batch(int port, PacketBatch&& batch) override;
 
  private:
-  bool match_cached(const Packet& p);
-
   std::optional<FilterExpr> expr_;
   std::uint64_t matched_ = 0;
   std::uint64_t rejected_ = 0;
-  FlowVerdictCache cache_;
 };
 
 // --- queueing -------------------------------------------------------------------
@@ -313,8 +297,6 @@ class Queue : public Element {
   Status configure(const ConfigArgs& args) override;
   void push(int port, Packet&& p) override;
   std::optional<Packet> pull(int port) override;
-  void push_batch(int port, PacketBatch&& batch) override;
-  PacketBatch pull_batch(int port, std::size_t max) override;
 
   std::size_t length() const { return queue_.size(); }
   std::uint64_t drops() const { return drops_; }
@@ -457,7 +439,6 @@ class BandwidthShaper : public Element {
   std::string_view class_name() const override { return "BandwidthShaper"; }
   Status configure(const ConfigArgs& args) override;
   std::optional<Packet> pull(int port) override;
-  PacketBatch pull_batch(int port, std::size_t max) override;
 
  private:
   std::uint64_t rate_ = 1'000'000;  // bytes/s
@@ -502,7 +483,6 @@ class Meter : public Element {
   std::string_view class_name() const override { return "Meter"; }
   Status configure(const ConfigArgs& args) override;
   void push(int port, Packet&& p) override;
-  void push_batch(int port, PacketBatch&& batch) override;
 
  private:
   std::uint64_t rate_ = 1000;
@@ -523,7 +503,6 @@ class Firewall : public Element {
   Status configure(const ConfigArgs& args) override;
   Status initialize(Router& router) override;
   void push(int port, Packet&& p) override;
-  void push_batch(int port, PacketBatch&& batch) override;
 
   std::uint64_t accepted() const { return accepted_; }
   std::uint64_t denied() const { return denied_; }
@@ -534,7 +513,7 @@ class Firewall : public Element {
     FilterExpr expr;
   };
   Status add_rule_line(std::string_view line);
-  bool allow_cached(const Packet& p);
+  bool allows(const Packet& p) const;
   void recompile_tree();
 
   std::vector<Rule> rules_;
@@ -542,7 +521,6 @@ class Firewall : public Element {
   bool default_allow_ = true;
   std::uint64_t accepted_ = 0;
   std::uint64_t denied_ = 0;
-  FlowVerdictCache cache_;
 };
 
 /// Stateful NAPT. Input/output 0: internal -> external direction (source
@@ -622,9 +600,6 @@ class FromDevice : public Element {
 
   /// Called by the VNF container when a packet arrives on the device.
   void inject(Packet&& p);
-
-  /// Burst entry: injects a whole batch into the graph in one call.
-  void inject_batch(PacketBatch&& batch);
 
  private:
   std::string devname_;

@@ -66,11 +66,6 @@ void Discard::push(int, Packet&& p) {
   net::default_packet_pool().recycle(std::move(p));
 }
 
-void Discard::push_batch(int, PacketBatch&& batch) {
-  count_ += batch.size();
-  net::default_packet_pool().recycle(std::move(batch));
-}
-
 // --- InfiniteSource -------------------------------------------------------------
 
 InfiniteSource::InfiniteSource() {
@@ -197,24 +192,6 @@ Counter::Verdict Counter::process(Packet& p) {
   return {true, 0};
 }
 
-void Counter::push_batch(int, PacketBatch&& batch) {
-  if (batch.empty()) return;
-  // Same arithmetic as process() once per packet: every packet of a
-  // batch shares one arrival instant, so at most the first packet can
-  // cross the rate window boundary and the rest just increment.
-  count_ += batch.size();
-  bytes_ += batch.total_bytes();
-  const SimTime now = router() ? router()->scheduler().now() : 0;
-  if (now - window_start_ >= timeunit::kSecond) {
-    last_rate_ = static_cast<double>(window_count_) /
-                 (static_cast<double>(now - window_start_) / timeunit::kSecond);
-    window_start_ = now;
-    window_count_ = 0;
-  }
-  window_count_ += batch.size();
-  output_push_batch(0, std::move(batch));
-}
-
 // --- Print -----------------------------------------------------------------------
 
 Status Print::configure(const ConfigArgs& args) {
@@ -245,8 +222,6 @@ Status Tee::configure(const ConfigArgs& args) {
 }
 
 void Tee::push(int, Packet&& p) { output_push_all(std::move(p)); }
-
-void Tee::push_batch(int, PacketBatch&& batch) { output_push_all_batch(std::move(batch)); }
 
 // --- Switch ----------------------------------------------------------------------
 
@@ -280,10 +255,6 @@ Status Switch::configure(const ConfigArgs& args) {
 
 void Switch::push(int, Packet&& p) {
   if (current_ >= 0) output_push(current_, std::move(p));
-}
-
-void Switch::push_batch(int, PacketBatch&& batch) {
-  if (current_ >= 0) output_push_batch(current_, std::move(batch));
 }
 
 // --- RoundRobinSwitch --------------------------------------------------------------
@@ -350,15 +321,6 @@ void PaintSwitch::push(int, Packet&& p) {
   output_push(port, std::move(p));
 }
 
-void PaintSwitch::push_batch(int, PacketBatch&& batch) {
-  RunEmitter out(*this, std::move(batch));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    int port = out[i].paint();
-    if (port >= n_outputs()) port = n_outputs() - 1;
-    out.keep(i, port);
-  }
-}
-
 CheckPaint::CheckPaint() {
   declare_ports({PortMode::kPush}, {PortMode::kPush, PortMode::kPush});
 }
@@ -374,13 +336,6 @@ Status CheckPaint::configure(const ConfigArgs& args) {
 
 void CheckPaint::push(int, Packet&& p) {
   output_push(p.paint() == color_ ? 0 : 1, std::move(p));
-}
-
-void CheckPaint::push_batch(int, PacketBatch&& batch) {
-  RunEmitter out(*this, std::move(batch));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out.keep(i, out[i].paint() == color_ ? 0 : 1);
-  }
 }
 
 // --- Classifier ---------------------------------------------------------------------
@@ -448,14 +403,6 @@ void Classifier::push(int, Packet&& p) {
   // No match: drop (Click semantics).
 }
 
-void Classifier::push_batch(int, PacketBatch&& batch) {
-  RunEmitter out(*this, std::move(batch));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const int port = classify(out[i]);
-    if (port >= 0) out.keep(i, port);
-  }
-}
-
 // --- IPClassifier -------------------------------------------------------------------
 
 IPClassifier::IPClassifier() {
@@ -486,10 +433,7 @@ Status IPClassifier::configure(const ConfigArgs& args) {
   return ok_status();
 }
 
-Status IPClassifier::initialize(Router& router) {
-  bool tuple_only = true;
-  for (const Rule& r : rules_) tuple_only = tuple_only && (r.catch_all || r.expr.tuple_only());
-  cache_.attach(router, tuple_only);
+Status IPClassifier::initialize(Router&) {
   // Compile the rule list into the per-protocol-leaf dispatch; the
   // linear walk remains only as the pre-initialize fallback.
   std::vector<ClassifierTree::RuleSpec> specs;
@@ -498,7 +442,6 @@ Status IPClassifier::initialize(Router& router) {
     specs.push_back({static_cast<int>(i), rules_[i].catch_all ? nullptr : &rules_[i].expr});
   }
   tree_.compile(specs, /*miss_verdict=*/-1);
-  add_read_handler("flow_cache_hits", [this] { return std::to_string(cache_.hits()); });
   add_read_handler("tree_residual_rules",
                    [this] { return std::to_string(tree_.residual_rules()); });
   return ok_status();
@@ -512,41 +455,13 @@ int IPClassifier::classify(const ClassifyCtx& ctx) const {
   return -1;
 }
 
-int IPClassifier::classify_cached(const Packet& p) {
-  // Per-flow verdict first (valid for the whole flow), tree dispatch as
-  // the fallback, memoized into the flow's state block.
-  if (auto v = cache_.cached()) return *v;
-  const int port = classify(ClassifyCtx::from_packet(p));
-  cache_.store(port);
-  return port;
-}
-
 void IPClassifier::push(int, Packet&& p) {
-  const int port = classify_cached(p);
+  const int port = classify(ClassifyCtx::from_packet(p));
   if (port >= 0) {
     output_push(port, std::move(p));
     return;
   }
   ++no_match_drops_;
-}
-
-void IPClassifier::push_batch(int, PacketBatch&& batch) {
-  RunEmitter out(*this, std::move(batch));
-  // Flow-run verdict cache (see IPFilter::push_batch).
-  const Packet* prev = nullptr;
-  int prev_port = -1;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const Packet& p = out[i];
-    const int port =
-        (prev && classify_equivalent(*prev, p)) ? prev_port : classify_cached(p);
-    prev = &p;
-    prev_port = port;
-    if (port >= 0) {
-      out.keep(i, port);
-    } else {
-      ++no_match_drops_;
-    }
-  }
 }
 
 // --- IPFilter ------------------------------------------------------------------------
@@ -569,48 +484,13 @@ Status IPFilter::configure(const ConfigArgs& args) {
   return ok_status();
 }
 
-Status IPFilter::initialize(Router& router) {
-  cache_.attach(router, expr_ && expr_->tuple_only());
-  add_read_handler("flow_cache_hits", [this] { return std::to_string(cache_.hits()); });
-  return ok_status();
-}
-
-bool IPFilter::match_cached(const Packet& p) {
-  if (auto v = cache_.cached()) return *v != 0;
-  const bool hit = expr_ && expr_->matches(p);
-  cache_.store(hit ? 1 : 0);
-  return hit;
-}
-
 void IPFilter::push(int, Packet&& p) {
-  const bool hit = match_cached(p);
-  if (hit) {
+  if (expr_ && expr_->matches(p)) {
     ++matched_;
     output_push(0, std::move(p));
   } else {
     ++rejected_;
     output_push(1, std::move(p));  // dropped if unconnected
-  }
-}
-
-void IPFilter::push_batch(int, PacketBatch&& batch) {
-  RunEmitter out(*this, std::move(batch));
-  // Flow-run verdict cache: byte-identical headers classify identically,
-  // so a run of one flow evaluates the expression once.
-  const Packet* prev = nullptr;
-  bool prev_hit = false;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const Packet& p = out[i];
-    const bool hit = (prev && classify_equivalent(*prev, p)) ? prev_hit : match_cached(p);
-    prev = &p;
-    prev_hit = hit;
-    if (hit) {
-      ++matched_;
-      out.keep(i, 0);
-    } else {
-      ++rejected_;
-      out.keep(i, 1);
-    }
   }
 }
 

@@ -51,33 +51,6 @@ std::optional<Packet> Queue::pull(int) {
   return p;
 }
 
-void Queue::push_batch(int, PacketBatch&& batch) {
-  // Bulk append with the same tail-drop policy as the scalar path and a
-  // single empty -> non-empty wake-up for the whole burst.
-  const bool was_empty = queue_.empty();
-  for (auto& p : batch) {
-    if (queue_.size() >= capacity_) {
-      ++drops_;
-      continue;
-    }
-    queue_.push_back(std::move(p));
-  }
-  highwater_ = std::max(highwater_, queue_.size());
-  if (was_empty && !queue_.empty()) {
-    for (auto& fn : listeners_) fn();
-  }
-}
-
-PacketBatch Queue::pull_batch(int, std::size_t max) {
-  const std::size_t n = std::min(max, queue_.size());
-  PacketBatch out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(std::move(queue_.front()));
-    queue_.pop_front();
-  }
-  return out;
-}
-
 
 namespace {
 
@@ -128,12 +101,15 @@ Status Unqueue::initialize(Router& router) {
 }
 
 std::optional<SimDuration> Unqueue::run_once() {
-  // Pull the whole burst upstream in one call and push it downstream as
-  // one batch: two virtual calls per run instead of two per packet.
-  PacketBatch batch = input_pull_batch(0, burst_);
-  if (batch.empty()) return std::nullopt;  // idle until the queue wakes us
-  moved_ += batch.size();
-  output_push_batch(0, std::move(batch));
+  // Up to BURST packets per run, each pulled and pushed on its own.
+  std::uint64_t moved = 0;
+  for (; moved < burst_; ++moved) {
+    auto p = input_pull(0);
+    if (!p) break;
+    output_push(0, std::move(*p));
+  }
+  if (moved == 0) return std::nullopt;  // idle until the queue wakes us
+  moved_ += moved;
   return router()->scale_delay(interval_);
 }
 

@@ -39,29 +39,6 @@ std::optional<Packet> BandwidthShaper::pull(int) {
   return std::nullopt;
 }
 
-PacketBatch BandwidthShaper::pull_batch(int, std::size_t max) {
-  if (!bucket_) bucket_.emplace(rate_, burst_);
-  const SimTime now = router()->scheduler().now();
-  PacketBatch out(max);
-  // Drain the staging slot first, then keep pulling while the bucket has
-  // budget; the first unaffordable packet goes back into staging.
-  if (staged_) {
-    if (!bucket_->try_consume(now, staged_->size())) return out;
-    out.push_back(std::move(*staged_));
-    staged_.reset();
-  }
-  while (out.size() < max) {
-    auto p = input_pull(0);
-    if (!p) break;
-    if (!bucket_->try_consume(now, p->size())) {
-      staged_ = std::move(*p);
-      break;
-    }
-    out.push_back(std::move(*p));
-  }
-  return out;
-}
-
 // --- Delay ------------------------------------------------------------------------
 
 Delay::Delay() { declare_ports({PortMode::kPush}, {PortMode::kPush}); }
@@ -140,20 +117,6 @@ void Meter::push(int, Packet&& p) {
   } else {
     ++exceeding_;
     output_push(1, std::move(p));
-  }
-}
-
-void Meter::push_batch(int, PacketBatch&& batch) {
-  const SimTime now = router()->scheduler().now();
-  RunEmitter out(*this, std::move(batch));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (bucket_->try_consume(now, 1)) {
-      ++conforming_;
-      out.keep(i, 0);
-    } else {
-      ++exceeding_;
-      out.keep(i, 1);
-    }
   }
 }
 

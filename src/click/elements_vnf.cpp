@@ -74,66 +74,29 @@ Status Firewall::configure(const ConfigArgs& args) {
   return ok_status();
 }
 
-Status Firewall::initialize(Router& router) {
-  bool tuple_only = true;
-  for (const Rule& r : rules_) tuple_only = tuple_only && r.expr.tuple_only();
-  cache_.attach(router, tuple_only);
+Status Firewall::initialize(Router&) {
   recompile_tree();
-  add_read_handler("flow_cache_hits", [this] { return std::to_string(cache_.hits()); });
   add_read_handler("tree_residual_rules",
                    [this] { return std::to_string(tree_.residual_rules()); });
   return ok_status();
 }
 
-bool Firewall::allow_cached(const Packet& p) {
-  // Per-flow verdict first: an established flow skips the rule walk.
-  if (auto v = cache_.cached()) return *v != 0;
+bool Firewall::allows(const Packet& p) const {
   const ClassifyCtx ctx = ClassifyCtx::from_packet(p);
-  bool allow;
-  if (tree_.compiled()) {
-    allow = tree_.classify(ctx) != 0;
-  } else {
-    allow = default_allow_;
-    for (const auto& rule : rules_) {
-      if (rule.expr.matches(ctx)) {
-        allow = rule.allow;
-        break;  // first match wins
-      }
-    }
+  if (tree_.compiled()) return tree_.classify(ctx) != 0;
+  for (const auto& rule : rules_) {
+    if (rule.expr.matches(ctx)) return rule.allow;  // first match wins
   }
-  cache_.store(allow ? 1 : 0);
-  return allow;
+  return default_allow_;
 }
 
 void Firewall::push(int, Packet&& p) {
-  const bool allow = allow_cached(p);
-  if (allow) {
+  if (allows(p)) {
     ++accepted_;
     output_push(0, std::move(p));
   } else {
     ++denied_;
     if (output_connected(1)) output_push(1, std::move(p));
-  }
-}
-
-void Firewall::push_batch(int, PacketBatch&& batch) {
-  RunEmitter out(*this, std::move(batch));
-  // Flow-run verdict cache: byte-identical headers hit the same rule,
-  // so a run of one flow walks the rule list once.
-  const Packet* prev = nullptr;
-  bool prev_allow = false;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const Packet& p = out[i];
-    const bool allow = (prev && classify_equivalent(*prev, p)) ? prev_allow : allow_cached(p);
-    prev = &p;
-    prev_allow = allow;
-    if (allow) {
-      ++accepted_;
-      out.keep(i, 0);
-    } else {
-      ++denied_;
-      if (output_connected(1)) out.keep(i, 1);
-    }
   }
 }
 
@@ -294,11 +257,6 @@ Status FromDevice::configure(const ConfigArgs& args) {
 void FromDevice::inject(Packet&& p) {
   ++received_;
   output_push(0, std::move(p));
-}
-
-void FromDevice::inject_batch(PacketBatch&& batch) {
-  received_ += batch.size();
-  output_push_batch(0, std::move(batch));
 }
 
 ToDevice::ToDevice() {

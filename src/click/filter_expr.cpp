@@ -1,8 +1,6 @@
 #include "click/filter_expr.hpp"
 
-#include <algorithm>
 #include <cctype>
-#include <cstring>
 
 #include "net/headers.hpp"
 #include "util/strings.hpp"
@@ -11,17 +9,6 @@ namespace escape::click {
 
 using net::ethertype::kArp;
 using net::ethertype::kIpv4;
-
-bool classify_equivalent(const net::Packet& a, const net::Packet& b) {
-  // Everything ClassifyCtx reads lives within Ethernet (14) + a maximal
-  // IPv4 header (60) + the TCP header through the flags word (20).
-  constexpr std::size_t kHeaderPrefix = 14 + 60 + 20;
-  // Empty frames never hit the cache: a moved-from predecessor (already
-  // flushed downstream) looks like an empty packet and must not match.
-  if (a.size() == 0 || a.size() != b.size()) return false;
-  const std::size_t n = std::min(a.size(), kHeaderPrefix);
-  return std::memcmp(a.bytes().data(), b.bytes().data(), n) == 0;
-}
 
 ClassifyCtx ClassifyCtx::from_packet(const net::Packet& p) {
   ClassifyCtx ctx;
@@ -302,22 +289,6 @@ bool FilterExpr::eval(int index, const ClassifyCtx& ctx) const {
 bool FilterExpr::matches(const ClassifyCtx& ctx) const {
   if (root_ < 0) return false;
   return eval(root_, ctx);
-}
-
-bool FilterExpr::tuple_only() const {
-  for (const Node& n : nodes_) {
-    switch (n.op) {
-      case Op::kDscp:
-      case Op::kTcpSyn:
-      case Op::kTcpAck:
-      case Op::kTcpFin:
-      case Op::kTcpRst:
-        return false;
-      default:
-        break;
-    }
-  }
-  return true;
 }
 
 }  // namespace escape::click

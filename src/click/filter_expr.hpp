@@ -27,14 +27,6 @@
 
 namespace escape::click {
 
-/// True when two frames are byte-identical over every byte the
-/// classification layer can inspect (Ethernet + maximal IPv4 header +
-/// L4 ports/flags) and have equal length. Equal frames classify
-/// identically, so batch overrides may reuse the previous packet's
-/// verdict within a run of one flow -- the Click-side analogue of the
-/// OpenFlow flow-run lookup cache.
-bool classify_equivalent(const net::Packet& a, const net::Packet& b);
-
 /// Per-packet classification context: the extracted flow key plus TCP
 /// flags (0 when not TCP).
 struct ClassifyCtx {
@@ -54,11 +46,6 @@ class FilterExpr {
   bool matches(const net::Packet& p) const { return matches(ClassifyCtx::from_packet(p)); }
 
   const std::string& source() const { return source_; }
-
-  /// True when the expression reads nothing but the 5-tuple: no DSCP or
-  /// TCP-flag tests, whose values change between packets of one flow.
-  /// Only tuple-only expressions may cache a verdict per flow.
-  bool tuple_only() const;
 
  private:
   enum class Op : std::uint8_t {

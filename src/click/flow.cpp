@@ -4,7 +4,6 @@
 #include <cassert>
 #include <sstream>
 
-#include "click/flow_cache.hpp"
 #include "click/router.hpp"
 #include "net/headers.hpp"
 #include "util/strings.hpp"
@@ -265,39 +264,6 @@ FlowCtx* current_flow() { return g_current_flow; }
 FlowScope::FlowScope(FlowCtx* ctx) : prev_(g_current_flow) { g_current_flow = ctx; }
 FlowScope::~FlowScope() { g_current_flow = prev_; }
 
-// --- FlowVerdictCache -------------------------------------------------------
-
-void FlowVerdictCache::attach(Router& router, bool eligible) {
-  if (!eligible) return;
-  auto fm = FlowManager::resolve(router, "");
-  // Ambiguity (several managers) or absence both leave the cache off:
-  // the classifier works unchanged, just without the short-circuit.
-  if (!fm.ok() || fm.value() == nullptr) return;
-  fm_ = fm.value();
-  off_ = fm_->reserve_scratch(sizeof(Slot), alignof(Slot));
-}
-
-FlowVerdictCache::Slot* FlowVerdictCache::slot() const {
-  if (fm_ == nullptr) return nullptr;
-  FlowCtx* ctx = current_flow();
-  if (ctx == nullptr || ctx->manager != fm_) return nullptr;
-  return reinterpret_cast<Slot*>(ctx->block + off_);
-}
-
-std::optional<int> FlowVerdictCache::cached() {
-  Slot* s = slot();
-  if (s == nullptr || s->valid == 0) return std::nullopt;
-  ++hits_;
-  return s->verdict;
-}
-
-void FlowVerdictCache::store(int verdict) {
-  Slot* s = slot();
-  if (s == nullptr) return;
-  s->verdict = static_cast<std::int16_t>(verdict);
-  s->valid = 1;
-}
-
 // --- FlowManager ------------------------------------------------------------
 
 namespace {
@@ -493,7 +459,10 @@ void FlowManager::push(int, Packet&& p) {
 void FlowManager::classify_push(Packet&& p) {
   auto tuple = FlowTuple::from_packet(p);
   if (!tuple) {
+    // A packet without a flow here goes downstream under a null context
+    // (here and on table-full below), never under an enclosing manager's.
     ++non_ip_;
+    FlowScope scope(nullptr);
     output_push(0, std::move(p));
     return;
   }
@@ -502,6 +471,7 @@ void FlowManager::classify_push(Packet&& p) {
   auto res = table_.find_or_create(*tuple, now);
   if (res.block == nullptr) {
     ++full_drops_;
+    FlowScope scope(nullptr);
     if (output_connected(1)) output_push(1, std::move(p));
     return;
   }
@@ -517,67 +487,6 @@ void FlowManager::classify_push(Packet&& p) {
   FlowCtx ctx{this, res.block};
   FlowScope scope(&ctx);
   output_push(0, std::move(p));
-}
-
-void FlowManager::emit_run(PacketBatch& batch, std::size_t i, std::size_t j, int out,
-                           FlowCtx* ctx) {
-  FlowScope scope(ctx);
-  if (i == 0 && j == batch.size()) {
-    output_push_batch(out, std::move(batch));
-    return;
-  }
-  PacketBatch run(j - i);
-  for (std::size_t k = i; k < j; ++k) run.push_back(std::move(batch[k]));
-  output_push_batch(out, std::move(run));
-}
-
-void FlowManager::push_batch(int, PacketBatch&& batch) {
-  if (batch.empty()) return;
-  if (holding_) {
-    for (Packet& p : batch) hold_packet(std::move(p));
-    return;
-  }
-  SimTime now = router()->scheduler().now();
-  // Classify the whole batch up front, then emit maximal same-flow runs
-  // downstream under one FlowScope each, preserving arrival order.
-  std::vector<std::optional<FlowTuple>> tuples;
-  tuples.reserve(batch.size());
-  for (const Packet& p : batch) tuples.push_back(FlowTuple::from_packet(p));
-
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    std::size_t j = i + 1;
-    while (j < batch.size() && tuples[j] == tuples[i]) ++j;
-    std::size_t run_len = j - i;
-    if (!tuples[i]) {
-      non_ip_ += run_len;
-      emit_run(batch, i, j, 0, nullptr);
-      i = j;
-      continue;
-    }
-    lookups_ += run_len;
-    auto res = table_.find_or_create(*tuples[i], now);
-    if (res.block == nullptr) {
-      full_drops_ += run_len;
-      if (output_connected(1)) emit_run(batch, i, j, 1, nullptr);
-      i = j;
-      continue;
-    }
-    // The first packet of a new flow is the miss; the rest of the run hit.
-    if (res.created) {
-      ++misses_;
-      hits_ += run_len - 1;
-    } else {
-      hits_ += run_len;
-    }
-    auto* hdr = table_.header_of(res.block);
-    hdr->last_seen = now;
-    hdr->packets += run_len;
-    for (std::size_t k = i; k < j; ++k) hdr->bytes += batch[k].size();
-    FlowCtx ctx{this, res.block};
-    emit_run(batch, i, j, 0, &ctx);
-    i = j;
-  }
 }
 
 std::string FlowManager::export_state() const {
@@ -813,41 +722,6 @@ void FlowNAT::push(int port, Packet&& p) {
   output_push(1, std::move(p));
 }
 
-void FlowNAT::push_batch(int port, PacketBatch&& batch) {
-  // The scalar path already handles per-packet state; RunEmitter keeps
-  // same-verdict runs batched while preserving the drop semantics.
-  RunEmitter emitter(*this, std::move(batch));
-  for (std::size_t i = 0; i < emitter.size(); ++i) {
-    Packet& p = emitter[i];
-    if (port == 0) {
-      NatSlot* slot = outbound_slot(p);
-      if (slot == nullptr) {
-        ++dropped_;
-        continue;
-      }
-      net::set_ipv4_src(p, external_ip_);
-      net::set_l4_src_port(p, slot->ext_port);
-      ++translated_;
-      emitter.keep(i, 0);
-    } else {
-      auto tuple = FlowTuple::from_packet(p);
-      if (!tuple || tuple->dst_ip != external_ip_.value()) {
-        ++dropped_;
-        continue;
-      }
-      auto it = reverse_.find(ReverseKey{tuple->proto, tuple->dst_port});
-      if (it == reverse_.end()) {
-        ++dropped_;
-        continue;
-      }
-      net::set_ipv4_dst(p, net::Ipv4Addr(it->second.ip));
-      net::set_l4_dst_port(p, it->second.port);
-      ++translated_;
-      emitter.keep(i, 1);
-    }
-  }
-}
-
 // --- FlowLB -----------------------------------------------------------------
 
 FlowLB::FlowLB() {
@@ -964,15 +838,6 @@ void FlowLB::push(int, Packet&& p) {
   int out = backend_for(p);
   ++out_packets_[static_cast<std::size_t>(out)];
   output_push(out, std::move(p));
-}
-
-void FlowLB::push_batch(int, PacketBatch&& batch) {
-  RunEmitter emitter(*this, std::move(batch));
-  for (std::size_t i = 0; i < emitter.size(); ++i) {
-    int out = backend_for(emitter[i]);
-    ++out_packets_[static_cast<std::size_t>(out)];
-    emitter.keep(i, out);
-  }
 }
 
 // --- TcpReassembler ---------------------------------------------------------

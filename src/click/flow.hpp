@@ -10,12 +10,13 @@
 //     (tuple, timestamps, packet/byte counters) followed by scratch
 //     space that downstream elements reserve at initialize() time --
 //     the per-element FCB offsets of fastclick's ctx subsystem.
-//   * While FlowManager pushes a packet (or a same-flow run of a batch)
-//     downstream, the flow context is published through a thread-local
-//     (current_flow()). The push path is synchronous within one shard,
-//     and every router is owned by exactly one shard of the PR-6
-//     engine, so the context never crosses threads and flow tables
-//     never need locks: thread confinement comes from shard ownership.
+//   * While FlowManager pushes a packet downstream, the flow context
+//     (nullptr for a packet it has no flow for) is published through a
+//     thread-local (current_flow()). The push path is synchronous
+//     within one shard, and every router is owned by exactly one shard
+//     of the sharded engine, so the context never crosses threads and
+//     flow tables never need locks: thread confinement comes from shard
+//     ownership.
 //   * Idle flows are evicted by a periodic sweep task driven by the
 //     virtual-time scheduler, so eviction order and timing are
 //     deterministic and bit-identical across worker thread counts.
@@ -227,7 +228,6 @@ class FlowManager : public Element {
   Status configure(const ConfigArgs& args) override;
   Status initialize(Router& router) override;
   void push(int port, Packet&& p) override;
-  void push_batch(int port, PacketBatch&& batch) override;
 
   // --- client API (downstream stateful elements) ---------------------------
 
@@ -287,8 +287,6 @@ class FlowManager : public Element {
 
  private:
   void run_sweep();
-  /// Pushes one same-flow run [i, j) of `batch` downstream on `out`.
-  void emit_run(PacketBatch& batch, std::size_t i, std::size_t j, int out, FlowCtx* ctx);
   void hold_packet(Packet&& p);
   void classify_push(Packet&& p);
 
@@ -326,7 +324,6 @@ class FlowNAT : public Element {
   Status configure(const ConfigArgs& args) override;
   Status initialize(Router& router) override;
   void push(int port, Packet&& p) override;
-  void push_batch(int port, PacketBatch&& batch) override;
 
   std::size_t active_mappings() const { return reverse_.size(); }
   std::size_t free_ports() const { return free_ports_.size(); }
@@ -386,7 +383,6 @@ class FlowLB : public Element {
   Status configure(const ConfigArgs& args) override;
   Status initialize(Router& router) override;
   void push(int port, Packet&& p) override;
-  void push_batch(int port, PacketBatch&& batch) override;
 
  private:
   struct LbSlot {

@@ -33,11 +33,6 @@ void PacketPool::recycle(Packet&& p) {
   free_.push_back(std::move(buf));
 }
 
-void PacketPool::recycle(PacketBatch&& batch) {
-  for (auto& p : batch) recycle(std::move(p));
-  batch.clear();
-}
-
 void PacketPool::clear() {
   free_.clear();
   reuses_ = fresh_allocs_ = recycled_ = 0;

@@ -7,6 +7,9 @@
 // bytes, and the vector's capacity is reused without touching the
 // allocator.
 //
+// Sinks (Discard, Host::deliver) recycle each packet as it dies and
+// sources (the Click PacketTemplate, host UDP flows) rebuild frames with
+// acquire_copy; packets travel one at a time, so buffers do too.
 // Recycled packets are handed out with all annotations reset (paint,
 // in_port, timestamp, seq, chain_tag), so a reused buffer is
 // indistinguishable from a freshly constructed Packet.
@@ -17,7 +20,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "net/packet_batch.hpp"
 
 namespace escape::net {
 
@@ -39,7 +41,6 @@ class PacketPool {
 
   /// Returns the packet's buffer to the free list (drops it if full).
   void recycle(Packet&& p);
-  void recycle(PacketBatch&& batch);
 
   std::size_t free_buffers() const { return free_.size(); }
   /// Packets served from a recycled buffer.

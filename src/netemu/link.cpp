@@ -143,18 +143,12 @@ void Link::transmit(int from_endpoint, net::Packet&& packet) {
   arm(from_endpoint);
 }
 
-void Link::transmit_batch(int from_endpoint, net::PacketBatch&& batch) {
-  Direction& dir = dir_[from_endpoint];
-  for (auto& p : batch) enqueue_frame(dir, std::move(p));
-  arm(from_endpoint);
-}
-
 void Link::arm(int from_endpoint) {
   Direction& dir = dir_[from_endpoint];
   if (dir.pending.empty() || dir.event.pending()) return;
   // Same-shard: fire at delivery time, exactly the classic model.
   // Cross-shard: fire at serialization end on the sender's shard; the
-  // batch then crosses to the receiver with the propagation delay, so
+  // frame then crosses to the receiver with the propagation delay, so
   // each frame still arrives at tx_done + delay.
   const SimTime at =
       dir.cross ? dir.pending.front().tx_done : dir.pending.front().deliver_at;
@@ -163,19 +157,12 @@ void Link::arm(int from_endpoint) {
 
 void Link::fire(int from_endpoint) {
   Direction& dir = dir_[from_endpoint];
-  const SimTime now = dir.sched->now();
-
-  net::PacketBatch due;
-  std::uint64_t due_bytes = 0;
-  while (!dir.pending.empty() &&
-         (dir.cross ? dir.pending.front().tx_done : dir.pending.front().deliver_at) <= now) {
-    due_bytes += dir.pending.front().packet.size();
-    due.push_back(std::move(dir.pending.front().packet));
-    dir.pending.pop_front();
-  }
-  dir.delivered += due.size();
-  dir.m_delivered->add(due.size());
-  dir.m_bytes->add(due_bytes);
+  // The event is armed for the front frame, which is due now.
+  net::Packet packet = std::move(dir.pending.front().packet);
+  dir.pending.pop_front();
+  ++dir.delivered;
+  dir.m_delivered->add();
+  dir.m_bytes->add(packet.size());
   dir.m_queue_depth->set(static_cast<double>(dir.pending.size()));
 
   // Re-arm for the next frame before delivering: delivery can re-enter
@@ -183,18 +170,17 @@ void Link::fire(int from_endpoint) {
   // only arms when no event is pending.
   arm(from_endpoint);
 
-  if (due.empty()) return;
   Node* dst = from_endpoint == 0 ? node_b_ : node_a_;
   const std::uint16_t dst_port = from_endpoint == 0 ? port_b_ : port_a_;
   if (!dir.cross) {
-    dst->deliver_batch(dst_port, std::move(due));
+    dst->deliver(dst_port, std::move(packet));
     return;
   }
   // shared_ptr only because EventScheduler::Callback requires a
-  // copy-constructible target; the batch has exactly one consumer.
-  auto batch = std::make_shared<net::PacketBatch>(std::move(due));
+  // copy-constructible target; the frame has exactly one consumer.
+  auto frame = std::make_shared<net::Packet>(std::move(packet));
   cross_schedule(*dir.sched, dst->scheduler(), config_.delay,
-                 [dst, dst_port, batch] { dst->deliver_batch(dst_port, std::move(*batch)); });
+                 [dst, dst_port, frame] { dst->deliver(dst_port, std::move(*frame)); });
 }
 
 std::string Link::to_string() const {

@@ -7,21 +7,19 @@
 // at most `queue_frames`); excess frames are dropped. A transmitted
 // frame is delivered `delay` after its serialization completes.
 //
-// Scheduling: instead of one scheduler event per frame, each direction
-// keeps a deque of pending frames and a single armed event for the
-// earliest delivery. When it fires, every frame whose delivery time has
-// been reached leaves as one batch (Node::deliver_batch) and the event
-// re-arms for the next frame. Per-frame delivery times are exactly
-// those of the per-event model, so timing-sensitive tests see no
-// difference; a burst of N queued frames holds one pending event
-// instead of N.
+// Scheduling: each direction keeps a FIFO of pending frames and one
+// armed event for the front frame, so a burst of N queued frames holds
+// one pending event instead of N. A fire hands the front frame to
+// Node::deliver and re-arms for the next. Every non-empty frame holds
+// the wire for at least 1 ns (tx_time rounds up), so delivery times
+// strictly increase along a direction and no fire ever finds a second
+// frame due.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <string>
 
-#include "net/packet_batch.hpp"
 #include "netemu/node.hpp"
 #include "obs/metrics.hpp"
 #include "util/random.hpp"
@@ -49,11 +47,6 @@ class Link {
   /// (0 = a-side, 1 = b-side) toward the other side.
   void transmit(int from_endpoint, net::Packet&& packet);
 
-  /// Burst transmit: enqueues every frame with the same admission and
-  /// serialization rules as per-packet transmit, arming the delivery
-  /// event once.
-  void transmit_batch(int from_endpoint, net::PacketBatch&& batch);
-
   const LinkConfig& config() const { return config_; }
   Node* node(int endpoint) const { return endpoint == 0 ? node_a_ : node_b_; }
   std::uint16_t port(int endpoint) const { return endpoint == 0 ? port_a_ : port_b_; }
@@ -76,7 +69,7 @@ class Link {
   /// scheduler. A direction whose endpoints land on different shards
   /// switches to mailbox delivery: the serialization queue stays on the
   /// sender's shard, the delivery event is armed at serialization end,
-  /// and the due batch crosses to the receiver's shard with the link's
+  /// and the due frame crosses to the receiver's shard with the link's
   /// propagation delay -- per-frame delivery times are bit-identical to
   /// the same-shard model, and the delay is registered as the edge's
   /// conservative lookahead. Called by the Link constructor and again by
@@ -130,7 +123,7 @@ class Link {
   /// Arms the delivery event for the front frame if none is pending.
   void arm(int from_endpoint);
 
-  /// Delivers every frame that is due, then re-arms.
+  /// Delivers the front frame (due now) and re-arms for the next.
   void fire(int from_endpoint);
 
   Node* node_a_;

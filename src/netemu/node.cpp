@@ -33,20 +33,10 @@ std::vector<std::uint16_t> Node::attached_ports() const {
   return out;
 }
 
-void Node::deliver_batch(std::uint16_t port, net::PacketBatch&& batch) {
-  for (auto& p : batch) deliver(port, std::move(p));
-}
-
 void Node::send_out(std::uint16_t port, net::Packet&& packet) {
   auto it = ports_.find(port);
   if (it == ports_.end()) return;  // unwired port: drop
   it->second.link->transmit(it->second.endpoint, std::move(packet));
-}
-
-void Node::send_out_batch(std::uint16_t port, net::PacketBatch&& batch) {
-  auto it = ports_.find(port);
-  if (it == ports_.end()) return;  // unwired port: drop
-  it->second.link->transmit_batch(it->second.endpoint, std::move(batch));
 }
 
 }  // namespace escape::netemu

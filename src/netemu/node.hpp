@@ -8,9 +8,9 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "net/packet.hpp"
-#include "net/packet_batch.hpp"
 #include "util/event.hpp"
 #include "util/result.hpp"
 
@@ -47,11 +47,6 @@ class Node {
   /// A frame arrives on `port` (called by the attached Link).
   virtual void deliver(std::uint16_t port, net::Packet&& packet) = 0;
 
-  /// A burst of frames arrives on `port` in delivery order. Default:
-  /// per-frame deliver loop; switch/container nodes override to keep the
-  /// burst intact through their data path.
-  virtual void deliver_batch(std::uint16_t port, net::PacketBatch&& batch);
-
   /// Attaches a link endpoint to `port`; at most one link per port.
   Status attach_link(std::uint16_t port, Link* link, int endpoint);
   void detach_link(std::uint16_t port);
@@ -66,9 +61,6 @@ class Node {
   /// Sends a frame out of `port` into the attached link (dropped if no
   /// link is attached).
   void send_out(std::uint16_t port, net::Packet&& packet);
-
-  /// Sends a burst out of `port` with one link call.
-  void send_out_batch(std::uint16_t port, net::PacketBatch&& batch);
 
  private:
   struct Attachment {

@@ -20,8 +20,4 @@ void SwitchNode::deliver(std::uint16_t port, net::Packet&& packet) {
   datapath_.receive(port, std::move(packet));
 }
 
-void SwitchNode::deliver_batch(std::uint16_t port, net::PacketBatch&& batch) {
-  datapath_.receive_batch(port, std::move(batch));
-}
-
 }  // namespace escape::netemu

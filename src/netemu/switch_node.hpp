@@ -19,7 +19,6 @@ class SwitchNode : public Node {
   openflow::DatapathId dpid() const { return datapath_.datapath_id(); }
 
   void deliver(std::uint16_t port, net::Packet&& packet) override;
-  void deliver_batch(std::uint16_t port, net::PacketBatch&& batch) override;
 
   /// Declares a datapath port backed by node port `port`. Must be called
   /// for every port before traffic flows (Network::add_link does this).

@@ -213,14 +213,6 @@ void VnfContainer::deliver(std::uint16_t port, net::Packet&& packet) {
   it->second.second->inject(std::move(packet));
 }
 
-void VnfContainer::deliver_batch(std::uint16_t port, net::PacketBatch&& batch) {
-  if (!alive_) return;  // crashed containers eat frames
-  auto it = port_rx_.find(port);
-  if (it == port_rx_.end()) return;  // no running VNF on this port
-  for (auto& p : batch) p.set_in_port(port);
-  it->second.second->inject_batch(std::move(batch));
-}
-
 Result<VnfInfo> VnfContainer::vnf_info(const std::string& vnf_id) const {
   const Instance* inst = find(vnf_id);
   if (!inst) return make_error("container.unknown-vnf", name() + ": no such VNF: " + vnf_id);

@@ -45,7 +45,6 @@ class VnfContainer : public Node {
   std::size_t max_vnfs() const { return max_vnfs_; }
 
   void deliver(std::uint16_t port, net::Packet&& packet) override;
-  void deliver_batch(std::uint16_t port, net::PacketBatch&& batch) override;
 
   // --- the management operations exposed through NETCONF -----------------
 

@@ -311,14 +311,6 @@ std::size_t FlowTable::expire(SimTime now) {
   return evicted;
 }
 
-void FlowTable::record_hit(FlowEntry& entry, std::size_t packet_bytes, SimTime now) {
-  ++lookups_;
-  entry.packet_count++;
-  entry.byte_count += packet_bytes;
-  entry.last_hit = now;
-  ++matched_;
-}
-
 std::vector<FlowStatsEntry> FlowTable::stats(SimTime now) const {
   std::vector<FlowStatsEntry> out;
   out.reserve(size());

@@ -70,18 +70,6 @@ class FlowTable {
   /// counters. Expired entries are skipped (see header comment).
   FlowEntry* lookup(const net::FlowKey& key, std::size_t packet_bytes, SimTime now);
 
-  /// Replays the counter updates of a successful lookup() on an entry the
-  /// caller already holds. This is the batch fast path: consecutive
-  /// packets of one flow skip the table walk but the counters (lookups,
-  /// matches, per-entry packet/byte/last_hit) end up exactly as if
-  /// lookup() had run per packet.
-  void record_hit(FlowEntry& entry, std::size_t packet_bytes, SimTime now);
-
-  /// Monotonic generation counter, bumped whenever entries are added,
-  /// removed or evicted. A cached FlowEntry* is only safe to reuse while
-  /// the version is unchanged.
-  std::uint64_t version() const { return version_; }
-
   /// Evicts every entry whose idle/hard timeout has passed at `now`, in
   /// install order. Returns the number evicted. The switch sweeps
   /// periodically.

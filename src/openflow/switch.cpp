@@ -199,53 +199,6 @@ void OpenFlowSwitch::receive(std::uint16_t port_no, net::Packet&& packet) {
   }
 }
 
-void OpenFlowSwitch::receive_batch(std::uint16_t port_no, net::PacketBatch&& batch) {
-  auto pit = ports_.find(port_no);
-  if (pit == ports_.end()) return;
-
-  // Flow-run cache: consecutive packets carrying the same flow key reuse
-  // the previous lookup's entry. Guarded by the table version so any
-  // mutation mid-batch (a synchronous controller installing a flow from
-  // a packet-in, an expiry) forces a fresh walk. Misses are never cached:
-  // each missed packet goes through the full lookup + packet-in path.
-  std::optional<net::FlowKey> cached_key;
-  FlowEntry* cached_entry = nullptr;
-  std::uint64_t cached_version = 0;
-
-  for (auto& packet : batch) {
-    pit->second.stats.rx_packets++;
-    pit->second.stats.rx_bytes += packet.size();
-    packet.set_in_port(port_no);
-
-    auto key = net::extract_flow_key(packet, port_no);
-    if (!key) {
-      pit->second.stats.rx_dropped++;
-      continue;
-    }
-    FlowEntry* entry;
-    if (cached_entry && cached_key == *key && table_.version() == cached_version) {
-      entry = cached_entry;
-      table_.record_hit(*entry, packet.size(), scheduler_->now());
-    } else {
-      entry = table_.lookup(*key, packet.size(), scheduler_->now());
-      if (entry) {
-        cached_key = *key;
-        cached_entry = entry;
-        cached_version = table_.version();
-      } else {
-        cached_entry = nullptr;
-      }
-    }
-    if (entry) {
-      m_table_hits_->add();
-      apply_actions(entry->actions, std::move(packet), port_no, /*allow_packet_in=*/true);
-    } else {
-      m_table_misses_->add();
-      handle_table_miss(std::move(packet), port_no, *key);
-    }
-  }
-}
-
 void OpenFlowSwitch::handle_table_miss(net::Packet&& packet, std::uint16_t in_port,
                                        const net::FlowKey& key) {
   if (connected()) {

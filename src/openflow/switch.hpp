@@ -12,7 +12,6 @@
 #include <memory>
 #include <optional>
 
-#include "net/packet_batch.hpp"
 #include "obs/metrics.hpp"
 #include "openflow/flow_table.hpp"
 #include "openflow/messages.hpp"
@@ -94,12 +93,6 @@ class OpenFlowSwitch {
 
   /// Datapath entry: a frame arrives on `port_no`.
   void receive(std::uint16_t port_no, net::Packet&& packet);
-
-  /// Burst entry: frames arriving back-to-back on one port. The table
-  /// lookup runs once per flow run (consecutive packets with the same
-  /// flow key reuse the previous entry and its actions, with counters
-  /// updated as if looked up per packet).
-  void receive_batch(std::uint16_t port_no, net::PacketBatch&& batch);
 
   /// Control messages arriving from the controller.
   void handle_message(const Message& message);

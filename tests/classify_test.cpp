@@ -224,40 +224,6 @@ TEST(ClassifyDifferential, BatchApplyEquivalentToSequential) {
   }
 }
 
-/// record_hit (the batch fast path) must leave counters exactly as if
-/// lookup() had run per packet, and stay oracle-identical.
-TEST(ClassifyDifferential, RecordHitCountersMatchOracle) {
-  Rng rng{99};
-  FlowTable table;
-  testing_oracle oracle;
-  std::uint64_t next_cookie = 1;
-  SimTime now = 0;
-  for (int i = 0; i < 60; ++i) {
-    FlowMod mod = random_mod(rng, next_cookie);
-    mod.command = FlowModCommand::kAdd;
-    mod.idle_timeout = 0;
-    mod.hard_timeout = 0;
-    table.apply(mod, now);
-    oracle.apply(mod, now);
-  }
-  for (int round = 0; round < 500; ++round) {
-    now += microseconds(50);
-    const net::FlowKey key = random_key(rng);
-    FlowEntry* got = table.lookup(key, 100, now);
-    FlowEntry* want = oracle.lookup(key, 100, now);
-    ASSERT_EQ(got != nullptr, want != nullptr);
-    if (!got) continue;
-    // A "run" of the same flow replays hits without re-probing.
-    const std::size_t run = rng.next_below(8);
-    for (std::size_t j = 0; j < run; ++j) {
-      now += microseconds(1);
-      table.record_hit(*got, 100, now);
-      oracle.record_hit(*want, 100, now);
-    }
-  }
-  expect_same_state(table, oracle, now, "final");
-}
-
 // --- churn fuzz ------------------------------------------------------------
 
 /// 50k seeded random operations; the full observable table state is

@@ -200,6 +200,31 @@ TEST(Elements, QueueTailDropsAndHandlers) {
   EXPECT_EQ(q->length(), 4u);
 }
 
+TEST(Elements, QueueTailDropsLateArrivalsAndDrainsFifo) {
+  EventScheduler sched;
+  auto router = build_router("q :: Queue(CAPACITY 5);", sched);
+  ASSERT_TRUE(router.ok());
+  auto* q = dynamic_cast<Queue*>((*router)->element("q"));
+  ASSERT_NE(q, nullptr);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    Packet p = test_packet();
+    p.set_seq(i);
+    q->push(0, std::move(p));
+  }
+  EXPECT_EQ(q->length(), 5u);
+  EXPECT_EQ(q->drops(), 3u);
+  EXPECT_EQ((*router)->call_read("q.highwater").value(), "5");
+
+  // The first five arrivals survive and leave in arrival order.
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    auto p = q->pull(0);
+    ASSERT_TRUE(p);
+    EXPECT_EQ(p->seq(), i);
+  }
+  EXPECT_FALSE(q->pull(0));
+  EXPECT_EQ(q->length(), 0u);
+}
+
 TEST(Elements, RatedSourcePacesPackets) {
   EventScheduler sched;
   auto router = build_router(R"(

@@ -1,8 +1,8 @@
 // The flow-aware middlebox substrate: FlowStateTable hashing/eviction,
 // FlowManager classification and context publication, the stateful VNFs
-// built on it (FlowNAT, FlowLB, TcpReassembler, StreamIDS), the per-flow
-// classifier verdict cache, the OpenFlow miss memo, and the
-// bit-identical-across-thread-counts guarantee for a stateful chain.
+// built on it (FlowNAT, FlowLB, TcpReassembler, StreamIDS), the OpenFlow
+// miss memo, and the bit-identical-across-thread-counts guarantee for a
+// stateful chain.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -31,7 +31,6 @@ using click::build_router;
 using net::Ipv4Addr;
 using net::MacAddr;
 using net::Packet;
-using net::PacketBatch;
 
 FlowTuple tuple(std::uint32_t n, std::uint16_t sport = 1000, std::uint16_t dport = 2000) {
   FlowTuple t;
@@ -217,7 +216,7 @@ TEST(FlowManagerElement, ClassifiesFlowsAndCounts) {
   EXPECT_GT(std::stoull((*router)->call_read("fm.memory_bytes").value()), 0u);
 }
 
-TEST(FlowManagerElement, BatchRunsMatchScalarCounters) {
+TEST(FlowManagerElement, InterleavedFlowsCountPerPacketInArrivalOrder) {
   EventScheduler sched;
   auto router = build_router(R"(
     from :: FromDevice(DEVNAME in0);
@@ -230,22 +229,16 @@ TEST(FlowManagerElement, BatchRunsMatchScalarCounters) {
   sink.attach(**router, "out");
   auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
 
-  // Two same-flow runs split by one packet of another flow: 3 lookups
-  // into the table, but per-packet counters identical to the scalar path.
-  PacketBatch batch(5);
-  batch.push_back(udp_packet(1111));
-  batch.push_back(udp_packet(1111));
-  batch.push_back(udp_packet(2222));
-  batch.push_back(udp_packet(1111));
-  batch.push_back(udp_packet(1111));
-  from->inject_batch(std::move(batch));
+  // Two runs of one flow split by a packet of another flow: every packet
+  // is one lookup, and only the first packet of each flow misses.
+  for (std::uint16_t sport : {1111, 1111, 2222, 1111, 1111}) from->inject(udp_packet(sport));
 
   EXPECT_EQ(sink.packets.size(), 5u);
   EXPECT_EQ((*router)->call_read("fm.flows").value(), "2");
   EXPECT_EQ((*router)->call_read("fm.lookups").value(), "5");
   EXPECT_EQ((*router)->call_read("fm.misses").value(), "2");
   EXPECT_EQ((*router)->call_read("fm.hits").value(), "3");
-  // Arrival order is preserved across run splitting.
+  // Arrival order is preserved.
   for (std::size_t i = 0; i < 5; ++i) {
     auto t = FlowTuple::from_packet(sink.packets[i]);
     ASSERT_TRUE(t);
@@ -309,6 +302,42 @@ TEST(FlowManagerElement, FullTableOverflowsToPortOne) {
   ASSERT_TRUE(t);
   EXPECT_EQ(t->src_port, 3333);
   EXPECT_EQ((*router)->call_read("fm.full_drops").value(), "1");
+}
+
+TEST(FlowManagerElement, PacketsWithoutAFlowLeaveUnderNullContext) {
+  EventScheduler sched;
+  auto router = build_router(R"(
+    from :: FromDevice(DEVNAME in0);
+    fm :: FlowManager(CAPACITY 1, TIMEOUT_MS 1000);
+    out :: ToDevice(DEVNAME out0);
+    ovf :: ToDevice(DEVNAME ovf0);
+    from -> fm -> out;
+    fm[1] -> ovf;
+  )", sched);
+  ASSERT_TRUE(router.ok()) << router.error().to_string();
+  // An enclosing manager's context, as under chained FlowManagers.
+  click::FlowCtx outer{nullptr, nullptr};
+  const click::Element* fm = (*router)->element("fm");
+  std::vector<std::string> seen;  // the context each packet leaves under
+  for (const char* dev : {"out", "ovf"}) {
+    auto* to = dynamic_cast<ToDevice*>((*router)->element(dev));
+    ASSERT_NE(to, nullptr);
+    to->set_sink([&](Packet&&) {
+      const click::FlowCtx* ctx = click::current_flow();
+      seen.push_back(ctx == nullptr ? "none" : ctx == &outer ? "outer"
+                     : ctx->manager == fm ? "fm" : "other");
+    });
+  }
+  auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
+
+  click::FlowScope scope(&outer);
+  from->inject(udp_packet(1111));  // gets a flow of fm
+  from->inject(udp_packet(2222));  // table full: overflow port
+  net::PacketBuilder arp;
+  arp.eth(MacAddr::from_u64(1), MacAddr::from_u64(2), net::ethertype::kArp);
+  from->inject(arp.build());  // non-IPv4
+
+  EXPECT_EQ(seen, (std::vector<std::string>{"fm", "none", "none"}));
 }
 
 // --- FlowNAT ----------------------------------------------------------------
@@ -530,67 +559,6 @@ TEST(StreamIdsElement, UdpFallsBackToPerPacketScan) {
       .payload(std::string_view("xx attack yy"));
   from->inject(b.build());
   EXPECT_EQ((*router)->call_read("ids.alerts").value(), "1");
-}
-
-// --- per-flow classifier verdict cache --------------------------------------
-
-TEST(FlowVerdictCache, FirewallSkipsRuleWalkOnEstablishedFlows) {
-  EventScheduler sched;
-  auto router = build_router(R"(
-    from :: FromDevice(DEVNAME in0);
-    fm :: FlowManager;
-    fw :: Firewall(RULES "deny udp", DEFAULT allow);
-    out :: ToDevice(DEVNAME out0);
-    from -> fm -> fw -> out;
-  )", sched);
-  ASSERT_TRUE(router.ok()) << router.error().to_string();
-  auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
-
-  for (int i = 0; i < 4; ++i) from->inject(udp_packet(1111));
-  EXPECT_EQ((*router)->call_read("fw.denied").value(), "4");
-  // First packet walks the rules and stores the verdict; the other three
-  // are answered from the flow's state block.
-  EXPECT_EQ((*router)->call_read("fw.flow_cache_hits").value(), "3");
-
-  from->inject(tcp_packet(1000, 0x02, ""));
-  EXPECT_EQ((*router)->call_read("fw.accepted").value(), "1");
-}
-
-TEST(FlowVerdictCache, TcpFlagRulesDisableTheCache) {
-  // "syn" varies within a flow, so caching its verdict would be wrong;
-  // the tuple_only() gate must keep the cache off.
-  EventScheduler sched;
-  auto router = build_router(R"(
-    from :: FromDevice(DEVNAME in0);
-    fm :: FlowManager;
-    fw :: Firewall(RULES "deny syn", DEFAULT allow);
-    out :: ToDevice(DEVNAME out0);
-    from -> fm -> fw -> out;
-  )", sched);
-  ASSERT_TRUE(router.ok()) << router.error().to_string();
-  auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
-
-  from->inject(tcp_packet(1000, /*SYN*/ 0x02, ""));
-  from->inject(tcp_packet(1001, /*ACK*/ 0x10, "x"));
-  from->inject(tcp_packet(1002, 0x10, "y"));
-  EXPECT_EQ((*router)->call_read("fw.denied").value(), "1");
-  EXPECT_EQ((*router)->call_read("fw.accepted").value(), "2");
-  EXPECT_EQ((*router)->call_read("fw.flow_cache_hits").value(), "0");
-}
-
-TEST(FlowVerdictCache, NoFlowManagerMeansNoCacheButSameVerdicts) {
-  EventScheduler sched;
-  auto router = build_router(R"(
-    from :: FromDevice(DEVNAME in0);
-    fw :: Firewall(RULES "deny udp", DEFAULT allow);
-    out :: ToDevice(DEVNAME out0);
-    from -> fw -> out;
-  )", sched);
-  ASSERT_TRUE(router.ok()) << router.error().to_string();
-  auto* from = dynamic_cast<FromDevice*>((*router)->element("from"));
-  for (int i = 0; i < 3; ++i) from->inject(udp_packet(1111));
-  EXPECT_EQ((*router)->call_read("fw.denied").value(), "3");
-  EXPECT_EQ((*router)->call_read("fw.flow_cache_hits").value(), "0");
 }
 
 // --- OpenFlow miss memo -----------------------------------------------------

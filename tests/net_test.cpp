@@ -377,13 +377,5 @@ TEST(PacketPool, MaxFreeBoundsTheFreeList) {
   EXPECT_EQ(pool.recycled(), 2u);
 }
 
-TEST(PacketPool, RecyclesWholeBatches) {
-  PacketPool pool;
-  PacketBatch batch(4);
-  for (int i = 0; i < 4; ++i) batch.push_back(pool.acquire(64));
-  pool.recycle(std::move(batch));
-  EXPECT_EQ(pool.free_buffers(), 4u);
-}
-
 }  // namespace
 }  // namespace escape::net

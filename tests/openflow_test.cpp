@@ -302,6 +302,53 @@ struct SwitchFixture : ::testing::Test {
   }
 };
 
+/// A controller fake that answers the first PacketIn by installing a flow
+/// synchronously, from inside the switch's receive().
+struct ReactiveChannel : ControlChannel {
+  OpenFlowSwitch* sw = nullptr;
+  FlowMod mod;
+  bool installed = false;
+
+  void to_controller(Message m) override {
+    if (installed || !sw) return;
+    if (std::holds_alternative<PacketIn>(m)) {
+      installed = true;
+      sw->handle_message(mod);
+    }
+  }
+  bool connected() const override { return true; }
+};
+
+TEST(OpenFlowSwitch, SyncFlowModFromPacketInAppliesToNextFrame) {
+  EventScheduler sched;
+  OpenFlowSwitch sw{7, sched};
+  std::map<std::uint16_t, std::vector<net::Packet>> tx;
+  for (std::uint16_t p : {1, 2}) {
+    sw.add_port(p, "eth" + std::to_string(p), MacAddr::from_u64(p),
+                [&tx, p](net::Packet&& pkt) { tx[p].push_back(std::move(pkt)); });
+  }
+  auto channel = std::make_shared<ReactiveChannel>();
+  channel->sw = &sw;
+  channel->mod.match = Match().in_port(1);
+  channel->mod.actions = output_to(2);
+  sw.connect(channel);
+
+  for (int i = 0; i < 6; ++i) {
+    sw.receive(1, net::make_udp_packet(MacAddr::from_u64(1), MacAddr::from_u64(2),
+                                       Ipv4Addr(10, 0, 0, 1), Ipv4Addr(10, 0, 0, 2), 1000, 80));
+  }
+
+  // Frame 0 misses and its packet-in installs the flow before receive()
+  // returns; frames 1..5 hit the new entry (the miss memo is
+  // invalidated by the table change).
+  EXPECT_EQ(sw.packet_ins_sent(), 1u);
+  EXPECT_EQ(tx[2].size(), 5u);
+  const FlowTable& table = sw.flow_table();
+  EXPECT_EQ(table.lookups(), 6u);
+  EXPECT_EQ(table.matches(), 5u);
+  EXPECT_EQ(sw.port_stats(1).rx_packets, 6u);
+}
+
 TEST_F(SwitchFixture, HandshakeProducesHelloAndFeatures) {
   ASSERT_FALSE(channel->of_type<Hello>().empty());
   auto features = channel->of_type<FeaturesReply>();

@@ -1,6 +1,9 @@
 // Tests for the mapping algorithms and the resource view builder.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "orchestrator/mapping.hpp"
 #include "orchestrator/view.hpp"
 
@@ -237,9 +240,11 @@ TEST(Mapping, RegistryKnowsBuiltinsAndExtensions) {
 
 /// Parameterized sweep: every algorithm maps chains of length 1..5 on
 /// the testbed, commits consistent reservations and reports consistent
-/// link mappings (chain-order invariants).
+/// link mappings (chain-order invariants). The name is a std::string, not
+/// a const char*: gtest prints a C string with its address, which would put
+/// a per-process address into every test's name.
 class AlgorithmSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(AlgorithmSweep, InvariantsHold) {
   const auto [name, length] = GetParam();

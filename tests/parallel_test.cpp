@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "escape/environment.hpp"
 #include "fault/fault_plane.hpp"
+#include "net/builder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/sharded_event.hpp"
@@ -455,6 +457,152 @@ TEST(ParallelDeterminism, SteeringScenarioBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(seq.injections, 3u);
   EXPECT_GT(seq.rx_packets, 0u);
   EXPECT_EQ(seq, par);
+}
+
+// --- golden digests -------------------------------------------------------------
+//
+// The tests above compare thread counts within one build; this one pins
+// a chain-set run to constants, so a change that moves packet order,
+// event count or delivery timing fails here even when it moves every
+// thread count alike. Only a change that means to move the model's
+// virtual-time behaviour may update the constants.
+
+struct GoldenSink {
+  std::uint64_t rx = 0;
+  std::size_t latency_count = 0;
+  std::int64_t latency_min_ns = 0;
+  std::int64_t latency_max_ns = 0;
+};
+
+struct GoldenRun {
+  std::size_t shards = 0;
+  std::uint64_t digest = 0;
+  std::uint64_t executed = 0;
+  std::vector<GoldenSink> sinks;  // sap2, sap4, sap6, sap8
+};
+
+std::int64_t latency_ns(double us) { return std::llround(us * 1000.0); }
+
+/// Monitor, firewall, flow_nat and tcp_ids chains across a 4-switch
+/// line, one SAP pair per chain (sources on s1, sinks on s4), a VNF
+/// container on every switch. Each chain carries kGoldenPackets frames:
+/// UDP from Host::start_udp_flow, TCP segments for tcp_ids. Per-chain
+/// gaps and frame sizes differ, so the chains drift in and out of phase
+/// on the shared inter-switch links and queueing varies packet to packet.
+constexpr std::uint64_t kGoldenPackets = 400;
+
+GoldenRun run_golden_chain_set(std::size_t threads) {
+  EnvironmentOptions opts;
+  opts.threads = threads;
+  opts.shard_by = netemu::ShardBy::kSwitch;
+  Environment env{opts};
+  auto& net = env.network();
+  netemu::LinkConfig cfg;
+  cfg.bandwidth_bps = 1'000'000'000;
+  cfg.delay = 100 * timeunit::kMicrosecond;
+  for (int i = 1; i <= 4; ++i) {
+    const std::string sw = "s" + std::to_string(i);
+    const std::string c = "c" + std::to_string(i);
+    net.add_switch(sw);
+    net.add_container(c, 4.0, 32);
+    EXPECT_TRUE(net.add_link(c, 0, sw, 3, cfg).ok());
+    if (i > 1) {
+      EXPECT_TRUE(net.add_link("s" + std::to_string(i - 1), 2, sw, 1, cfg).ok());
+    }
+  }
+  const std::vector<std::string> types = {"monitor", "firewall", "flow_nat", "tcp_ids"};
+  for (std::size_t i = 0; i < types.size(); ++i) {
+    const std::string a = "sap" + std::to_string(2 * i + 1);
+    const std::string b = "sap" + std::to_string(2 * i + 2);
+    net.add_host(a);
+    net.add_host(b);
+    const auto port = static_cast<std::uint16_t>(10 + i);
+    EXPECT_TRUE(net.add_link(a, 0, "s1", port, cfg).ok());
+    EXPECT_TRUE(net.add_link(b, 0, "s4", port, cfg).ok());
+  }
+  EXPECT_TRUE(env.start().ok());
+
+  for (std::size_t i = 0; i < types.size(); ++i) {
+    const std::string a = "sap" + std::to_string(2 * i + 1);
+    const std::string b = "sap" + std::to_string(2 * i + 2);
+    sg::ServiceGraph g("golden" + std::to_string(i));
+    g.add_sap(a).add_sap(b);
+    g.add_vnf("v0", types[i], {}, 0.25);
+    g.add_link(a, "v0").add_link("v0", b);
+    auto chain = env.deploy(g);
+    EXPECT_TRUE(chain.ok()) << types[i] << ": "
+                            << (chain.ok() ? "" : chain.error().to_string());
+  }
+
+  SimDuration last_gap = 0;
+  for (std::size_t i = 0; i < types.size(); ++i) {
+    netemu::Host* src = env.host("sap" + std::to_string(2 * i + 1));
+    netemu::Host* dst = env.host("sap" + std::to_string(2 * i + 2));
+    const auto sport = static_cast<std::uint16_t>(4000 + i);
+    const SimDuration gap = (50 + 7 * i) * timeunit::kMicrosecond;
+    last_gap = gap;
+    if (types[i] != "tcp_ids") {
+      src->start_udp_flow(dst->mac(), dst->ip(), sport, 7000, kGoldenPackets,
+                          timeunit::kSecond / gap, 128 + 384 * i);
+      continue;
+    }
+    const SimTime t0 = src->scheduler().now();
+    for (std::uint64_t k = 0; k < kGoldenPackets; ++k) {
+      src->scheduler().schedule_at(t0 + k * gap, [src, dst, sport, k] {
+        net::TcpFields tcp;
+        tcp.src_port = sport;
+        tcp.dst_port = 80;
+        tcp.seq = static_cast<std::uint32_t>(1000 + 256 * k);
+        tcp.flags = 0x10;  // ACK: a stream adopted mid-flight
+        net::Packet p = net::PacketBuilder()
+                            .eth(src->mac(), dst->mac())
+                            .ipv4(src->ip(), dst->ip(), net::ipproto::kTcp)
+                            .tcp(tcp)
+                            .payload(std::string(256, 'x'))
+                            .build();
+        p.set_seq(k);
+        p.set_timestamp(src->scheduler().now());
+        src->send(std::move(p));
+      });
+    }
+  }
+  env.run_for(kGoldenPackets * last_gap + 20 * timeunit::kMillisecond);
+
+  GoldenRun run;
+  run.shards = env.scheduler().shard_count();
+  run.digest = env.scheduler().order_digest();
+  run.executed = env.scheduler().executed_events();
+  for (std::size_t i = 0; i < types.size(); ++i) {
+    const netemu::Host* sink = env.host("sap" + std::to_string(2 * i + 2));
+    const auto& lat = sink->latency_us();
+    run.sinks.push_back({sink->rx_packets(), lat.count(), latency_ns(lat.min()),
+                         latency_ns(lat.max())});
+  }
+  return run;
+}
+
+TEST(GoldenDeterminism, ChainSetMatchesPinnedConstants) {
+  const GoldenSink kSinks[] = {
+      {400, 400, 507326, 528634},  // sap2: monitor
+      {400, 400, 523300, 536866},  // sap4: firewall
+      {400, 400, 539274, 544224},  // sap6: flow_nat
+      {400, 400, 514896, 531162},  // sap8: tcp_ids
+  };
+  for (std::size_t threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const GoldenRun run = run_golden_chain_set(threads);
+    EXPECT_EQ(run.shards, 4u);
+    EXPECT_EQ(run.digest, 0xf91f0c611da5adabull);
+    EXPECT_EQ(run.executed, 17721u);
+    ASSERT_EQ(run.sinks.size(), std::size(kSinks));
+    for (std::size_t i = 0; i < run.sinks.size(); ++i) {
+      SCOPED_TRACE("sink sap" + std::to_string(2 * i + 2));
+      EXPECT_EQ(run.sinks[i].rx, kSinks[i].rx);
+      EXPECT_EQ(run.sinks[i].latency_count, kSinks[i].latency_count);
+      EXPECT_EQ(run.sinks[i].latency_min_ns, kSinks[i].latency_min_ns);
+      EXPECT_EQ(run.sinks[i].latency_max_ns, kSinks[i].latency_max_ns);
+    }
+  }
 }
 
 // --- trace merge ----------------------------------------------------------------

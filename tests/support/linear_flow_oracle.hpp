@@ -49,14 +49,6 @@ class LinearFlowTableOracle {
     return best;
   }
 
-  void record_hit(FlowEntry& entry, std::size_t packet_bytes, SimTime now) {
-    ++lookups_;
-    entry.packet_count++;
-    entry.byte_count += packet_bytes;
-    entry.last_hit = now;
-    ++matched_;
-  }
-
   std::size_t expire(SimTime now) {
     std::size_t evicted = 0;
     for (auto it = entries_.begin(); it != entries_.end();) {
