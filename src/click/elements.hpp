@@ -448,9 +448,12 @@ class BandwidthShaper : public Element {
 };
 
 /// Push-path packet delayer: Delay(DELAY 5ms as nanoseconds: DELAY 5000000).
+/// Each packet waits in its own event; destroying the element cancels
+/// the events of packets still inside.
 class Delay : public Element {
  public:
   Delay();
+  ~Delay() override;
   std::string_view class_name() const override { return "Delay"; }
   Status configure(const ConfigArgs& args) override;
   Status initialize(Router& router) override;
@@ -458,6 +461,7 @@ class Delay : public Element {
 
  private:
   SimDuration delay_ = timeunit::kMillisecond;
+  std::deque<EventHandle> in_flight_;  // one per packet inside, in push (= fire) order
 };
 
 /// Keeps packets with probability P -> out 0; the rest are dropped (or

@@ -43,6 +43,10 @@ std::optional<Packet> BandwidthShaper::pull(int) {
 
 Delay::Delay() { declare_ports({PortMode::kPush}, {PortMode::kPush}); }
 
+Delay::~Delay() {
+  for (auto& event : in_flight_) event.cancel();
+}
+
 Status Delay::configure(const ConfigArgs& args) {
   if (auto v = args.keyword_or_positional("DELAY", 0)) {
     auto d = strings::parse_scaled_u64(*v);
@@ -55,10 +59,12 @@ Status Delay::configure(const ConfigArgs& args) {
 Status Delay::initialize(Router&) { return ok_status(); }
 
 void Delay::push(int, Packet&& p) {
-  auto shared = std::make_shared<Packet>(std::move(p));
-  router()->scheduler().schedule(delay_, [this, shared]() mutable {
-    output_push(0, std::move(*shared));
-  });
+  // Every packet waits the same delay, so events fire in push order and
+  // the firing one is always the front of in_flight_.
+  in_flight_.push_back(router()->scheduler().schedule(delay_, [this, p = std::move(p)]() mutable {
+    in_flight_.pop_front();
+    output_push(0, std::move(p));
+  }));
 }
 
 // --- RandomSample --------------------------------------------------------------------

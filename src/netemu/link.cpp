@@ -37,6 +37,31 @@ Link::~Link() {
   dir_[1].event.cancel();
 }
 
+void Link::FrameRing::push_back(PendingFrame frame, std::size_t limit) {
+  if (size == slots.size()) {
+    std::vector<PendingFrame> grown(std::min(std::max<std::size_t>(2 * size, 4), limit));
+    for (std::size_t i = 0; i < size; ++i) {
+      grown[i] = std::move(slots[(head + i) % size]);
+    }
+    slots = std::move(grown);
+    head = 0;
+  }
+  std::size_t tail = head + size;
+  if (tail >= slots.size()) tail -= slots.size();
+  slots[tail] = std::move(frame);
+  ++size;
+}
+
+void Link::FrameRing::pop_front() {
+  head = (head + 1 == slots.size()) ? 0 : head + 1;
+  --size;
+}
+
+void Link::FrameRing::clear() {
+  for (auto& frame : slots) frame.packet = net::Packet{};
+  head = size = 0;
+}
+
 SimDuration Link::tx_time(std::size_t bytes) const {
   // bits / (bits per second) in nanoseconds, rounded up.
   const std::uint64_t bits = static_cast<std::uint64_t>(bytes) * 8;
@@ -72,7 +97,7 @@ void Link::apply_set_up(int direction, bool up) {
   dir.up = up;
   if (!up) {
     // The wire is cut: everything in flight is lost.
-    const std::uint64_t lost = dir.pending.size();
+    const std::uint64_t lost = dir.pending.size;
     dir.dropped += lost;
     dir.m_dropped->add(lost);
     dir.pending.clear();
@@ -123,7 +148,7 @@ bool Link::enqueue_frame(Direction& dir, net::Packet&& packet) {
 
   // Queue admission: frames in flight beyond the queue bound are dropped
   // (tail drop), emulating the interface transmit ring.
-  if (dir.pending.size() >= config_.queue_frames) {
+  if (dir.pending.size >= config_.queue_frames) {
     ++dir.dropped;
     dir.m_dropped->add();
     return false;
@@ -133,8 +158,9 @@ bool Link::enqueue_frame(Direction& dir, net::Packet&& packet) {
   const SimTime start = std::max(now, dir.busy_until);
   const SimTime tx_done = start + tx_time(packet.size());
   dir.busy_until = tx_done;
-  dir.pending.push_back(PendingFrame{tx_done, tx_done + config_.delay, std::move(packet)});
-  dir.m_queue_depth->set(static_cast<double>(dir.pending.size()));
+  dir.pending.push_back(PendingFrame{tx_done, tx_done + config_.delay, std::move(packet)},
+                        config_.queue_frames);
+  dir.m_queue_depth->set(static_cast<double>(dir.pending.size));
   return true;
 }
 
@@ -145,7 +171,7 @@ void Link::transmit(int from_endpoint, net::Packet&& packet) {
 
 void Link::arm(int from_endpoint) {
   Direction& dir = dir_[from_endpoint];
-  if (dir.pending.empty() || dir.event.pending()) return;
+  if (dir.pending.size == 0 || dir.event.pending()) return;
   // Same-shard: fire at delivery time, exactly the classic model.
   // Cross-shard: fire at serialization end on the sender's shard; the
   // frame then crosses to the receiver with the propagation delay, so
@@ -163,7 +189,7 @@ void Link::fire(int from_endpoint) {
   ++dir.delivered;
   dir.m_delivered->add();
   dir.m_bytes->add(packet.size());
-  dir.m_queue_depth->set(static_cast<double>(dir.pending.size()));
+  dir.m_queue_depth->set(static_cast<double>(dir.pending.size));
 
   // Re-arm for the next frame before delivering: delivery can re-enter
   // transmit() on this same direction (forwarding loops), and that path
@@ -176,11 +202,12 @@ void Link::fire(int from_endpoint) {
     dst->deliver(dst_port, std::move(packet));
     return;
   }
-  // shared_ptr only because EventScheduler::Callback requires a
-  // copy-constructible target; the frame has exactly one consumer.
-  auto frame = std::make_shared<net::Packet>(std::move(packet));
+  // The frame travels inside the event (the capture fits the callback's
+  // inline buffer), through the mailbox to the receiver's shard.
   cross_schedule(*dir.sched, dst->scheduler(), config_.delay,
-                 [dst, dst_port, frame] { dst->deliver(dst_port, std::move(*frame)); });
+                 [dst, dst_port, packet = std::move(packet)]() mutable {
+                   dst->deliver(dst_port, std::move(packet));
+                 });
 }
 
 std::string Link::to_string() const {

@@ -13,12 +13,14 @@
 // Node::deliver and re-arms for the next. Every non-empty frame holds
 // the wire for at least 1 ns (tx_time rounds up), so delivery times
 // strictly increase along a direction and no fire ever finds a second
-// frame due.
+// frame due. The FIFO is a ring that grows on demand up to
+// `queue_frames` and never shrinks, so a warm link queues and delivers
+// frames without allocating.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "netemu/node.hpp"
 #include "obs/metrics.hpp"
@@ -84,6 +86,19 @@ class Link {
     SimTime deliver_at = 0;  // tx_done + propagation delay
     net::Packet packet;
   };
+  /// FIFO of pending frames over a ring buffer. A frame that finds the
+  /// ring full doubles its capacity, up to `limit` (the caller admits
+  /// at most `limit` frames); popped slots are reused in place.
+  struct FrameRing {
+    std::vector<PendingFrame> slots;
+    std::size_t head = 0;
+    std::size_t size = 0;
+
+    PendingFrame& front() { return slots[head]; }
+    void push_back(PendingFrame frame, std::size_t limit);
+    void pop_front();
+    void clear();
+  };
   struct Direction {
     // Sender-shard-confined state: only the shard executing the sender
     // node ever touches this struct (admin ops from other shards arrive
@@ -93,7 +108,7 @@ class Link {
     bool up = true;                   // applied admin state
     Rng rng{1};                       // per-direction loss stream (cross only)
     SimTime busy_until = 0;
-    std::deque<PendingFrame> pending;  // FIFO; tx_done/deliver_at monotonic
+    FrameRing pending;                 // tx_done/deliver_at monotonic
     EventHandle event;                 // armed for pending.front()
     std::uint64_t delivered = 0;
     std::uint64_t dropped = 0;

@@ -1,59 +1,161 @@
 #include "util/event.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace escape {
 
 namespace {
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-}
+constexpr std::size_t kArity = 4;
+}  // namespace
 
 void EventHandle::cancel() {
-  if (!state_) return;
-  // exchange: exactly one of {cancel, fire} flips done, so the live
-  // counter is decremented exactly once even when a cross-shard cancel
-  // races the firing shard.
-  if (!state_->done.exchange(true, std::memory_order_acq_rel)) {
-    if (state_->live) state_->live->fetch_sub(1, std::memory_order_acq_rel);
+  if (slot_ == nullptr) return;
+  // Read the counter before the CAS: once the CAS succeeds the owner may
+  // reap and re-arm the slot for another queue, but nothing re-arms it
+  // before the CAS, so on success this is the counter our event holds.
+  std::atomic<std::size_t>* live = slot_->live.load(std::memory_order_relaxed);
+  std::uint64_t expected = armed_;
+  if (slot_->word.compare_exchange_strong(expected, armed_ + 1, std::memory_order_acq_rel,
+                                          std::memory_order_relaxed)) {
+    live->fetch_sub(1, std::memory_order_acq_rel);
   }
 }
 
-EventHandle EventScheduler::schedule(SimDuration delay, Callback cb) {
-  return schedule_at(now_ + delay, std::move(cb));
-}
+EventScheduler::~EventScheduler() { discard_all(); }
 
 EventHandle EventScheduler::schedule_at(SimTime when, Callback cb) {
   if (when < now_) {
     throw std::logic_error("EventScheduler: cannot schedule into the past");
   }
-  auto state = std::make_shared<detail::EventState>();
-  state->live = live_;
-  queue_.push(Entry{when, next_seq_++, std::move(cb), state});
-  live_->fetch_add(1, std::memory_order_acq_rel);
-  return EventHandle{std::move(state)};
+  Slot* slot = nullptr;
+  EventHandle handle = arm(std::move(cb), *this, slot);
+  push_key(Key{when, next_seq_++, slot});
+  return handle;
 }
 
-void EventScheduler::inject(SimTime when, Callback cb, std::shared_ptr<detail::EventState> state) {
-  // The live counter was bumped when the event was posted to the
-  // mailbox; a cancel in between marked `done` and decremented it, and
-  // the entry will be reaped from the heap like any cancelled event.
-  queue_.push(Entry{when, next_seq_++, std::move(cb), std::move(state)});
+EventHandle EventScheduler::arm(Callback&& cb, EventScheduler& runs_on, Slot*& slot) {
+  slot = take_slot();
+  slot->cb = std::move(cb);
+  std::atomic<std::size_t>& live = runs_on.core_->live;
+  slot->live.store(&live, std::memory_order_relaxed);
+  live.fetch_add(1, std::memory_order_acq_rel);
+  const std::uint64_t armed = slot->word.load(std::memory_order_relaxed) + 1;
+  slot->word.store(armed, std::memory_order_release);
+  return EventHandle{core_, slot, armed};
 }
 
-bool EventScheduler::pop_and_run() {
-  while (!queue_.empty()) {
-    Entry entry = queue_.top();
-    queue_.pop();
-    // exchange so a concurrent cross-shard cancel either wins (we skip
-    // the entry; the canceller adjusted the counter) or loses (we run
-    // it; the cancel becomes a no-op).
-    if (entry.state->done.exchange(true, std::memory_order_acq_rel)) continue;
-    live_->fetch_sub(1, std::memory_order_acq_rel);
-    now_ = entry.when;
+EventScheduler::Slot* EventScheduler::take_slot() {
+  if (free_ == nullptr) {
+    // Slots other shards fired for us come back on the return stack;
+    // taking the whole stack at once keeps the pop ABA-free.
+    free_ = core_->returned.exchange(nullptr, std::memory_order_acquire);
+  }
+  if (free_ == nullptr) {
+    auto chunk = std::make_unique<Slot[]>(kChunkSlots);
+    for (std::size_t i = 0; i < kChunkSlots; ++i) {
+      chunk[i].home = core_.get();
+      chunk[i].next = (i + 1 < kChunkSlots) ? &chunk[i + 1] : nullptr;
+    }
+    free_ = &chunk[0];
+    core_->chunks.push_back(std::move(chunk));
+  }
+  Slot* slot = free_;
+  free_ = slot->next;
+  return slot;
+}
+
+void EventScheduler::retire(Slot* slot) {
+  slot->cb.reset();
+  detail::EventCore* home = slot->home;
+  if (home == core_.get()) {
+    slot->next = free_;
+    free_ = slot;
+    return;
+  }
+  // Borrowed from the shard that posted it: only that shard's thread
+  // takes from its free list, so push onto its core's return stack.
+  slot->next = home->returned.load(std::memory_order_relaxed);
+  while (!home->returned.compare_exchange_weak(slot->next, slot, std::memory_order_release,
+                                               std::memory_order_relaxed)) {
+  }
+}
+
+void EventScheduler::abandon(Slot* slot) {
+  std::uint64_t word = slot->word.load(std::memory_order_acquire);
+  if (word & 1) slot->word.compare_exchange_strong(word, word + 1, std::memory_order_acq_rel);
+  slot->cb.reset();
+}
+
+void EventScheduler::discard_all() {
+  while (!heap_.empty()) {
+    std::vector<Key> keys;
+    keys.swap(heap_);  // a dying capture may still schedule
+    for (const Key& key : keys) abandon(key.slot);
+  }
+}
+
+void EventScheduler::push_key(Key key) {
+  std::size_t i = heap_.size();
+  heap_.push_back(key);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!key.before(heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = key;
+}
+
+void EventScheduler::pop_key() {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = i * kArity + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    const std::size_t end = std::min(first + kArity, n);
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (heap_[c].before(heap_[best])) best = c;
+    }
+    if (!heap_[best].before(last)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
+}
+
+bool EventScheduler::pop_and_run(SimTime last) {
+  while (!heap_.empty()) {
+    const Key top = heap_.front();
+    if (top.when > last) return false;
+    pop_key();
+    Slot* slot = top.slot;
+    // CAS so a concurrent cross-shard cancel either wins (we reap the
+    // key; the canceller adjusted the counter) or loses (we run it; the
+    // cancel becomes a no-op).
+    std::uint64_t armed = slot->word.load(std::memory_order_acquire);
+    if ((armed & 1) == 0 ||
+        !slot->word.compare_exchange_strong(armed, armed + 1, std::memory_order_acq_rel)) {
+      retire(slot);
+      continue;
+    }
+    core_->live.fetch_sub(1, std::memory_order_acq_rel);
+    now_ = top.when;
     ++executed_;
-    digest_ = (digest_ ^ entry.when) * kFnvPrime;
-    digest_ = (digest_ ^ entry.seq) * kFnvPrime;
-    entry.cb();
+    digest_ = (digest_ ^ top.when) * kFnvPrime;
+    digest_ = (digest_ ^ top.seq) * kFnvPrime;
+    // The callback runs in place; the slot is freed however it exits.
+    struct Retire {
+      EventScheduler* self;
+      Slot* slot;
+      ~Retire() { self->retire(slot); }
+    } retire_after{this, slot};
+    slot->cb();
     return true;
   }
   return false;
@@ -82,34 +184,24 @@ std::size_t EventScheduler::run(std::size_t max_events) {
 std::size_t EventScheduler::run_until(SimTime deadline, std::size_t max_events) {
   check_direct_run();
   std::size_t ran = 0;
-  while (ran < max_events) {
-    while (!queue_.empty() && queue_.top().state->done.load(std::memory_order_acquire)) {
-      queue_.pop();
-    }
-    if (queue_.empty() || queue_.top().when > deadline) break;
-    if (pop_and_run()) ++ran;
-  }
+  while (ran < max_events && pop_and_run(deadline)) ++ran;
   if (now_ < deadline) now_ = deadline;
   return ran;
 }
 
 std::size_t EventScheduler::run_window(SimTime bound, std::size_t max_events) {
   std::size_t ran = 0;
-  while (ran < max_events) {
-    while (!queue_.empty() && queue_.top().state->done.load(std::memory_order_acquire)) {
-      queue_.pop();
-    }
-    if (queue_.empty() || queue_.top().when >= bound) break;
-    if (pop_and_run()) ++ran;
-  }
+  while (bound > 0 && ran < max_events && pop_and_run(bound - 1)) ++ran;
   return ran;
 }
 
 SimTime EventScheduler::next_event_time() {
-  while (!queue_.empty() && queue_.top().state->done.load(std::memory_order_acquire)) {
-    queue_.pop();
+  while (!heap_.empty() && (heap_.front().slot->word.load(std::memory_order_acquire) & 1) == 0) {
+    Slot* slot = heap_.front().slot;
+    pop_key();
+    retire(slot);
   }
-  return queue_.empty() ? kNoEvent : queue_.top().when;
+  return heap_.empty() ? kNoEvent : heap_.front().when;
 }
 
 }  // namespace escape

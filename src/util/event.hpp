@@ -8,23 +8,47 @@
 // cancellation, which is how Click timers are unscheduled and
 // flow-entry timeouts are refreshed.
 //
+// Storage: scheduling and firing allocate nothing in steady state. An
+// event lives in a slot of its scheduler's core; slots come in chunks
+// of kChunkSlots that are never relocated, and fired or reaped slots go
+// back on a free list. The queue itself is a 4-ary heap of 24-byte
+// (when, seq, slot) keys. Callbacks are move-only with inline storage
+// (EventCallback), so they are moved into and out of slots, never
+// copied.
+//
+// Handles: each slot carries an atomic state word that only grows. An
+// odd value means "scheduled", the next even value "fired or
+// cancelled", and the slot's next use arms the odd value after that.
+// A handle remembers the odd word its event was armed with, so it can
+// never cancel, or report pending, a later event that reuses the slot.
+// Firing and cancelling are both one CAS from that odd word, so exactly
+// one of them wins even when a handle is cancelled from another shard's
+// thread. The winner of a cancel decrements the pending counter of the
+// queue the event was going to run on, which keeps pending_events()
+// exact before the cancelled key is reaped from the heap. A handle also
+// holds a reference to the slot's core, so cancel() after the scheduler
+// was destroyed touches live memory and is a no-op: the destructor
+// marks every event it still held as fired.
+//
 // For parallel execution the network is partitioned into shards, each
 // with its own EventScheduler, driven together by a ShardedScheduler
 // (util/sharded_event.hpp). A standalone EventScheduler (the shards=1
 // special case) behaves exactly as before; when owned by a
 // ShardedScheduler it becomes one shard's queue and must only be
-// advanced through the owner. Handle cancellation is cross-thread safe
-// either way: the fired/cancelled flag is an atomic, and the live-event
-// counter is an atomic shared with the handle, so a handle cancelled
-// from a different shard than the one that scheduled it keeps the
-// pending count exact and never races the firing shard.
+// advanced through the owner. A cross-shard event posted during a run
+// occupies a slot of the posting shard's core (only that shard's thread
+// takes slots from its free list); the receiving shard fires it and
+// hands the slot back through the home core's lock-free return stack.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <cstring>
 #include <memory>
-#include <queue>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/time.hpp"
@@ -34,21 +58,130 @@ namespace escape {
 class EventScheduler;
 class ShardedScheduler;
 
+/// A move-only `void()` callable with inline storage. Callables of up
+/// to kInlineBytes (and no stricter alignment than a pointer) that are
+/// nothrow-movable live in the buffer; anything larger costs one heap
+/// allocation. The buffer fits the packet path's captures, the largest
+/// being a cross-shard link frame: `[dst, port, net::Packet]`.
+class EventCallback {
+ public:
+  static constexpr std::size_t kInlineBytes = 72;
+
+  EventCallback() noexcept = default;
+
+  template <class F, class D = std::decay_t<F>,
+            class = std::enable_if_t<!std::is_same_v<D, EventCallback> &&
+                                     std::is_invocable_r_v<void, D&>>>
+  EventCallback(F&& f) {  // NOLINT: implicit, so call sites pass lambdas
+    if constexpr (kFitsInline<D>) {
+      emplace<D>(std::forward<F>(f));
+    } else {
+      emplace<Boxed<D>>(Boxed<D>{std::make_unique<D>(std::forward<F>(f))});
+    }
+  }
+
+  EventCallback(EventCallback&& other) noexcept { take(other); }
+  EventCallback& operator=(EventCallback&& other) noexcept {
+    if (this != &other) {
+      reset();
+      take(other);
+    }
+    return *this;
+  }
+  EventCallback(const EventCallback&) = delete;
+  EventCallback& operator=(const EventCallback&) = delete;
+  ~EventCallback() { reset(); }
+
+  void operator()() { ops_->invoke(buf_); }
+
+  /// Destroys the stored callable, leaving this empty.
+  void reset() noexcept {
+    if (ops_ != nullptr && ops_->destroy != nullptr) ops_->destroy(buf_);
+    ops_ = nullptr;
+  }
+
+ private:
+  struct Ops {
+    void (*invoke)(void* storage);
+    // Move-constructs into `to` and destroys `from`; nullptr when a
+    // byte copy of the buffer does the same.
+    void (*relocate)(void* to, void* from) noexcept;
+    // nullptr when the callable is trivially destructible.
+    void (*destroy)(void* storage) noexcept;
+  };
+
+  template <class D>
+  static constexpr bool kFitsInline = sizeof(D) <= kInlineBytes &&
+                                      alignof(D) <= alignof(void*) &&
+                                      std::is_nothrow_move_constructible_v<D>;
+
+  /// A callable too large for the buffer, moved to the heap.
+  template <class D>
+  struct Boxed {
+    std::unique_ptr<D> fn;
+    void operator()() { (*fn)(); }
+  };
+
+  template <class T>
+  static constexpr Ops kOps{
+      [](void* s) { (*static_cast<T*>(s))(); },
+      std::is_trivially_copyable_v<T>
+          ? nullptr
+          : +[](void* to, void* from) noexcept {
+              ::new (to) T(std::move(*static_cast<T*>(from)));
+              static_cast<T*>(from)->~T();
+            },
+      std::is_trivially_destructible_v<T>
+          ? nullptr
+          : +[](void* s) noexcept { static_cast<T*>(s)->~T(); }};
+
+  template <class T, class A>
+  void emplace(A&& arg) {
+    ::new (static_cast<void*>(buf_)) T(std::forward<A>(arg));
+    ops_ = &kOps<T>;
+  }
+
+  void take(EventCallback& other) noexcept {
+    ops_ = other.ops_;
+    if (ops_ == nullptr) return;
+    if (ops_->relocate != nullptr) {
+      ops_->relocate(buf_, other.buf_);
+    } else {
+      std::memcpy(buf_, other.buf_, kInlineBytes);
+    }
+    other.ops_ = nullptr;
+  }
+
+  const Ops* ops_ = nullptr;
+  alignas(void*) unsigned char buf_[kInlineBytes];
+};
+
 namespace detail {
-/// Shared state between an EventHandle and the queue entry. `live`
-/// points at the owning scheduler's live-event counter so cancellation
-/// keeps the pending count exact even before the entry is reaped from
-/// the heap. Both fields are atomic: a handle may be cancelled from a
-/// different thread (shard) than the one draining the queue, and
-/// whoever flips `done` first wins (the other side sees a no-op).
-struct EventState {
-  std::atomic<bool> done{false};  // fired or cancelled
-  std::shared_ptr<std::atomic<std::size_t>> live;
+struct EventCore;
+
+/// One event's storage. `word` is the handle protocol's state (odd =
+/// scheduled); `live` is the pending counter of the queue the event
+/// runs on (atomic because a stale handle may read it while the owner
+/// re-arms the slot).
+struct EventSlot {
+  std::atomic<std::uint64_t> word{0};
+  std::atomic<std::atomic<std::size_t>*> live{nullptr};
+  EventCore* home = nullptr;  // owns the memory and the free list
+  EventSlot* next = nullptr;  // free-list / return-stack link
+  EventCallback cb;
+};
+
+/// Per-scheduler storage kept alive by outstanding handles: the slot
+/// chunks, the pending counter and the stack other shards return
+/// borrowed slots on.
+struct EventCore {
+  std::atomic<std::size_t> live{0};
+  std::atomic<EventSlot*> returned{nullptr};
+  std::vector<std::unique_ptr<EventSlot[]>> chunks;
 };
 }  // namespace detail
 
-/// Cancellable handle to a scheduled event. Copies share the same
-/// underlying state.
+/// Cancellable handle to a scheduled event. Copies share the event.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -59,24 +192,36 @@ class EventHandle {
   void cancel();
 
   /// True if the event is still scheduled to fire.
-  bool pending() const { return state_ && !state_->done.load(std::memory_order_acquire); }
+  bool pending() const {
+    return slot_ != nullptr && slot_->word.load(std::memory_order_acquire) == armed_;
+  }
 
  private:
   friend class EventScheduler;
-  friend class ShardedScheduler;
-  explicit EventHandle(std::shared_ptr<detail::EventState> state) : state_(std::move(state)) {}
-  std::shared_ptr<detail::EventState> state_;
+  EventHandle(std::shared_ptr<detail::EventCore> core, detail::EventSlot* slot,
+              std::uint64_t armed)
+      : core_(std::move(core)), slot_(slot), armed_(armed) {}
+
+  std::shared_ptr<detail::EventCore> core_;  // keeps slot_ alive
+  detail::EventSlot* slot_ = nullptr;
+  std::uint64_t armed_ = 0;  // slot_->word while this event is scheduled
 };
 
 /// A virtual-time event queue.
 class EventScheduler {
  public:
-  using Callback = std::function<void()>;
+  using Callback = EventCallback;
 
   /// Returned by next_event_time() when the queue is empty.
   static constexpr SimTime kNoEvent = ~SimTime{0};
 
-  EventScheduler() : live_(std::make_shared<std::atomic<std::size_t>>(0)) {}
+  /// Slots per storage chunk. Small on purpose: a partitioned run has
+  /// one scheduler per shard (20 on a k=4 fat tree), and each pays for
+  /// its chunks whether or not its shard is busy.
+  static constexpr std::size_t kChunkSlots = 64;
+
+  EventScheduler() : core_(std::make_shared<detail::EventCore>()) {}
+  ~EventScheduler();
   EventScheduler(const EventScheduler&) = delete;
   EventScheduler& operator=(const EventScheduler&) = delete;
 
@@ -84,7 +229,9 @@ class EventScheduler {
   SimTime now() const { return now_; }
 
   /// Schedules `cb` to run `delay` nanoseconds from now.
-  EventHandle schedule(SimDuration delay, Callback cb);
+  EventHandle schedule(SimDuration delay, Callback cb) {
+    return schedule_at(now_ + delay, std::move(cb));
+  }
 
   /// Schedules `cb` at an absolute virtual time (must be >= now()).
   EventHandle schedule_at(SimTime when, Callback cb);
@@ -107,7 +254,7 @@ class EventScheduler {
   bool step();
 
   /// Number of pending (non-cancelled, not yet fired) events.
-  std::size_t pending_events() const { return live_->load(std::memory_order_acquire); }
+  std::size_t pending_events() const { return core_->live.load(std::memory_order_acquire); }
 
   bool empty() const { return pending_events() == 0; }
 
@@ -135,21 +282,18 @@ class EventScheduler {
 
  private:
   friend class ShardedScheduler;
+  using Slot = detail::EventSlot;
 
-  struct Entry {
-    SimTime when = 0;
-    std::uint64_t seq = 0;
-    Callback cb;
-    std::shared_ptr<detail::EventState> state;
-  };
-  struct EntryLater {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
+  struct Key {
+    SimTime when;
+    std::uint64_t seq;
+    Slot* slot;
+    bool before(const Key& o) const { return when != o.when ? when < o.when : seq < o.seq; }
   };
 
-  bool pop_and_run();
+  /// Runs the earliest live event if its timestamp is <= `last`;
+  /// cancelled keys met on the way are reaped.
+  bool pop_and_run(SimTime last = kNoEvent);
 
   /// Runs events with timestamp < `bound` (exclusive). The clock only
   /// advances as events fire -- it is NOT pushed to the bound, so a
@@ -157,11 +301,32 @@ class EventScheduler {
   /// in a sequential run. The ShardedScheduler window loop drives this.
   std::size_t run_window(SimTime bound, std::size_t max_events);
 
-  /// Inserts an already-created (handle'd) event, assigning the next
-  /// local sequence number. Used by the owner to move mailbox events
-  /// into this shard's queue at a synchronization barrier; the live
-  /// counter was already bumped when the event was posted.
-  void inject(SimTime when, Callback cb, std::shared_ptr<detail::EventState> state);
+  /// Takes a free slot of this queue's core, moves `cb` into it and arms
+  /// it as pending on `runs_on`. The caller queues the slot.
+  EventHandle arm(Callback&& cb, EventScheduler& runs_on, Slot*& slot);
+
+  /// Queues an armed slot (possibly borrowed from another shard's core)
+  /// under the next local sequence number. Used by the owner to move
+  /// mailbox events into this shard's queue at a synchronization
+  /// barrier; the pending counter was bumped when the event was posted.
+  void inject(SimTime when, Slot* slot) { push_key(Key{when, next_seq_++, slot}); }
+
+  /// Destroys a fired or cancelled slot's callback and frees the slot.
+  void retire(Slot* slot);
+
+  /// Destroys a queued slot's callback and marks its event fired, so
+  /// its handles read "not pending" and cancel() is a no-op. The slot
+  /// is not freed: this is teardown.
+  static void abandon(Slot* slot);
+
+  /// Abandons every queued event. The destructor runs it; so does the
+  /// owner, on every shard before destroying any, because shards queue
+  /// slots borrowed from each other's cores.
+  void discard_all();
+
+  Slot* take_slot();
+  void push_key(Key key);
+  void pop_key();
 
   /// Throws when this queue is owned by a multi-shard scheduler: shard
   /// queues may only be advanced through the owner's window protocol.
@@ -171,8 +336,9 @@ class EventScheduler {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t digest_ = 1469598103934665603ull;  // FNV-1a offset basis
-  std::shared_ptr<std::atomic<std::size_t>> live_;
-  std::priority_queue<Entry, std::vector<Entry>, EntryLater> queue_;
+  std::vector<Key> heap_;  // 4-ary min-heap on (when, seq)
+  Slot* free_ = nullptr;   // this core's free slots (owner thread only)
+  std::shared_ptr<detail::EventCore> core_;
   ShardedScheduler* owner_ = nullptr;
   std::size_t shard_id_ = 0;
 };

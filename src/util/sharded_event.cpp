@@ -55,6 +55,14 @@ ShardedScheduler::~ShardedScheduler() {
     cv_.notify_all();
     for (auto& w : workers_) w.join();
   }
+  // Mail and drained cross-shard events sit in slots borrowed from the
+  // posting shard's core: drop every callback before any shard goes.
+  for (auto& row : outbox_) {
+    for (auto& box : row) {
+      for (auto& m : box) EventScheduler::abandon(m.slot);
+    }
+  }
+  for (auto& s : shards_) s->discard_all();
 }
 
 void ShardedScheduler::resize(std::size_t shards, std::size_t threads) {
@@ -317,9 +325,12 @@ void ShardedScheduler::drain_mailboxes() {
               });
     for (auto& m : drain_scratch_) {
       // Cancelled while still in the outbox: the canceller already
-      // adjusted the live counter, so just drop the entry.
-      if (m.state->done.load(std::memory_order_acquire)) continue;
-      shards_[dst]->inject(m.when, std::move(m.cb), std::move(m.state));
+      // adjusted the pending counter, so just free the slot.
+      if ((m.slot->word.load(std::memory_order_acquire) & 1) == 0) {
+        shards_[dst]->retire(m.slot);
+        continue;
+      }
+      shards_[dst]->inject(m.when, m.slot);
     }
     drain_scratch_.clear();
   }
@@ -336,11 +347,7 @@ EventHandle ShardedScheduler::inject_now(std::size_t dst, SimTime when, Callback
     // the lookahead-violation check in post_at still bites.
     when = sh.now_;
   }
-  auto state = std::make_shared<detail::EventState>();
-  state->live = sh.live_;
-  sh.live_->fetch_add(1, std::memory_order_acq_rel);
-  sh.inject(when, std::move(cb), std::move(state));
-  return EventHandle{std::move(state)};
+  return sh.schedule_at(when, std::move(cb));
 }
 
 EventHandle ShardedScheduler::post_at(std::size_t dst, SimTime when, Callback cb) {
@@ -359,12 +366,12 @@ EventHandle ShardedScheduler::post_at(std::size_t dst, SimTime when, Callback cb
         "ShardedScheduler::post_at: cross-shard event inside the current window -- "
         "the sending edge did not register its minimum delay (add_lookahead_edge)");
   }
-  auto state = std::make_shared<detail::EventState>();
-  state->live = shards_[dst]->live_;
-  state->live->fetch_add(1, std::memory_order_acq_rel);
-  outbox_[src][dst].push_back(Mail{when, static_cast<std::uint32_t>(src), post_seq_[src]++,
-                                   std::move(cb), state});
-  return EventHandle{std::move(state)};
+  // The slot comes from the sending shard's core: this thread owns its
+  // free list, while the destination's is busy running its own window.
+  detail::EventSlot* slot = nullptr;
+  EventHandle handle = cur->arm(std::move(cb), *shards_[dst], slot);
+  outbox_[src][dst].push_back(Mail{when, static_cast<std::uint32_t>(src), post_seq_[src]++, slot});
+  return handle;
 }
 
 EventHandle ShardedScheduler::post_admin(std::size_t dst, Callback cb) {

@@ -150,12 +150,15 @@ class ShardedScheduler {
   static EventScheduler* current_shard();
 
  private:
+  /// A cross-shard event in transit. The callback waits in `slot`, a
+  /// slot of the posting shard's core, armed and counted as pending on
+  /// the destination; the drain queues the slot itself on the
+  /// destination, so the callback (a link frame included) never moves.
   struct Mail {
     SimTime when = 0;
     std::uint32_t src = 0;
     std::uint64_t seq = 0;  // per-source post counter
-    Callback cb;
-    std::shared_ptr<detail::EventState> state;
+    detail::EventSlot* slot = nullptr;
   };
 
   EventHandle inject_now(std::size_t dst, SimTime when, Callback cb);

@@ -439,6 +439,33 @@ TEST(Elements, DelayDefersDelivery) {
   EXPECT_EQ((*router)->call_read("cnt.count").value(), "1");
 }
 
+TEST(Elements, DelayCancelsPacketsStillInsideWhenDestroyed) {
+  // A router torn down (stop_vnf, undeploy, scale-in, crash) while a
+  // packet waits in Delay must take the packet's event with it, or the
+  // event fires into the freed element.
+  EventScheduler sched;
+  std::string delivered;
+  {
+    auto router = build_router(R"(
+      d :: Delay(DELAY 5000000);
+      cnt :: Counter;
+      d -> cnt -> Discard;
+    )", sched);
+    ASSERT_TRUE(router.ok()) << router.error().to_string();
+    (*router)->element("d")->push(0, test_packet());
+    sched.run_until(milliseconds(2));
+    (*router)->element("d")->push(0, test_packet());
+    EXPECT_EQ(sched.pending_events(), 2u);
+    sched.run_until(milliseconds(6));  // the first packet leaves at 5 ms
+    delivered = (*router)->call_read("cnt.count").value();
+    EXPECT_EQ(sched.pending_events(), 1u);
+  }
+  EXPECT_EQ(delivered, "1");
+  EXPECT_EQ(sched.pending_events(), 0u);
+  sched.run_until(milliseconds(20));
+  EXPECT_EQ(sched.executed_events(), 1u);
+}
+
 TEST(Elements, MeterSplitsConformingAndExcess) {
   EventScheduler sched;
   auto router = build_router(R"(

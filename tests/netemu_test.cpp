@@ -115,6 +115,71 @@ TEST(Link, BurstDeliversInOrderWithScalarTiming) {
   EXPECT_EQ(sched.executed_events(), 10u);
 }
 
+TEST(Link, FrameRingGrowsWhileWrappedInFifoOrder) {
+  EventScheduler sched;
+  Network net(sched);
+  auto& a = net.add_host("a", MacAddr::from_u64(1), Ipv4Addr(10, 0, 0, 1));
+  auto& b = net.add_host("b", MacAddr::from_u64(2), Ipv4Addr(10, 0, 0, 2));
+  LinkConfig cfg;
+  cfg.bandwidth_bps = 8'000'000;  // 1000-byte frame = 1 ms serialization
+  cfg.delay = 0;
+  ASSERT_TRUE(net.add_link("a", 0, "b", 0, cfg).ok());
+  std::vector<std::uint64_t> rx_seqs;
+  std::vector<SimTime> rx_times;
+  b.on_receive([&](const net::Packet& p) {
+    rx_seqs.push_back(p.seq());
+    rx_times.push_back(sched.now());
+  });
+  auto send = [&](std::uint64_t seq) {
+    net::Packet p = net::make_udp_packet(a.mac(), b.mac(), a.ip(), b.ip(), 1, 2, 1000);
+    p.set_seq(seq);
+    a.send(std::move(p));
+  };
+
+  // Three frames, two delivered: the third sits mid-ring, so the next
+  // burst wraps around before the ring has to grow (twice).
+  for (std::uint64_t i = 0; i < 3; ++i) send(i);
+  sched.run_until(milliseconds(2));
+  ASSERT_EQ(rx_seqs.size(), 2u);
+  for (std::uint64_t i = 3; i < 13; ++i) send(i);
+  sched.run();
+  ASSERT_EQ(rx_seqs.size(), 13u);
+  for (std::uint64_t i = 0; i < 13; ++i) {
+    EXPECT_EQ(rx_seqs[i], i);
+    EXPECT_EQ(rx_times[i], static_cast<SimTime>((i + 1) * timeunit::kMillisecond));
+  }
+}
+
+TEST(Link, DownDropsQueuedAndOfferedFrames) {
+  EventScheduler sched;
+  Network net(sched);
+  auto& a = net.add_host("a", MacAddr::from_u64(1), Ipv4Addr(10, 0, 0, 1));
+  auto& b = net.add_host("b", MacAddr::from_u64(2), Ipv4Addr(10, 0, 0, 2));
+  LinkConfig cfg;
+  cfg.bandwidth_bps = 8'000'000;  // 1000-byte frame = 1 ms serialization
+  cfg.delay = 0;
+  ASSERT_TRUE(net.add_link("a", 0, "b", 0, cfg).ok());
+  Link& link = *net.links()[0];
+  auto send = [&] { a.send(net::make_udp_packet(a.mac(), b.mac(), a.ip(), b.ip(), 1, 2, 1000)); };
+
+  for (int i = 0; i < 5; ++i) send();
+  sched.run_until(milliseconds(2));
+  EXPECT_EQ(b.rx_packets(), 2u);
+  link.set_up(false);  // the three queued frames are lost with the wire
+  EXPECT_EQ(link.dropped(0), 3u);
+  EXPECT_EQ(sched.pending_events(), 0u);
+  send();  // offered while down
+  EXPECT_EQ(link.dropped(0), 4u);
+  link.set_up(true);  // an idle wire again
+  send();
+  send();
+  sched.run();
+  EXPECT_EQ(b.rx_packets(), 4u);
+  EXPECT_EQ(link.delivered(0), 4u);
+  EXPECT_EQ(link.dropped(0), 4u);
+  EXPECT_EQ(sched.now(), milliseconds(4));
+}
+
 TEST(Link, RandomLossDropsApproximately) {
   EventScheduler sched;
   Network net(sched);

@@ -178,6 +178,46 @@ TEST(ShardedScheduler, PendingEventsTracksCancellation) {
   a.cancel();  // after the fact: no underflow
   c.cancel();
   EXPECT_EQ(sched.pending_events(), 0u);
+
+  // A cross-shard post made during a run and cancelled while it still
+  // sits in the sender's outbox, before the barrier drains it.
+  bool posted_ran = false;
+  std::size_t after_post = 0;
+  std::size_t after_cancel = 0;
+  sched.shard(0).schedule_at(4 * kHop, [&] {
+    EventHandle d = sched.post_at(1, 6 * kHop, [&] { posted_ran = true; });
+    after_post = sched.pending_events();
+    d.cancel();
+    after_cancel = sched.pending_events();
+    d.cancel();
+    EXPECT_FALSE(d.pending());
+  });
+  EXPECT_EQ(sched.run(), 1u);
+  EXPECT_EQ(after_post, 1u);
+  EXPECT_EQ(after_cancel, 0u);
+  EXPECT_FALSE(posted_ran);
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(ShardedScheduler, CrossShardPostCancelledAfterDrain) {
+  ShardedScheduler sched{2, 2};
+  sched.add_lookahead_edge(0, 1, kHop);
+  sched.add_lookahead_edge(1, 0, kHop);
+  bool fired = false;
+  EventHandle mail;
+  // Posted at 1ms for 10ms, drained at the first barrier, then
+  // cancelled from the sending shard at 5ms while queued on shard 1.
+  sched.shard(0).schedule_at(kHop, [&] {
+    mail = sched.post_at(1, 10 * kHop, [&] { fired = true; });
+  });
+  sched.shard(0).schedule_at(5 * kHop, [&] {
+    EXPECT_TRUE(mail.pending());
+    mail.cancel();
+  });
+  EXPECT_EQ(sched.run(), 2u);
+  EXPECT_FALSE(fired);
+  EXPECT_FALSE(mail.pending());
+  EXPECT_EQ(sched.pending_events(), 0u);
 }
 
 TEST(ShardedScheduler, CrossShardCancelPreventsExecution) {

@@ -2,7 +2,10 @@
 // bucket, RNG and histogram.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "util/event.hpp"
 #include "util/random.hpp"
@@ -212,6 +215,99 @@ TEST(EventScheduler, MaxEventsGuard) {
   std::size_t ran = sched.run(1000);
   EXPECT_EQ(ran, 1000u);
   EXPECT_EQ(sched.executed_events(), 1000u);
+}
+
+TEST(EventScheduler, StaleHandlesNeverTouchReusedSlots) {
+  // Fired and reaped slots are recycled, so the fresh events below sit
+  // in slots the stale handles still point at.
+  EventScheduler sched;
+  std::vector<EventHandle> stale;
+  for (int i = 0; i < 100; ++i) {
+    stale.push_back(sched.schedule(1, [] {}));
+    sched.run();
+    EventHandle cancelled = sched.schedule(1, [] {});
+    cancelled.cancel();
+    sched.run();  // reaps the cancelled key
+    stale.push_back(cancelled);
+  }
+  int ran = 0;
+  std::vector<EventHandle> fresh;
+  for (int i = 0; i < 100; ++i) fresh.push_back(sched.schedule(1, [&ran] { ++ran; }));
+  for (auto& h : stale) {
+    EXPECT_FALSE(h.pending());
+    h.cancel();
+  }
+  for (const auto& h : fresh) EXPECT_TRUE(h.pending());
+  EXPECT_EQ(sched.pending_events(), 100u);
+  EXPECT_EQ(sched.run(), 100u);
+  EXPECT_EQ(ran, 100);
+}
+
+TEST(EventScheduler, CancelAfterSchedulerDestroyedIsNoOp) {
+  EventHandle handle;
+  EventHandle copy;
+  {
+    EventScheduler sched;
+    handle = sched.schedule(10, [] {});
+    copy = handle;
+    EXPECT_TRUE(copy.pending());
+  }
+  EXPECT_FALSE(handle.pending());
+  handle.cancel();
+  copy.cancel();
+  handle.cancel();
+  EXPECT_FALSE(copy.pending());
+}
+
+struct CountingDelete {
+  int* deleted;
+  void operator()(int* p) const {
+    ++*deleted;
+    delete p;
+  }
+};
+
+TEST(EventScheduler, MoveOnlyCaptureIsDestroyedExactlyOnce) {
+  int deleted = 0;
+  auto owned = [&deleted] {
+    return std::unique_ptr<int, CountingDelete>(new int(7), CountingDelete{&deleted});
+  };
+  {  // fired
+    EventScheduler sched;
+    int seen = 0;
+    sched.schedule(1, [p = owned(), &seen] { seen = *p; });
+    EXPECT_EQ(deleted, 0);
+    sched.run();
+    EXPECT_EQ(seen, 7);
+    EXPECT_EQ(deleted, 1);
+  }
+  EXPECT_EQ(deleted, 1);
+  {  // cancelled: the capture lives until the key is reaped
+    EventScheduler sched;
+    EventHandle h = sched.schedule(1, [p = owned()] {});
+    h.cancel();
+    EXPECT_EQ(deleted, 1);
+    EXPECT_EQ(sched.run(), 0u);
+    EXPECT_EQ(deleted, 2);
+  }
+  EXPECT_EQ(deleted, 2);
+  {  // still pending when the scheduler goes
+    EventScheduler sched;
+    sched.schedule(1, [p = owned()] {});
+    EXPECT_EQ(deleted, 2);
+  }
+  EXPECT_EQ(deleted, 3);
+  {  // too large for the inline buffer: stored on the heap, same contract
+    EventScheduler sched;
+    std::array<char, 2 * EventCallback::kInlineBytes> pad{};
+    int seen = 0;
+    sched.schedule(1, [p = owned(), pad, &seen] { seen = *p + pad[0]; });
+    sched.schedule(2, [p = owned(), pad] {});
+    sched.run_until(1);
+    EXPECT_EQ(seen, 7);
+    EXPECT_EQ(deleted, 4);
+  }
+  EXPECT_EQ(deleted, 5);
 }
 
 // --- TokenBucket ------------------------------------------------------------------
