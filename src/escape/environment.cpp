@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 
 #include "chaos/fault_point.hpp"
 #include "click/flow.hpp"
@@ -916,20 +917,6 @@ struct ScaleJob {
 
 namespace {
 
-/// Fresh port on `node`, derived from the network's (synchronously
-/// updated) link list -- same allocation rule as the deployment engine.
-std::uint16_t next_free_port_on(netemu::Network& network, netemu::Node* node) {
-  std::uint16_t next = 0;
-  for (const auto& link : network.links()) {
-    for (int e = 0; e < 2; ++e) {
-      if (link->node(e) == node) {
-        next = std::max<std::uint16_t>(next, static_cast<std::uint16_t>(link->port(e) + 1));
-      }
-    }
-  }
-  return next;
-}
-
 /// The steering geometry every generation splices into: the hops before
 /// the VNF hand-off and after the re-entry, from the pristine path.
 Result<ScaleAnchor> compute_scale_anchor(netemu::Network& network,
@@ -1237,39 +1224,30 @@ void Environment::scale_chain_async(std::uint32_t chain_id, std::size_t target,
                         ? base + ".s"
                         : base + ".r" + std::to_string(n - (with_splitter ? 1 : 0));
 
-    d.container_in_port = next_free_port_on(network_, container);
-    d.switch_in_port = next_free_port_on(network_, in_sw);
-    if (auto s = network_.add_link(*placed, d.container_in_port, anchor.in_switch,
-                                   d.switch_in_port,
-                                   orchestrator::DeploymentEngine::veth_config());
-        !s.ok()) {
-      fail_sync(s.error());
+    using orchestrator::DeploymentEngine;
+    auto in_veth = DeploymentEngine::add_veth(network_, *container, *in_sw);
+    if (!in_veth.ok()) {
+      fail_sync(in_veth.error());
       return;
     }
+    std::tie(d.container_in_port, d.switch_in_port) = *in_veth;
     if (is_splitter) {
       for (std::size_t i = 0; i < target; ++i) {
-        std::uint16_t cport = next_free_port_on(network_, container);
-        std::uint16_t sport = next_free_port_on(network_, in_sw);
-        if (auto s = network_.add_link(*placed, cport, anchor.in_switch, sport,
-                                       orchestrator::DeploymentEngine::veth_config());
-            !s.ok()) {
-          fail_sync(s.error());
+        auto out_veth = DeploymentEngine::add_veth(network_, *container, *in_sw);
+        if (!out_veth.ok()) {
+          fail_sync(out_veth.error());
           return;
         }
-        job->splitter_outs.emplace_back(cport, sport);
+        job->splitter_outs.push_back(*out_veth);
       }
-      d.container_out_port = job->splitter_outs.front().first;
-      d.switch_out_port = job->splitter_outs.front().second;
+      std::tie(d.container_out_port, d.switch_out_port) = job->splitter_outs.front();
     } else {
-      d.container_out_port = next_free_port_on(network_, container);
-      d.switch_out_port = next_free_port_on(network_, out_sw);
-      if (auto s = network_.add_link(*placed, d.container_out_port, anchor.out_switch,
-                                     d.switch_out_port,
-                                     orchestrator::DeploymentEngine::veth_config());
-          !s.ok()) {
-        fail_sync(s.error());
+      auto out_veth = DeploymentEngine::add_veth(network_, *container, *out_sw);
+      if (!out_veth.ok()) {
+        fail_sync(out_veth.error());
         return;
       }
+      std::tie(d.container_out_port, d.switch_out_port) = *out_veth;
     }
     job->new_vnfs.push_back(std::move(d));
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "openflow/actions.hpp"
 #include "util/logging.hpp"
 
 namespace escape::netemu {
@@ -76,6 +77,13 @@ Status Network::add_link(const std::string& a, std::uint16_t port_a, const std::
   Node* node_b = node(b);
   if (!node_a) return make_error("netemu.unknown-node", "unknown node: " + a);
   if (!node_b) return make_error("netemu.unknown-node", "unknown node: " + b);
+  for (auto [n, port] : {std::pair{node_a, port_a}, std::pair{node_b, port_b}}) {
+    if (n->kind() == NodeKind::kSwitch && port >= openflow::kPortMax) {
+      return make_error("netemu.reserved-port",
+                        n->name() + ":" + std::to_string(port) +
+                            " is an OpenFlow reserved port (>= 0xff00)");
+    }
+  }
 
   auto link = std::make_unique<Link>(node_a, port_a, node_b, port_b, config, *scheduler_,
                                      links_.size() + 1);
@@ -116,8 +124,22 @@ Status Network::add_link(const std::string& a, std::uint16_t port_a, const std::
       }
     }
   }
+  for (auto [n, port] : {std::pair{node_a, port_a}, std::pair{node_b, port_b}}) {
+    std::uint32_t& next = next_port_[n];
+    next = std::max<std::uint32_t>(next, port + 1u);
+  }
   links_.push_back(std::move(link));
   return ok_status();
+}
+
+Result<std::uint16_t> Network::next_free_port(const Node* node) const {
+  auto it = next_port_.find(node);
+  const std::uint32_t next = it == next_port_.end() ? 0 : it->second;
+  if (next >= openflow::kPortMax) {
+    return make_error("netemu.ports-exhausted",
+                      node->name() + ": no port left below OFPP_MAX (0xff00)");
+  }
+  return static_cast<std::uint16_t>(next);
 }
 
 Link* Network::find_link(const std::string& a, const std::string& b) {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "netemu/host.hpp"
@@ -43,9 +44,18 @@ class Network {
                               std::size_t max_vnfs = 16);
 
   /// Wires a[port_a] <-> b[port_b]. Switch datapath ports are declared
-  /// automatically.
+  /// automatically. A switch port at or above OFPP_MAX (0xff00) is
+  /// rejected: those numbers are OpenFlow's reserved ports.
   Status add_link(const std::string& a, std::uint16_t port_a, const std::string& b,
                   std::uint16_t port_b, LinkConfig config = {});
+
+  /// The port a new link on `node` takes: one above the highest port
+  /// any link uses there, 0 if none does. add_link keeps the record per
+  /// node, synchronously even when the attach itself is deferred to the
+  /// node's shard, so the orchestrator allocates without reading remote
+  /// node state. Fails with netemu.ports-exhausted instead of handing
+  /// out a port at or above OFPP_MAX.
+  Result<std::uint16_t> next_free_port(const Node* node) const;
 
   Node* node(const std::string& name);
   Host* host(const std::string& name);
@@ -87,6 +97,7 @@ class Network {
   EventScheduler* scheduler_;
   std::map<std::string, std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
+  std::unordered_map<const Node*, std::uint32_t> next_port_;  // next_free_port()
   std::uint64_t next_auto_addr_ = 1;
   openflow::DatapathId next_dpid_ = 1;
 };

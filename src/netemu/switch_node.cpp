@@ -8,9 +8,7 @@ SwitchNode::SwitchNode(std::string name, EventScheduler& scheduler, openflow::Da
     : Node(std::move(name), scheduler), datapath_(dpid, scheduler) {}
 
 void SwitchNode::ensure_port(std::uint16_t port) {
-  for (const auto& p : datapath_.ports()) {
-    if (p.port_no == port) return;
-  }
+  if (datapath_.has_port(port)) return;
   const net::MacAddr hw = net::MacAddr::from_u64((dpid() << 8) | port);
   datapath_.add_port(port, strings::format("%s-eth%u", name().c_str(), port), hw,
                      [this, port](net::Packet&& packet) { send_out(port, std::move(packet)); });

@@ -161,14 +161,28 @@ std::string MetricsRegistry::key_of(std::string_view name, const Labels& labels)
 }
 
 MetricsRegistry::Entry* MetricsRegistry::find_or_create(std::string_view name,
-                                                        Labels&& labels, MetricKind kind) {
+                                                        Labels&& labels, MetricKind kind,
+                                                        const void* owner) {
   sort_labels(labels);
   const std::string key = key_of(name, labels);
+  const bool callback = kind == MetricKind::kCallbackGauge;
   auto it = metrics_.find(key);
   if (it != metrics_.end()) {
     // Callback gauges are re-registrable (a restarted VNF re-exports its
     // handlers); everything else must match the original kind.
-    if (it->second.kind == kind) return &it->second;
+    if (it->second.kind == kind) {
+      if (callback && it->second.owner != owner) {
+        // Takeover: the series leaves its old owner's list for the new one.
+        auto held = by_owner_.find(it->second.owner);
+        auto& list = held->second;
+        *std::find(list.begin(), list.end(), it) = list.back();
+        list.pop_back();
+        if (list.empty()) by_owner_.erase(held);
+        by_owner_[owner].push_back(it);
+        it->second.owner = owner;
+      }
+      return &it->second;
+    }
     obs_log().warn("metric '", key, "' re-registered as ",
                    metric_kind_name(kind), " but exists as ",
                    metric_kind_name(it->second.kind), "; returning detached metric");
@@ -177,13 +191,17 @@ MetricsRegistry::Entry* MetricsRegistry::find_or_create(std::string_view name,
     orphan->name = std::string(name);
     orphan->labels = std::move(labels);
     orphan->kind = kind;
+    orphan->owner = owner;  // unindexed: remove_callbacks never sees it
     return orphan;
   }
   Entry entry;
   entry.name = std::string(name);
   entry.labels = std::move(labels);
   entry.kind = kind;
-  return &metrics_.emplace(key, std::move(entry)).first->second;
+  entry.owner = owner;
+  it = metrics_.emplace(key, std::move(entry)).first;
+  if (callback) by_owner_[owner].push_back(it);
+  return &it->second;
 }
 
 Counter& MetricsRegistry::counter(std::string_view name, Labels labels) {
@@ -211,20 +229,20 @@ BoundedHistogram& MetricsRegistry::histogram(std::string_view name, Labels label
 void MetricsRegistry::callback_gauge(std::string_view name, Labels labels,
                                      const void* owner, CallbackFn fn) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry* e = find_or_create(name, std::move(labels), MetricKind::kCallbackGauge);
-  e->owner = owner;
+  Entry* e = find_or_create(name, std::move(labels), MetricKind::kCallbackGauge, owner);
   e->callback = std::move(fn);
 }
 
 void MetricsRegistry::remove_callbacks(const void* owner) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = metrics_.begin(); it != metrics_.end();) {
+  auto held = by_owner_.find(owner);
+  if (held == by_owner_.end()) return;
+  for (Map::iterator it : held->second) {
     if (it->second.kind == MetricKind::kCallbackGauge && it->second.owner == owner) {
-      it = metrics_.erase(it);
-    } else {
-      ++it;
+      metrics_.erase(it);
     }
   }
+  by_owner_.erase(held);
 }
 
 std::size_t MetricsRegistry::size() const {

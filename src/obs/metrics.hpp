@@ -28,6 +28,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "json/json.hpp"
@@ -160,10 +161,13 @@ class MetricsRegistry {
   /// registered callbacks MUST call remove_callbacks(owner) before it is
   /// destroyed, or exposition would call into freed memory. Returning
   /// nullopt from `fn` skips the sample (non-numeric handler).
+  /// Re-registering an existing callback gauge under another owner moves
+  /// it to that owner.
   using CallbackFn = std::function<std::optional<double>()>;
   void callback_gauge(std::string_view name, Labels labels, const void* owner, CallbackFn fn);
 
-  /// Removes every callback gauge registered under `owner`.
+  /// Removes every callback gauge `owner` currently holds. Costs
+  /// O(k log n) for the owner's k series, not a walk of the registry.
   void remove_callbacks(const void* owner);
 
   std::size_t size() const;
@@ -194,11 +198,18 @@ class MetricsRegistry {
     CallbackFn callback;
   };
 
-  Entry* find_or_create(std::string_view name, Labels&& labels, MetricKind kind);
+  using Map = std::map<std::string, Entry>;
+
+  /// `owner` is recorded only for callback gauges, which are indexed
+  /// under it (a live gauge held by another owner moves to this one).
+  Entry* find_or_create(std::string_view name, Labels&& labels, MetricKind kind,
+                        const void* owner = nullptr);
   static std::string key_of(std::string_view name, const Labels& labels);
 
   mutable std::mutex mu_;
-  std::map<std::string, Entry> metrics_;
+  Map metrics_;
+  // Every live callback gauge, listed once under the owner it is held by.
+  std::unordered_map<const void*, std::vector<Map::iterator>> by_owner_;
   // Kind-mismatch registrations park here: alive forever, never exported.
   std::vector<std::unique_ptr<Entry>> detached_;
 };

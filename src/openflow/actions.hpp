@@ -14,6 +14,7 @@ namespace escape::openflow {
 
 /// Reserved output "ports" (OF 1.0 ofp_port special values).
 enum SpecialPort : std::uint16_t {
+  kPortMax = 0xff00,        // OFPP_MAX: physical ports lie below this
   kPortInPort = 0xfff8,     // send back out the ingress port
   kPortFlood = 0xfffb,      // all ports except ingress
   kPortAll = 0xfffc,        // all ports including ingress

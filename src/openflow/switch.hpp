@@ -67,6 +67,7 @@ class OpenFlowSwitch {
   /// Adds a port; `tx` transmits a frame out of that port.
   void add_port(std::uint16_t port_no, std::string name, net::MacAddr hw_addr, TxCallback tx);
   void remove_port(std::uint16_t port_no);
+  bool has_port(std::uint16_t port_no) const { return ports_.count(port_no) != 0; }
   std::vector<PortInfo> ports() const;
 
   /// Attaches the control channel and sends the OF handshake (Hello).

@@ -1,6 +1,7 @@
 #include "orchestrator/deployment.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "chaos/fault_point.hpp"
 
@@ -50,21 +51,18 @@ netemu::LinkConfig DeploymentEngine::veth_config() {
   return cfg;
 }
 
-std::uint16_t DeploymentEngine::next_free_port(netemu::Node* node) const {
-  // Derived from the network's link list, not node->attached_ports():
-  // the node may live on another shard, where a just-added veth attaches
-  // asynchronously (Network::add_link defers it through the admin
-  // mailbox). The link list is updated synchronously on the
-  // orchestrator's shard, so it is the authoritative allocation record.
-  std::uint16_t next = 0;
-  for (const auto& link : network_->links()) {
-    for (int e = 0; e < 2; ++e) {
-      if (link->node(e) == node) {
-        next = std::max<std::uint16_t>(next, static_cast<std::uint16_t>(link->port(e) + 1));
-      }
-    }
+Result<std::pair<std::uint16_t, std::uint16_t>> DeploymentEngine::add_veth(
+    netemu::Network& network, netemu::Node& container, netemu::Node& sw) {
+  auto container_port = network.next_free_port(&container);
+  if (!container_port.ok()) return container_port.error();
+  auto switch_port = network.next_free_port(&sw);
+  if (!switch_port.ok()) return switch_port.error();
+  if (auto s = network.add_link(container.name(), *container_port, sw.name(), *switch_port,
+                                veth_config());
+      !s.ok()) {
+    return s.error();
   }
-  return next;
+  return std::pair{*container_port, *switch_port};
 }
 
 namespace {
@@ -143,20 +141,12 @@ Result<std::vector<VnfDeployment>> DeploymentEngine::allocate_veths(
     }
 
     // Fresh ports, then the two veth links.
-    d.container_in_port = next_free_port(container);
-    d.switch_in_port = next_free_port(in_sw);
-    if (auto s = network_->add_link(container_name, d.container_in_port, d.in_switch,
-                                    d.switch_in_port, veth_config());
-        !s.ok()) {
-      return s.error();
-    }
-    d.container_out_port = next_free_port(container);
-    d.switch_out_port = next_free_port(out_sw);
-    if (auto s = network_->add_link(container_name, d.container_out_port, d.out_switch,
-                                    d.switch_out_port, veth_config());
-        !s.ok()) {
-      return s.error();
-    }
+    auto in_veth = add_veth(*network_, *container, *in_sw);
+    if (!in_veth.ok()) return in_veth.error();
+    std::tie(d.container_in_port, d.switch_in_port) = *in_veth;
+    auto out_veth = add_veth(*network_, *container, *out_sw);
+    if (!out_veth.ok()) return out_veth.error();
+    std::tie(d.container_out_port, d.switch_out_port) = *out_veth;
     out.push_back(std::move(d));
   }
   return out;

@@ -93,12 +93,18 @@ class DeploymentEngine {
   /// links (the veth pairs).
   static netemu::LinkConfig veth_config();
 
+  /// Adds one veth between `container` and `sw` on the next free port
+  /// of each (Network::next_free_port) and returns the (container,
+  /// switch) port pair. Adds nothing when either side has no port left.
+  static Result<std::pair<std::uint16_t, std::uint16_t>> add_veth(netemu::Network& network,
+                                                                  netemu::Node& container,
+                                                                  netemu::Node& sw);
+
  private:
   struct Job;
 
   void teardown_impl(const DeploymentRecord& record, bool best_effort, bool remove_steering,
                      std::function<void(Status)> done);
-  std::uint16_t next_free_port(netemu::Node* node) const;
   Result<std::vector<VnfDeployment>> allocate_veths(std::uint32_t chain_id,
                                                     const MappingResult& mapping);
   Result<pox::ChainPath> compute_chain_path(std::uint32_t chain_id,

@@ -2,6 +2,22 @@
 
 namespace escape::service {
 
+namespace {
+
+/// A link endpoint's port: absent reads as 0, and a number outside
+/// [0, 65535] is rejected rather than wrapped into a 16-bit port.
+Result<std::uint16_t> link_port(const json::Value& link, const char* key) {
+  const double port = link[key].as_double(0);
+  if (!(port >= 0 && port <= 0xffff)) {
+    return make_error("format.topology", link["a"].as_string() + "-" +
+                                             link["b"].as_string() + ": " + key +
+                                             " must lie in [0, 65535]");
+  }
+  return static_cast<std::uint16_t>(port);
+}
+
+}  // namespace
+
 // --- TopologySpec --------------------------------------------------------------
 
 Result<TopologySpec> TopologySpec::from_json(std::string_view text) {
@@ -31,8 +47,12 @@ Result<TopologySpec> TopologySpec::from_json(std::string_view text) {
     TopologyLinkSpec link;
     link.a = l["a"].as_string();
     link.b = l["b"].as_string();
-    link.port_a = static_cast<std::uint16_t>(l["a_port"].as_int(0));
-    link.port_b = static_cast<std::uint16_t>(l["b_port"].as_int(0));
+    auto port_a = link_port(l, "a_port");
+    if (!port_a.ok()) return port_a.error();
+    auto port_b = link_port(l, "b_port");
+    if (!port_b.ok()) return port_b.error();
+    link.port_a = *port_a;
+    link.port_b = *port_b;
     if (l.has("bw_mbps")) {
       link.bandwidth_bps = static_cast<std::uint64_t>(l["bw_mbps"].as_double() * 1e6);
     }

@@ -3,16 +3,22 @@
 // and CPU contention (Fig. 1 exercised in one process).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "escape/environment.hpp"
 #include "json/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/random.hpp"
+#include "util/strings.hpp"
 
 namespace escape {
 namespace {
 
 /// The quickstart topology: two SAPs, two switches, two containers.
-void build_demo_topology(Environment& env) {
+/// A high `c1_switch_port` leaves few s1 ports below OFPP_MAX (0xff00)
+/// for veths.
+void build_demo_topology(Environment& env, std::uint16_t c1_switch_port = 3) {
   auto& net = env.network();
   net.add_host("sap1");
   net.add_host("sap2");
@@ -26,7 +32,7 @@ void build_demo_topology(Environment& env) {
   ASSERT_TRUE(net.add_link("sap1", 0, "s1", 1, cfg).ok());
   ASSERT_TRUE(net.add_link("sap2", 0, "s2", 1, cfg).ok());
   ASSERT_TRUE(net.add_link("s1", 2, "s2", 2, cfg).ok());
-  ASSERT_TRUE(net.add_link("c1", 0, "s1", 3, cfg).ok());
+  ASSERT_TRUE(net.add_link("c1", 0, "s1", c1_switch_port, cfg).ok());
   ASSERT_TRUE(net.add_link("c2", 0, "s2", 3, cfg).ok());
 }
 
@@ -465,6 +471,243 @@ TEST_F(EnvFixture, NetconfRttHistogramSeesChannelDelay) {
   // each reply takes at least one round trip of the control-plane delay.
   EXPECT_GT(rtt.count(), 0u);
   EXPECT_GT(rtt.min(), 0.0);
+}
+
+// --- port allocation and chain lifecycles --------------------------------------
+
+/// What a failed or finished chain operation must leave as it found it:
+/// CPU, slots and bandwidth held in the orchestration view, installed
+/// chains and every switch's flow-table size.
+std::string footprint(Environment& env) {
+  std::string out;
+  for (const auto& n : env.resource_view()->nodes()) {
+    out += strings::format("%s cpu=%.6f slots=%zu\n", n.name.c_str(), n.cpu_used,
+                           n.vnf_slots_used);
+  }
+  for (const auto& l : env.resource_view()->links()) {
+    out += strings::format("%s-%s bw=%llu\n", l.a.c_str(), l.b.c_str(),
+                           static_cast<unsigned long long>(l.bandwidth_used));
+  }
+  out += strings::format("chains=%zu\n", env.steering().installed_count());
+  for (const auto& name : env.network().node_names()) {
+    if (auto* sw = env.network().switch_node(name)) {
+      out += strings::format("%s flows=%zu\n", name.c_str(), sw->datapath().flow_table().size());
+    }
+  }
+  return out;
+}
+
+sg::ServiceGraph single_vnf_graph(const std::string& name, const std::string& type) {
+  sg::ServiceGraph g(name);
+  g.add_sap("sap1").add_sap("sap2").add_vnf("v", type, {}, 0.1);
+  g.add_link("sap1", "v", 1'000'000).add_link("v", "sap2", 1'000'000);
+  return g;
+}
+
+TEST(PortExhaustion, DeployFailsAndRollsBack) {
+  // One s1 port is left: the VNF's in-veth takes 0xfeff, its out-veth
+  // finds none. Neither may reach a reserved number (0xff00 and up).
+  Environment env;
+  build_demo_topology(env, 0xfefe);
+  ASSERT_TRUE(env.start().ok());
+  const std::string start = footprint(env);
+
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto chain = env.deploy(single_vnf_graph("crowded", "monitor"));
+    ASSERT_FALSE(chain.ok());
+    EXPECT_EQ(chain.error().code, "netemu.ports-exhausted");
+    EXPECT_EQ(footprint(env), start);
+    EXPECT_TRUE(env.deployed_chains().empty());
+  }
+  for (const auto& link : env.network().links()) {
+    for (int e = 0; e < 2; ++e) {
+      if (link->node(e)->kind() == netemu::NodeKind::kSwitch) {
+        EXPECT_LT(link->port(e), 0xff00);
+      }
+    }
+  }
+  EXPECT_FALSE(env.network().switch_node("s1")->datapath().has_port(0xff00));
+}
+
+TEST(PortExhaustion, ScaleFailsAndRollsBack) {
+  // Two s1 ports are left: enough for the chain's in/out veths, none for
+  // the splitter a scale-out needs.
+  Environment env;
+  build_demo_topology(env, 0xfefd);
+  ASSERT_TRUE(env.start().ok());
+  const std::string start = footprint(env);
+  auto chain = env.deploy(single_vnf_graph("elastic", "flow_nat"));
+  ASSERT_TRUE(chain.ok()) << chain.error().to_string();
+  ASSERT_EQ(env.deployment(*chain)->record.vnfs[0].container, "c1");
+  const std::string deployed = footprint(env);
+
+  auto s = env.scale_chain(*chain, 2);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().code, "netemu.ports-exhausted");
+  EXPECT_EQ(*env.chain_state(*chain), ChainState::kActive);
+  EXPECT_EQ(*env.chain_instances(*chain), 1u);
+  EXPECT_EQ(footprint(env), deployed);
+
+  // The old generation keeps serving.
+  auto* sap1 = env.host("sap1");
+  auto* sap2 = env.host("sap2");
+  sap1->start_udp_flow(sap2->mac(), sap2->ip(), 5000, 7777, 20, 1000);
+  env.run_for(seconds(1));
+  EXPECT_EQ(sap2->rx_packets(), 20u);
+  ASSERT_TRUE(env.undeploy(*chain).ok());
+  EXPECT_EQ(footprint(env), start);
+}
+
+/// The allocation rule Network::next_free_port keeps per node, as the
+/// scan over the link list it replaced: one above the highest port the
+/// first `links` links use on `node`.
+std::uint16_t scanned_next_port(const netemu::Network& net, std::size_t links,
+                                const netemu::Node* node) {
+  std::uint16_t next = 0;
+  for (std::size_t k = 0; k < links; ++k) {
+    const auto& link = net.links()[k];
+    for (int e = 0; e < 2; ++e) {
+      if (link->node(e) == node) {
+        next = std::max<std::uint16_t>(next, static_cast<std::uint16_t>(link->port(e) + 1));
+      }
+    }
+  }
+  return next;
+}
+
+/// Every link added since `first` took, on both ends, the port the scan
+/// gives at the moment it was added.
+void expect_ports_match_scan(const netemu::Network& net, std::size_t first) {
+  for (std::size_t k = first; k < net.links().size(); ++k) {
+    const auto& link = net.links()[k];
+    for (int e = 0; e < 2; ++e) {
+      EXPECT_EQ(link->port(e), scanned_next_port(net, k, link->node(e)))
+          << "link " << k << " end " << e << " (" << link->node(e)->name() << ")";
+    }
+  }
+}
+
+struct LifecycleRun {
+  std::vector<SimDuration> setup_latency;  // per cycle
+  std::vector<std::uint64_t> delivered;    // per cycle
+  std::size_t links = 0;
+};
+
+/// ~40 seeded deploy -> probe -> monitor -> undeploy cycles of 1-3 VNF
+/// chains on a 3-switch line; every 5th cycle scales a flow_nat chain
+/// 1 -> 2 -> 1 before the undeploy.
+LifecycleRun run_lifecycles(EnvironmentOptions options) {
+  constexpr int kCycles = 40;
+  constexpr std::uint64_t kProbe = 16;
+  const char* const kTypes[] = {"monitor", "firewall", "dpi", "flow_nat", "tcp_ids"};
+  LifecycleRun run;
+  Environment env(options);
+  auto& net = env.network();
+  netemu::LinkConfig cfg;
+  cfg.bandwidth_bps = 1'000'000'000;
+  cfg.delay = 100 * timeunit::kMicrosecond;
+  net.add_host("sap1");
+  net.add_host("sap2");
+  for (int i = 1; i <= 3; ++i) {
+    const std::string n = std::to_string(i);
+    net.add_switch("s" + n);
+    net.add_container("c" + n, 4.0, 32);
+    EXPECT_TRUE(net.add_link("c" + n, 0, "s" + n, 3, cfg).ok());
+    if (i > 1) {
+      EXPECT_TRUE(net.add_link("s" + std::to_string(i - 1), 2, "s" + n, 1, cfg).ok());
+    }
+  }
+  EXPECT_TRUE(net.add_link("sap1", 0, "s1", 10, cfg).ok());
+  EXPECT_TRUE(net.add_link("sap2", 0, "s3", 10, cfg).ok());
+  EXPECT_TRUE(env.start().ok());
+  const std::string start = footprint(env);
+  auto* sap1 = env.host("sap1");
+  auto* sap2 = env.host("sap2");
+  auto& registry = obs::MetricsRegistry::global();
+
+  Rng rng(15);
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    const bool scale = (cycle + 1) % 5 == 0;
+    sg::ServiceGraph g("lc" + std::to_string(cycle));
+    g.add_sap("sap1").add_sap("sap2");
+    std::string prev = "sap1";
+    const std::size_t n = scale ? 1 : 1 + rng.next_below(3);
+    for (std::size_t v = 0; v < n; ++v) {
+      const std::string id = "v" + std::to_string(v);
+      g.add_vnf(id, scale ? "flow_nat" : kTypes[rng.next_below(std::size(kTypes))], {}, 0.1);
+      g.add_link(prev, id, 1'000'000);
+      prev = id;
+    }
+    g.add_link(prev, "sap2", 1'000'000);
+
+    std::size_t first = net.links().size();
+    auto chain = env.deploy(g);
+    if (!chain.ok()) {
+      ADD_FAILURE() << "cycle " << cycle << ": " << chain.error().to_string();
+      return run;
+    }
+    expect_ports_match_scan(net, first);
+    run.setup_latency.push_back(env.deployment(*chain)->record.setup_latency());
+
+    const std::uint64_t rx0 = sap2->rx_packets();
+    sap1->start_udp_flow(sap2->mac(), sap2->ip(), static_cast<std::uint16_t>(10000 + cycle), 7,
+                         kProbe, 50'000, 64);
+    env.run_for(3 * timeunit::kMillisecond);
+    run.delivered.push_back(sap2->rx_packets() - rx0);
+    EXPECT_EQ(run.delivered.back(), kProbe) << "cycle " << cycle;
+
+    // Every instance the chain ran, with the registry identity of each
+    // handler series its router exported while alive.
+    std::vector<obs::Labels> series;
+    auto monitor_all = [&] {
+      for (const auto& vnf : env.deployment(*chain)->record.vnfs) {
+        auto info = env.monitor_vnf(vnf.container, vnf.instance_id);
+        ASSERT_TRUE(info.ok()) << info.error().to_string();
+        ASSERT_FALSE(info->handlers.empty());
+        for (const auto& [spec, _] : info->handlers) {
+          const auto dot = spec.find('.');
+          obs::Labels labels{{"container", vnf.container},
+                             {"vnf", vnf.instance_id},
+                             {"element", spec.substr(0, dot)},
+                             {"handler", spec.substr(dot + 1)}};
+          EXPECT_TRUE(registry.has("escape_click_handler_value", labels)) << spec;
+          series.push_back(std::move(labels));
+        }
+      }
+    };
+    monitor_all();
+    if (scale) {
+      for (std::size_t target : {2u, 1u}) {
+        first = net.links().size();
+        EXPECT_TRUE(env.scale_chain(*chain, target).ok()) << "cycle " << cycle;
+        expect_ports_match_scan(net, first);
+        EXPECT_GT(net.links().size(), first);
+        monitor_all();
+      }
+    }
+
+    EXPECT_TRUE(env.undeploy(*chain).ok()) << "cycle " << cycle;
+    for (const auto& labels : series) {
+      EXPECT_FALSE(registry.has("escape_click_handler_value", labels))
+          << "cycle " << cycle << ": " << obs::format_labels(labels);
+    }
+  }
+  EXPECT_EQ(footprint(env), start);
+  run.links = net.links().size();
+  return run;
+}
+
+TEST(ChainLifecycles, RepeatedLifecyclesLeaveNoSeriesAndAllocateLikeTheScan) {
+  const LifecycleRun one = run_lifecycles({});
+  ASSERT_EQ(one.setup_latency.size(), 40u);
+
+  EnvironmentOptions sharded;
+  sharded.threads = 2;
+  sharded.shard_by = netemu::ShardBy::kSwitch;
+  const LifecycleRun two = run_lifecycles(sharded);
+  EXPECT_EQ(two.setup_latency, one.setup_latency);
+  EXPECT_EQ(two.delivered, one.delivered);
+  EXPECT_EQ(two.links, one.links);
 }
 
 }  // namespace

@@ -289,6 +289,66 @@ TEST(Network, PortConflictRejected) {
   EXPECT_EQ(s.error().code, "netemu.port-in-use");
 }
 
+TEST(Network, NextFreePortIsOneAboveHighestLinkedPort) {
+  EventScheduler sched;
+  Network net(sched);
+  net.add_host("h1");
+  net.add_switch("s1");
+  net.add_container("c1");
+  EXPECT_EQ(*net.next_free_port(net.node("s1")), 0);
+  ASSERT_TRUE(net.add_link("h1", 0, "s1", 7).ok());
+  ASSERT_TRUE(net.add_link("c1", 4, "s1", 3).ok());
+  // The highest port counts, not the count of links or the last one.
+  EXPECT_EQ(*net.next_free_port(net.node("s1")), 8);
+  EXPECT_EQ(*net.next_free_port(net.node("c1")), 5);
+  EXPECT_EQ(*net.next_free_port(net.node("h1")), 1);
+  // A failed add_link records nothing.
+  EXPECT_FALSE(net.add_link("c1", 9, "s1", 7).ok());
+  EXPECT_EQ(*net.next_free_port(net.node("c1")), 5);
+}
+
+TEST(Network, SwitchPortsAtOrAboveOfppMaxRejected) {
+  EventScheduler sched;
+  Network net(sched);
+  net.add_host("h1");
+  net.add_host("h2");
+  net.add_switch("s1");
+  for (std::uint16_t reserved : {0xff00, 0xfff8, 0xfffb, 0xfffd, 0xffff}) {
+    auto s = net.add_link("h1", 0, "s1", reserved);
+    ASSERT_FALSE(s.ok()) << reserved;
+    EXPECT_EQ(s.error().code, "netemu.reserved-port");
+    s = net.add_link("s1", reserved, "h1", 0);
+    ASSERT_FALSE(s.ok()) << reserved;
+    EXPECT_EQ(s.error().code, "netemu.reserved-port");
+  }
+  EXPECT_TRUE(net.links().empty());
+  EXPECT_FALSE(net.switch_node("s1")->datapath().has_port(0xfffd));
+  ASSERT_TRUE(net.add_link("h1", 0, "s1", 0xfeff).ok());
+  EXPECT_TRUE(net.switch_node("s1")->datapath().has_port(0xfeff));
+  // Only switch ports are OpenFlow port numbers.
+  EXPECT_TRUE(net.add_link("h2", 0xffff, "s1", 1).ok());
+}
+
+TEST(Network, PortAllocationStopsBelowOfppMax) {
+  EventScheduler sched;
+  Network net(sched);
+  net.add_host("h1");
+  net.add_host("h2");
+  net.add_switch("s1");
+  ASSERT_TRUE(net.add_link("h1", 0, "s1", 0xfefe).ok());
+  EXPECT_EQ(*net.next_free_port(net.node("s1")), 0xfeff);
+  ASSERT_TRUE(net.add_link("h2", 0, "s1", 0xfeff).ok());
+  auto next = net.next_free_port(net.node("s1"));
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.error().code, "netemu.ports-exhausted");
+  // A host at 65535 neither wraps to port 0 nor reaches a reserved number.
+  net.add_host("h3");
+  ASSERT_TRUE(net.add_link("h3", 0xffff, "h1", 1).ok());
+  next = net.next_free_port(net.node("h3"));
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.error().code, "netemu.ports-exhausted");
+}
+
 // --- VnfContainer -------------------------------------------------------------------
 
 constexpr const char* kMonitorConfig =

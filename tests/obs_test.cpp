@@ -97,6 +97,101 @@ TEST(Registry, CallbackGaugeExportsAndRemoves) {
   EXPECT_EQ(registry.render_text().find("escape_test_cb"), std::string::npos);
 }
 
+// Owner-indexed removal: 20k series of other owners and kinds around
+// one owner's handful; removing that owner takes exactly its own.
+TEST(Registry, RemoveCallbacksTakesOnlyTheOwnersSeries) {
+  MetricsRegistry registry;
+  std::vector<int> others(100);
+  for (int i = 0; i < 10'000; ++i) {
+    registry.counter("escape_test_total", {{"i", std::to_string(i)}});
+    registry.callback_gauge("escape_test_cb", {{"i", std::to_string(i)}}, &others[i % 100],
+                            [] { return std::optional<double>(1.0); });
+  }
+  const std::size_t start = registry.size();
+  ASSERT_EQ(start, 20'000u);
+
+  int owner = 0;
+  for (int h = 0; h < 8; ++h) {
+    registry.callback_gauge("escape_test_cb", {{"owner", "a"}, {"h", std::to_string(h)}},
+                            &owner, [] { return std::optional<double>(2.0); });
+  }
+  EXPECT_EQ(registry.size(), start + 8);
+  registry.remove_callbacks(&owner);
+  EXPECT_EQ(registry.size(), start);
+  for (int h = 0; h < 8; ++h) {
+    EXPECT_FALSE(registry.has("escape_test_cb", {{"owner", "a"}, {"h", std::to_string(h)}}));
+  }
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_TRUE(registry.has("escape_test_total", {{"i", std::to_string(i)}}));
+    ASSERT_TRUE(registry.has("escape_test_cb", {{"i", std::to_string(i)}}));
+  }
+}
+
+TEST(Registry, ReRegisteredCallbackMovesToNewOwner) {
+  MetricsRegistry registry;
+  registry.counter("escape_test_total");
+  const std::size_t start = registry.size();
+  int a = 0;
+  int b = 0;
+  registry.callback_gauge("escape_test_cb", {{"id", "shared"}}, &a,
+                          [] { return std::optional<double>(1.0); });
+  registry.callback_gauge("escape_test_cb", {{"id", "a-only"}}, &a,
+                          [] { return std::optional<double>(1.0); });
+  registry.callback_gauge("escape_test_cb", {{"id", "shared"}}, &b,
+                          [] { return std::optional<double>(7.0); });
+  EXPECT_EQ(registry.size(), start + 2);
+
+  registry.remove_callbacks(&a);
+  EXPECT_FALSE(registry.has("escape_test_cb", {{"id", "a-only"}}));
+  ASSERT_TRUE(registry.has("escape_test_cb", {{"id", "shared"}}));
+  EXPECT_NE(registry.render_text().find("escape_test_cb{id=\"shared\"} 7"), std::string::npos);
+
+  registry.remove_callbacks(&b);
+  EXPECT_FALSE(registry.has("escape_test_cb", {{"id", "shared"}}));
+  EXPECT_EQ(registry.size(), start);
+}
+
+TEST(Registry, RemoveCallbacksOfUnknownOrRemovedOwnerIsNoOp) {
+  MetricsRegistry registry;
+  int a = 0;
+  int b = 0;
+  int stranger = 0;
+  registry.callback_gauge("escape_test_cb", {{"id", "a"}}, &a,
+                          [] { return std::optional<double>(1.0); });
+  // Same owner, same key: still one series, removed once.
+  registry.callback_gauge("escape_test_cb", {{"id", "a"}}, &a,
+                          [] { return std::optional<double>(2.0); });
+  registry.callback_gauge("escape_test_cb", {{"id", "b"}}, &b,
+                          [] { return std::optional<double>(3.0); });
+  const std::size_t start = registry.size();
+  EXPECT_EQ(start, 2u);
+
+  registry.remove_callbacks(&stranger);
+  EXPECT_EQ(registry.size(), start);
+  registry.remove_callbacks(&a);
+  EXPECT_EQ(registry.size(), start - 1);
+  registry.remove_callbacks(&a);
+  EXPECT_EQ(registry.size(), start - 1);
+  EXPECT_TRUE(registry.has("escape_test_cb", {{"id", "b"}}));
+}
+
+TEST(Registry, CallbackOnKindMismatchLeavesLiveEntryIntact) {
+  MetricsRegistry registry;
+  Counter& c = registry.counter("escape_test_metric");
+  c.add(5);
+  const std::size_t start = registry.size();
+  int owner = 0;
+  registry.callback_gauge("escape_test_metric", {}, &owner,
+                          [] { return std::optional<double>(99.0); });
+  registry.remove_callbacks(&owner);
+  EXPECT_EQ(registry.size(), start);
+  EXPECT_EQ(&registry.counter("escape_test_metric"), &c);
+  const std::string text = registry.render_text();
+  EXPECT_NE(text.find("# TYPE escape_test_metric counter"), std::string::npos);
+  EXPECT_NE(text.find("escape_test_metric 5"), std::string::npos);
+  EXPECT_EQ(text.find("99"), std::string::npos);
+}
+
 TEST(Registry, CounterIsThreadSafe) {
   MetricsRegistry registry;
   Counter& c = registry.counter("escape_test_total");

@@ -150,6 +150,36 @@ TEST(TopologyFormat, Errors) {
   EXPECT_FALSE(TopologySpec::from_json(R"({"links":[{"a":"x"}]})").ok());
 }
 
+TEST(TopologyFormat, LinkPortsOutsideSixteenBitsRejected) {
+  for (const char* port : {"70000", "65536", "-1", "1e30"}) {
+    for (const char* key : {"a_port", "b_port"}) {
+      const std::string doc = std::string(R"({"links":[{"a":"h1","b":"s1",")") + key +
+                              "\":" + port + "}]}";
+      auto spec = TopologySpec::from_json(doc);
+      ASSERT_FALSE(spec.ok()) << doc;
+      EXPECT_EQ(spec.error().code, "format.topology");
+    }
+  }
+  auto spec = TopologySpec::from_json(R"({"links":[{"a":"h1","a_port":65535,"b":"s1"}]})");
+  ASSERT_TRUE(spec.ok());
+  EXPECT_EQ(spec->links[0].port_a, 65535);
+}
+
+TEST(TopologyFormat, ReservedSwitchPortFailsBuild) {
+  // 0xfffd (65533) is a valid 16-bit number but OFPP_CONTROLLER on a switch.
+  auto spec = TopologySpec::from_json(R"({
+    "nodes": [{"name": "sap1", "kind": "host"}, {"name": "s1", "kind": "switch"}],
+    "links": [{"a": "sap1", "a_port": 0, "b": "s1", "b_port": 65533}]
+  })");
+  ASSERT_TRUE(spec.ok());
+  EventScheduler sched;
+  netemu::Network net(sched);
+  auto s = spec->build(net);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().code, "netemu.reserved-port");
+  EXPECT_TRUE(net.links().empty());
+}
+
 // --- service graph format --------------------------------------------------------------
 
 constexpr const char* kSgJson = R"({
