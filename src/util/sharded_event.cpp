@@ -95,7 +95,8 @@ void ShardedScheduler::add_lookahead_edge(std::size_t from, std::size_t to,
   if (from == to) return;  // intra-shard edges do not constrain the window
   // Serialized: agent respawns create pipes from inside worker events, so
   // two shards may register edges in the same window. The coordinator
-  // only reads lookahead_ between rounds, after the barrier.
+  // only reads lookahead_ and sequential_only_ between rounds, after the
+  // barrier.
   std::lock_guard<std::mutex> lock(mu_);
   if (min_delay == 0) {
     sequential_only_ = true;
@@ -159,16 +160,18 @@ std::size_t ShardedScheduler::run_until(SimTime deadline, std::size_t max_events
   return run_loop(deadline, max_events);
 }
 
-bool ShardedScheduler::step() {
-  if (shards_.size() == 1) return shards_[0]->step();
-  return step_one();
-}
 
 std::size_t ShardedScheduler::run_loop(SimTime deadline, std::size_t max_events) {
-  if (sequential_only_) return run_sequential(deadline, max_events);
   budget_.assign(shards_.size(), max_events);
   std::size_t total = 0;
   for (;;) {
+    // Checked every round: an event may have registered a zero-lookahead
+    // edge (an agent respawned with a zero-delay pipe), and a window of
+    // width zero would run nothing.
+    if (sequential_only_) {
+      total += run_sequential(deadline);
+      break;
+    }
     SimTime next = global_next();
     if (next == EventScheduler::kNoEvent || next > deadline) break;
     SimTime bound = (lookahead_ == kNoLookahead) ? EventScheduler::kNoEvent
@@ -195,11 +198,10 @@ std::size_t ShardedScheduler::run_loop(SimTime deadline, std::size_t max_events)
   return total;
 }
 
-std::size_t ShardedScheduler::run_sequential(SimTime deadline, std::size_t max_events) {
+std::size_t ShardedScheduler::run_sequential(SimTime deadline) {
   // Zero-lookahead fallback: globally ordered single-stepping. Ties
   // across shards break by shard id, matching the canonical mailbox
   // drain order of the windowed path.
-  budget_.assign(shards_.size(), max_events);
   window_bound_ = 0;
   std::size_t total = 0;
   for (;;) {
@@ -214,24 +216,16 @@ std::size_t ShardedScheduler::run_sequential(SimTime deadline, std::size_t max_e
       }
     }
     if (best == shards_.size() || best_t > deadline) break;
-    t_current_shard = shards_[best].get();
-    bool ran = shards_[best]->pop_and_run();
-    t_current_shard = nullptr;
-    if (ran) {
+    if (run_next_on(best)) {
       --budget_[best];
       ++total;
-    }
-    drain_mailboxes();
-  }
-  if (deadline != EventScheduler::kNoEvent) {
-    for (auto& s : shards_) {
-      if (s->now_ < deadline) s->now_ = deadline;
     }
   }
   return total;
 }
 
-bool ShardedScheduler::step_one() {
+bool ShardedScheduler::step() {
+  if (shards_.size() == 1) return shards_[0]->step();
   window_bound_ = 0;
   std::size_t best = shards_.size();
   SimTime best_t = EventScheduler::kNoEvent;
@@ -243,10 +237,18 @@ bool ShardedScheduler::step_one() {
     }
   }
   if (best == shards_.size()) return false;
-  t_current_shard = shards_[best].get();
-  bool ran = shards_[best]->pop_and_run();
+  return run_next_on(best);
+}
+
+bool ShardedScheduler::run_next_on(std::size_t s) {
+  t_current_shard = shards_[s].get();
+  const bool ran = shards_[s]->pop_and_run();
   t_current_shard = nullptr;
-  drain_mailboxes();
+  for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
+    auto& box = outbox_[s][dst];
+    if (!box.empty()) deliver(dst, box);
+  }
+  outbox_visits_ += shards_.size();
   return ran;
 }
 
@@ -265,7 +267,6 @@ void ShardedScheduler::execute_round(SimTime bound) {
   }
   {
     std::lock_guard<std::mutex> lk(mu_);
-    round_bound_ = bound;
     workers_done_ = 0;
     ++rounds_started_;
   }
@@ -310,30 +311,32 @@ void ShardedScheduler::worker_loop(std::size_t worker) {
 
 void ShardedScheduler::drain_mailboxes() {
   for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
-    drain_scratch_.clear();
     for (std::size_t src = 0; src < shards_.size(); ++src) {
       auto& box = outbox_[src][dst];
-      for (auto& m : box) drain_scratch_.push_back(std::move(m));
+      drain_scratch_.insert(drain_scratch_.end(), box.begin(), box.end());
       box.clear();
     }
-    if (drain_scratch_.empty()) continue;
-    std::sort(drain_scratch_.begin(), drain_scratch_.end(),
-              [](const Mail& a, const Mail& b) {
-                if (a.when != b.when) return a.when < b.when;
-                if (a.src != b.src) return a.src < b.src;
-                return a.seq < b.seq;
-              });
-    for (auto& m : drain_scratch_) {
-      // Cancelled while still in the outbox: the canceller already
-      // adjusted the pending counter, so just free the slot.
-      if ((m.slot->word.load(std::memory_order_acquire) & 1) == 0) {
-        shards_[dst]->retire(m.slot);
-        continue;
-      }
-      shards_[dst]->inject(m.when, m.slot);
-    }
-    drain_scratch_.clear();
+    if (!drain_scratch_.empty()) deliver(dst, drain_scratch_);
   }
+  outbox_visits_ += shards_.size() * shards_.size();
+}
+
+void ShardedScheduler::deliver(std::size_t dst, std::vector<Mail>& mail) {
+  std::sort(mail.begin(), mail.end(), [](const Mail& a, const Mail& b) {
+    if (a.when != b.when) return a.when < b.when;
+    if (a.src != b.src) return a.src < b.src;
+    return a.seq < b.seq;
+  });
+  for (auto& m : mail) {
+    // Cancelled while still in the outbox: the canceller already
+    // adjusted the pending counter, so just free the slot.
+    if ((m.slot->word.load(std::memory_order_acquire) & 1) == 0) {
+      shards_[dst]->retire(m.slot);
+      continue;
+    }
+    shards_[dst]->inject(m.when, m.slot);
+  }
+  mail.clear();
 }
 
 EventHandle ShardedScheduler::inject_now(std::size_t dst, SimTime when, Callback cb) {

@@ -21,7 +21,9 @@
 // barrier the coordinator moves mail into the destination queues in a
 // canonical order -- sorted by (timestamp, source shard, source post
 // sequence) -- so insertion order (and therefore the FIFO tie-break)
-// does not depend on thread interleaving.
+// does not depend on thread interleaving. step() and the sequential
+// fallback run one event at a time; only that event's shard can have
+// posted mail, so they drain just its outbox row (K boxes, not K*K).
 //
 // Determinism: for a fixed partition, a run with N worker threads
 // executes, per shard, exactly the same events in exactly the same
@@ -39,7 +41,8 @@
 //
 // A registered lookahead of zero (e.g. a zero-delay control pipe
 // crossing shards) disables parallel windows: the scheduler falls back
-// to globally-ordered sequential stepping, which is always safe.
+// to globally-ordered sequential stepping, which is always safe. An
+// edge registered mid-run hands the rest of that run to the fallback.
 #pragma once
 
 #include <condition_variable>
@@ -129,6 +132,11 @@ class ShardedScheduler {
   /// Identical across thread counts for a fixed partition.
   std::uint64_t order_digest() const;
 
+  /// Outbox boxes the mailbox drains have visited since construction:
+  /// K per event run by step() or the sequential fallback, K*K per
+  /// window barrier (K = shard count).
+  std::uint64_t outbox_visits() const { return outbox_visits_; }
+
   // --- cross-shard mailbox -------------------------------------------------
 
   /// Schedules `cb` on shard `dst` at absolute virtual time `when`.
@@ -162,14 +170,20 @@ class ShardedScheduler {
   };
 
   EventHandle inject_now(std::size_t dst, SimTime when, Callback cb);
+  /// Window barrier: merges every outbox into its destination queue.
   void drain_mailboxes();
+  /// Queues `mail` (all bound for `dst`) in canonical order; clears it.
+  void deliver(std::size_t dst, std::vector<Mail>& mail);
+  /// Runs shard `s`'s earliest event, then drains outbox row `s`: every
+  /// drain leaves all outboxes empty, and only the running shard posts.
+  bool run_next_on(std::size_t s);
   /// One synchronization window: every shard runs events < bound.
   void execute_round(SimTime bound);
   void run_shard_slice(std::size_t worker);
   void worker_loop(std::size_t worker);
   std::size_t run_loop(SimTime deadline_inclusive, std::size_t max_events);
-  std::size_t run_sequential(SimTime deadline_inclusive, std::size_t max_events);
-  bool step_one();
+  /// Zero-lookahead fallback; runs on what is left of `budget_`.
+  std::size_t run_sequential(SimTime deadline_inclusive);
   SimTime global_next();
 
   std::vector<std::unique_ptr<EventScheduler>> shards_;
@@ -184,19 +198,19 @@ class ShardedScheduler {
   std::vector<std::vector<std::vector<Mail>>> outbox_;
   std::vector<std::uint64_t> post_seq_;
   std::vector<Mail> drain_scratch_;
+  std::uint64_t outbox_visits_ = 0;
 
   // Per-shard budget/executed slots for the current run call; slot i is
   // only touched by the worker running shard i during a round.
   std::vector<std::size_t> budget_;
   std::vector<std::size_t> round_ran_;
 
-  // Round protocol (threads_ > 1 only): the coordinator publishes a
-  // bound, every worker runs its shard slice, the last one releases the
+  // Round protocol (threads_ > 1 only): the coordinator starts a round,
+  // every worker runs its shard slice, the last one releases the
   // coordinator. Workers are lazily spawned on the first parallel run.
   std::mutex mu_;
   std::condition_variable cv_;
   std::vector<std::thread> workers_;
-  SimTime round_bound_ = 0;
   std::uint64_t rounds_started_ = 0;
   std::size_t workers_done_ = 0;
   bool stop_ = false;
@@ -204,7 +218,6 @@ class ShardedScheduler {
   // Bound of the window currently executing (coordinator-written before
   // the round, read by workers via the round protocol's ordering).
   SimTime window_bound_ = 0;
-  bool running_ = false;
 };
 
 /// Schedules `cb` to run `delay` after src.now() on dst's shard. When

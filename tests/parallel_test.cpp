@@ -161,6 +161,42 @@ TEST(ShardedScheduler, ZeroLookaheadFallsBackToSequential) {
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
 }
 
+TEST(ShardedScheduler, ZeroLookaheadEdgeAddedMidRunHandsOverToSequential) {
+  // An agent respawned with a zero-delay NETCONF pipe registers its edge
+  // from inside an event; the rest of the call must still run every
+  // event, now in global order.
+  for (const bool until : {false, true}) {
+    SCOPED_TRACE(until ? "run_until" : "run");
+    ShardedScheduler sched{2, 1};
+    sched.add_lookahead_edge(0, 1, kHop);
+    sched.add_lookahead_edge(1, 0, kHop);
+    std::vector<SimTime> ran;
+    sched.shard(0).schedule_at(kHop, [&] {
+      sched.add_lookahead_edge(0, 1, 0);
+      ran.push_back(sched.now());
+    });
+    sched.shard(1).schedule_at(5 * kHop, [&] { ran.push_back(sched.now()); });
+    sched.shard(0).schedule_at(7 * kHop, [&] { ran.push_back(sched.now()); });
+    EXPECT_EQ(until ? sched.run_until(10 * kHop) : sched.run(), 3u);
+    EXPECT_FALSE(sched.parallel_capable());
+    EXPECT_EQ(sched.pending_events(), 0u);
+    EXPECT_EQ(ran, (std::vector<SimTime>{kHop, 5 * kHop, 7 * kHop}));
+    EXPECT_EQ(sched.shard(0).now(), until ? 10 * kHop : 7 * kHop);
+    EXPECT_EQ(sched.shard(1).now(), until ? 10 * kHop : 5 * kHop);
+  }
+  // The hand-over keeps what is left of each shard's budget: shard 0
+  // spent one of its two events before the edge appeared.
+  ShardedScheduler sched{2, 1};
+  sched.add_lookahead_edge(0, 1, kHop);
+  sched.shard(0).schedule_at(kHop, [&] { sched.add_lookahead_edge(0, 1, 0); });
+  sched.shard(0).schedule_at(7 * kHop, [] {});
+  sched.shard(0).schedule_at(9 * kHop, [] {});
+  sched.shard(1).schedule_at(5 * kHop, [] {});
+  EXPECT_EQ(sched.run(2), 3u);
+  EXPECT_EQ(sched.pending_events(), 1u);
+  EXPECT_EQ(sched.shard(0).now(), 7 * kHop);
+}
+
 TEST(ShardedScheduler, PendingEventsTracksCancellation) {
   ShardedScheduler sched{2, 1};
   sched.add_lookahead_edge(0, 1, kHop);
@@ -245,6 +281,180 @@ TEST(ShardedScheduler, StepExecutesGloballyEarliest) {
   EXPECT_TRUE(sched.step());
   EXPECT_EQ(order, (std::vector<int>{1, 0}));
   EXPECT_FALSE(sched.step());
+}
+
+// --- step-mode determinism ------------------------------------------------------
+//
+// Environment::pump_until waits for a control call by driving the
+// sharded engine one step() at a time, so on a partitioned network most
+// events run through step(). These tests pin what that path executes on
+// 20 shards -- per-shard order digests (which cover the sequence number
+// every mailbox injection hands out), executed counts and final clocks --
+// plus the zero-lookahead run() path that steps the same way.
+
+constexpr std::size_t kStepShards = 20;
+constexpr SimDuration kGrid = 10 * timeunit::kMicrosecond;
+
+std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// Chains of hops across 20 shards. Each hop draws from its own shard's
+/// generator and posts two or three mails to one other shard, each due
+/// no later than the one posted before it (ties included), so a box's
+/// post order is not its `when` order; one mail carries the chain on.
+/// The hop also arms its shard's timer, or cancels it when still
+/// pending -- the timer is often that shard's head. Every time sits on
+/// a 10us grid and every shard starts a chain at t=0, so equal
+/// timestamps across shards are common. With `min_delay` 0 the
+/// non-carrier mails may land at the sender's own time (zero
+/// lookahead); the carrier always hops 1ms on.
+struct StepWorkload {
+  ShardedScheduler sched;
+  SimDuration min_delay;
+  SimTime stop = 40 * kHop;
+  std::vector<std::uint64_t> rng;
+  std::vector<EventHandle> timer;
+  bool keep_log = false;
+  std::vector<std::pair<SimTime, std::size_t>> log;  // (when, shard) executed, in order
+
+  StepWorkload(std::size_t threads, SimDuration delay)
+      : sched(kStepShards, threads), min_delay(delay), rng(kStepShards), timer(kStepShards) {
+    for (std::size_t i = 0; i < kStepShards; ++i) {
+      rng[i] = 0x5eed0000u + i;
+      for (std::size_t j = 0; j < kStepShards; ++j) sched.add_lookahead_edge(i, j, min_delay);
+    }
+    for (std::size_t i = 0; i < kStepShards; ++i) {
+      // Even shards start with a cancelled head.
+      EventHandle decoy = sched.shard(i).schedule_at(0, [this, i] { note(i); });
+      if (i % 2 == 0) decoy.cancel();
+      sched.shard(i).schedule_at(0, [this, i] { hop(i); });
+      sched.shard(i).schedule_at((i % 3) * kGrid, [this, i] { hop(i); });
+    }
+  }
+
+  void note(std::size_t s) {
+    if (keep_log) log.emplace_back(sched.shard(s).now(), s);
+  }
+
+  void hop(std::size_t s) {
+    note(s);
+    EventScheduler& self = sched.shard(s);
+    if (self.now() >= stop) return;
+    const std::uint64_t x = splitmix64(rng[s]);
+    const std::size_t dst = (s + 1 + x % (kStepShards - 1)) % kStepShards;
+    const std::size_t mails = 2 + (x >> 8) % 2;
+    const std::size_t carrier = (x >> 12) % mails;
+    for (std::size_t m = 0; m < mails; ++m) {
+      const SimDuration base = (m == carrier) ? kHop : min_delay;
+      const SimTime when = self.now() + base + (mails - 1 - m + ((x >> (16 + m)) & 1)) * kGrid;
+      if (m == carrier) {
+        sched.post_at(dst, when, [this, dst] { hop(dst); });
+      } else {
+        sched.post_at(dst, when, [this, dst] { note(dst); });
+      }
+    }
+    if (timer[s].pending()) {
+      timer[s].cancel();
+    } else {
+      timer[s] = self.schedule(((x >> 24) % 50) * kGrid, [this, s] { note(s); });
+    }
+  }
+};
+
+struct StepPins {
+  std::uint64_t digest;  // per-shard order digests folded in shard order
+  std::vector<std::uint64_t> executed;
+  std::vector<SimTime> clock_us;
+};
+
+void expect_pinned(const ShardedScheduler& sched, const StepPins& pin) {
+  std::vector<std::uint64_t> executed;
+  std::vector<SimTime> clock_us;
+  for (std::size_t i = 0; i < sched.shard_count(); ++i) {
+    executed.push_back(sched.shard(i).executed_events());
+    clock_us.push_back(sched.shard(i).now() / timeunit::kMicrosecond);
+  }
+  EXPECT_EQ(sched.order_digest(), pin.digest);
+  EXPECT_EQ(executed, pin.executed);
+  EXPECT_EQ(clock_us, pin.clock_us);
+}
+
+// Every driver runs the same hops per shard; only times and sequence
+// numbers differ.
+const std::vector<std::uint64_t> kStepExecuted = {213, 243, 218, 215, 258, 239, 238,
+                                                  205, 236, 221, 219, 212, 205, 253,
+                                                  208, 209, 240, 222, 209, 202};
+
+TEST(StepDeterminism, StepOnlyRunMatchesPinnedConstants) {
+  StepWorkload w(1, kHop);
+  w.keep_log = true;
+  std::uint64_t steps = 0;
+  while (w.sched.step()) ++steps;
+  EXPECT_EQ(steps, w.sched.executed_events());
+  EXPECT_EQ(w.sched.pending_events(), 0u);
+  // Equal timestamps across shards run in shard-id order.
+  for (std::size_t i = 1; i < w.log.size(); ++i) {
+    if (w.log[i].first == w.log[i - 1].first) {
+      EXPECT_GE(w.log[i].second, w.log[i - 1].second) << "at log entry " << i;
+    }
+  }
+  expect_pinned(w.sched, {0x5382ab8564f2b54aull,
+                          kStepExecuted,
+                          {39810, 40560, 40600, 40510, 39950, 40610, 40610, 40560, 40570, 40530,
+                           40400, 39560, 40530, 40510, 40560, 40510, 40530, 40590, 40620, 40490}});
+}
+
+TEST(StepDeterminism, StepsInterleavedWithRunUntilMatchPinnedConstants) {
+  StepWorkload w(2, kHop);
+  for (std::size_t r = 0; !w.sched.empty(); ++r) {
+    for (std::size_t i = 0; i < 5 + r % 11 && w.sched.step(); ++i) {
+    }
+    w.sched.run_until(w.sched.now() + (r % 4) * 250 * timeunit::kMicrosecond);
+  }
+  // The last run_until pushed every clock to its deadline.
+  expect_pinned(w.sched, {0xdd17eec028eca391ull, kStepExecuted,
+                          std::vector<SimTime>(kStepShards, 41140)});
+}
+
+TEST(StepDeterminism, StepDrainsOnlyTheSteppedShardsOutboxRow) {
+  // A step runs one shard's event, so only that shard's row of K boxes
+  // can hold mail; the zero-lookahead fallback steps the same way.
+  StepWorkload stepped(1, kHop);
+  std::uint64_t steps = 0;
+  while (stepped.sched.step()) ++steps;
+  EXPECT_EQ(stepped.sched.outbox_visits(), kStepShards * steps);
+
+  StepWorkload sequential(1, 0);
+  const std::size_t ran = sequential.sched.run();
+  EXPECT_EQ(sequential.sched.outbox_visits(), kStepShards * ran);
+
+  // A window barrier still merges all K*K boxes: one window here.
+  ShardedScheduler windowed{kStepShards, 1};
+  windowed.add_lookahead_edge(0, 1, kHop);
+  for (std::size_t i = 0; i < kStepShards; ++i) {
+    windowed.shard(i).schedule_at(i * kGrid, [&windowed, i] {
+      windowed.post_at((i + 1) % kStepShards, 2 * kHop, [] {});
+    });
+  }
+  EXPECT_EQ(windowed.run_until(kHop - 1), kStepShards);
+  EXPECT_EQ(windowed.outbox_visits(), kStepShards * kStepShards);
+  EXPECT_EQ(windowed.pending_events(), kStepShards);
+}
+
+TEST(StepDeterminism, ZeroLookaheadRunMatchesPinnedConstants) {
+  StepWorkload w(2, 0);
+  EXPECT_FALSE(w.sched.parallel_capable());
+  const std::size_t ran = w.sched.run();
+  EXPECT_EQ(ran, w.sched.executed_events());
+  EXPECT_EQ(w.sched.pending_events(), 0u);
+  expect_pinned(w.sched, {0xd5cc038a2c0835daull,
+                          kStepExecuted,
+                          {39810, 40560, 40570, 40500, 39950, 40610, 40580, 40550, 40560, 40530,
+                           40390, 39560, 40500, 40490, 40560, 40510, 40530, 40590, 40620, 40480}});
 }
 
 // --- partition derivation -------------------------------------------------------
