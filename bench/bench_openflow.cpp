@@ -1,7 +1,8 @@
 // Experiment E4: OpenFlow flow-table performance.
 //
-// Lookup cost: exact-match entries hit a hash table (O(1)-ish, flat in
-// table size); wildcard entries are scanned in priority order (linear).
+// Lookup cost: exact-match entries are one probe of the exact tuple
+// space; wildcard entries are one probe per wildcard mask group
+// (tuple-space search), so both stay flat in table size.
 // Install rate: flow-mods per second into a growing table.
 #include "bench_common.hpp"
 #include <benchmark/benchmark.h>
@@ -59,8 +60,8 @@ static void BM_FlowTable_WildcardLookup(benchmark::State& state) {
   for (int i = 0; i < table_size; ++i) {
     table.apply(wildcard_mod(static_cast<std::uint16_t>(10000 + i), 2), 0);
   }
-  // Worst case: the matching entry is the last scanned (same priority,
-  // installed last).
+  // The matching entry is installed last, at the same priority; every
+  // entry shares one mask group, so the lookup is one probe.
   table.apply(wildcard_mod(2000, 3), 0);
   const net::FlowKey key = key_for_port(2000);
   for (auto _ : state) {

@@ -12,14 +12,7 @@ using net::ethertype::kIpv4;
 
 ClassifyCtx ClassifyCtx::from_packet(const net::Packet& p) {
   ClassifyCtx ctx;
-  if (auto key = net::extract_flow_key(p, 0)) ctx.key = *key;
-  if (ctx.key.dl_type == kIpv4 && ctx.key.nw_proto == net::ipproto::kTcp) {
-    if (auto eth = net::EthernetView::parse(p.bytes())) {
-      if (auto ip = net::Ipv4View::parse(eth->payload)) {
-        if (auto tcp = net::TcpView::parse(ip->payload)) ctx.tcp_flags = tcp->flags;
-      }
-    }
-  }
+  if (auto key = net::extract_flow_key(p, 0, ctx.tcp_flags)) ctx.key = *key;
   return ctx;
 }
 

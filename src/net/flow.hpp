@@ -33,8 +33,14 @@ struct FlowKey {
 
 /// Extracts a FlowKey from an Ethernet frame. `in_port` is supplied by
 /// the switch. Returns nullopt only for frames too short to carry an
-/// Ethernet header.
+/// Ethernet header; a later header that fails its checks leaves its
+/// fields zero.
 std::optional<FlowKey> extract_flow_key(const Packet& packet, std::uint16_t in_port);
+
+/// The same single pass, also reporting the TCP flags: `tcp_flags` is 0
+/// unless the frame carries a valid IPv4/TCP header.
+std::optional<FlowKey> extract_flow_key(const Packet& packet, std::uint16_t in_port,
+                                        std::uint8_t& tcp_flags);
 
 }  // namespace escape::net
 

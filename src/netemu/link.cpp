@@ -202,12 +202,16 @@ void Link::fire(int from_endpoint) {
     dst->deliver(dst_port, std::move(packet));
     return;
   }
-  // The frame travels inside the event (the capture fits the callback's
-  // inline buffer), through the mailbox to the receiver's shard.
-  cross_schedule(*dir.sched, dst->scheduler(), config_.delay,
-                 [dst, dst_port, packet = std::move(packet)]() mutable {
-                   dst->deliver(dst_port, std::move(packet));
-                 });
+  // The frame travels inside the event, through the mailbox to the
+  // receiver's shard.
+  auto crossing = [dst, dst_port, packet = std::move(packet)]() mutable {
+    dst->deliver(dst_port, std::move(packet));
+  };
+  // A capture that outgrows the inline buffer would box every
+  // cross-shard hop on the heap (see DESIGN.md §6).
+  static_assert(EventCallback::kFitsInline<decltype(crossing)>,
+                "the cross-shard frame capture must fit EventCallback's inline buffer");
+  cross_schedule(*dir.sched, dst->scheduler(), config_.delay, std::move(crossing));
 }
 
 std::string Link::to_string() const {

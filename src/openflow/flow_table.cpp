@@ -67,10 +67,9 @@ void FlowTable::erase_entry(EntryIt it, std::optional<FlowRemovedReason> reason)
   MaskGroup& g = git->second;
   const std::uint16_t old_max = g.max_priority();
   const net::FlowKey key = it->match.masked(it->match.fields());
-  auto bit = g.buckets.find(key);
-  auto& bucket = bit->second;
+  auto& bucket = *g.buckets.find(key);
   bucket.erase(std::find(bucket.begin(), bucket.end(), it));
-  if (bucket.empty()) g.buckets.erase(bit);
+  if (bucket.empty()) g.buckets.erase(key);
   auto pit = g.prio_counts.find(it->priority);
   if (--pit->second == 0) g.prio_counts.erase(pit);
   if (--g.size == 0) {
@@ -86,8 +85,14 @@ const std::vector<FlowTable::MaskGroup*>& FlowTable::probe_order() const {
   if (probe_order_dirty_) {
     probe_order_.clear();
     probe_order_.reserve(groups_.size());
+    exact_group_ = nullptr;
     for (auto& [sig, g] : groups_) {
-      if (sig != kExactSig) probe_order_.push_back(const_cast<MaskGroup*>(&g));
+      auto* group = const_cast<MaskGroup*>(&g);
+      if (sig == kExactSig) {
+        exact_group_ = group;
+      } else {
+        probe_order_.push_back(group);
+      }
     }
     std::sort(probe_order_.begin(), probe_order_.end(), [](const MaskGroup* a, const MaskGroup* b) {
       if (a->max_priority() != b->max_priority()) return a->max_priority() > b->max_priority();
@@ -117,10 +122,9 @@ void FlowTable::apply_one(const FlowMod& mod, SimTime now) {
       // priority; wildcard adds only displace equal-priority equal-match
       // entries. Either way only the template's own bucket is examined.
       MaskGroup& g = group_for(mod.match);
-      if (auto bit = g.buckets.find(mod.match.masked(mod.match.fields()));
-          bit != g.buckets.end()) {
+      if (const auto* bucket = g.buckets.find(mod.match.masked(mod.match.fields()))) {
         std::vector<EntryIt> victims;
-        for (EntryIt it : bit->second) {
+        for (EntryIt it : *bucket) {
           if (g.exact || (it->priority == mod.priority && it->match == mod.match)) {
             victims.push_back(it);
           }
@@ -147,9 +151,8 @@ void FlowTable::apply_one(const FlowMod& mod, SimTime now) {
       // priority), keeping counters; adds when nothing matched.
       bool any = false;
       if (auto git = groups_.find(mod.match.mask_signature()); git != groups_.end()) {
-        auto bit = git->second.buckets.find(mod.match.masked(mod.match.fields()));
-        if (bit != git->second.buckets.end()) {
-          for (EntryIt it : bit->second) {
+        if (const auto* bucket = git->second.buckets.find(mod.match.masked(mod.match.fields()))) {
+          for (EntryIt it : *bucket) {
             if (it->match == mod.match) {
               it->actions = mod.actions;
               it->cookie = mod.cookie;
@@ -180,9 +183,9 @@ void FlowTable::delete_matching(const Match& match, bool strict,
   std::vector<EntryIt> victims;
 
   auto scan_bucket = [&](MaskGroup& g, const net::FlowKey& key, auto&& pred) {
-    auto bit = g.buckets.find(key);
-    if (bit == g.buckets.end()) return;
-    for (EntryIt it : bit->second) {
+    const auto* bucket = g.buckets.find(key);
+    if (bucket == nullptr) return;
+    for (EntryIt it : *bucket) {
       ++last_delete_examined_;
       if (pred(*it)) victims.push_back(it);
     }
@@ -213,10 +216,10 @@ void FlowTable::delete_matching(const Match& match, bool strict,
     }
     if (!match.is_exact()) {
       if (auto git = groups_.find(kExactSig); git != groups_.end()) {
-        for (auto& [key, bucket] : git->second.buckets) {
-          last_delete_examined_ += bucket.size();
-          if (!match.matches(key)) continue;
-          for (EntryIt it : bucket) victims.push_back(it);
+        for (const auto& node : git->second.buckets.nodes()) {
+          last_delete_examined_ += node.value.size();
+          if (!match.matches(node.key)) continue;
+          for (EntryIt it : node.value) victims.push_back(it);
         }
       }
     }
@@ -231,11 +234,16 @@ void FlowTable::delete_matching(const Match& match, bool strict,
 
 FlowEntry* FlowTable::lookup(const net::FlowKey& key, std::size_t packet_bytes, SimTime now) {
   ++lookups_;
+  const std::vector<MaskGroup*>& order = probe_order();
+
+  // The unmasked key's hash serves both the miss memo and the exact
+  // group, so it is computed once, and only when one of them can answer.
+  const bool memo_live = miss_memo_version_ == version_ && !miss_memo_.empty();
+  const std::size_t hash = memo_live || exact_group_ ? std::hash<net::FlowKey>{}(key) : 0;
 
   // Miss memo fast path: this key already probed every eligible group
   // under the current version and matched nothing.
-  if (miss_memo_version_ == version_ && !miss_memo_.empty() &&
-      miss_memo_.find(key) != miss_memo_.end()) {
+  if (memo_live && miss_memo_.find(key, hash)) {
     ++miss_short_circuits_;
     return nullptr;
   }
@@ -244,9 +252,9 @@ FlowEntry* FlowTable::lookup(const net::FlowKey& key, std::size_t packet_bytes, 
   bool best_exact = false;
 
   // Exact-match fast path: one hash probe against the exact tuple space.
-  if (auto git = groups_.find(kExactSig); git != groups_.end()) {
-    if (auto bit = git->second.buckets.find(key); bit != git->second.buckets.end()) {
-      for (EntryIt it : bit->second) {
+  if (exact_group_) {
+    if (const auto* bucket = exact_group_->buckets.find(key, hash)) {
+      for (EntryIt it : *bucket) {
         if (expired(*it, now)) continue;
         best = &*it;
         best_exact = true;
@@ -259,15 +267,15 @@ FlowEntry* FlowTable::lookup(const net::FlowKey& key, std::size_t packet_bytes, 
   // once a group's max priority falls below the best candidate (or ties
   // it while the best is exact — exact wins priority ties), no later
   // group can win.
-  for (MaskGroup* g : probe_order()) {
+  for (MaskGroup* g : order) {
     if (best) {
       const std::uint16_t gmax = g->max_priority();
       if (gmax < best->priority) break;
       if (gmax == best->priority && best_exact) break;
     }
-    auto bit = g->buckets.find(g->mask.masked(key));
-    if (bit == g->buckets.end()) continue;
-    for (EntryIt it : bit->second) {
+    const auto* bucket = g->buckets.find(g->mask.masked(key));
+    if (bucket == nullptr) continue;
+    for (EntryIt it : *bucket) {
       if (expired(*it, now)) continue;
       // Buckets are (priority desc, seq asc) sorted, so the first live
       // entry is this group's best; compare it against the running best.
@@ -291,7 +299,7 @@ FlowEntry* FlowTable::lookup(const net::FlowKey& key, std::size_t packet_bytes, 
     miss_memo_.clear();
     miss_memo_version_ = version_;
   }
-  miss_memo_.insert(key);
+  miss_memo_[key] = true;
   return nullptr;
 }
 
@@ -349,6 +357,7 @@ void FlowTable::clear() {
   entries_.clear();
   groups_.clear();
   probe_order_.clear();
+  exact_group_ = nullptr;
   probe_order_dirty_ = true;
   ++version_;
 }

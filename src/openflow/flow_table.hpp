@@ -20,10 +20,10 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "openflow/actions.hpp"
+#include "openflow/flow_key_index.hpp"
 #include "openflow/match.hpp"
 #include "openflow/messages.hpp"
 #include "util/time.hpp"
@@ -83,6 +83,9 @@ class FlowTable {
   /// groups (see the memo comment in the private section).
   std::uint64_t miss_short_circuits() const { return miss_short_circuits_; }
 
+  /// Distinct missed keys the memo holds before it starts over.
+  static constexpr std::size_t kMissMemoCap = 4096;
+
   /// Number of distinct wildcard masks currently indexed (tuple-space
   /// hash tables; the per-lookup probe bound).
   std::size_t mask_group_count() const { return groups_.size(); }
@@ -114,7 +117,7 @@ class FlowTable {
     // Live priorities with their entry counts; the max (first key) gives
     // the probe order and the early-exit bound.
     std::map<std::uint16_t, std::size_t, std::greater<std::uint16_t>> prio_counts;
-    std::unordered_map<net::FlowKey, std::vector<EntryIt>> buckets;
+    FlowKeyIndex<std::vector<EntryIt>> buckets;
     std::size_t size = 0;
 
     std::uint16_t max_priority() const {
@@ -131,6 +134,7 @@ class FlowTable {
   void erase_entry(EntryIt it, std::optional<FlowRemovedReason> reason);
   void apply_one(const FlowMod& mod, SimTime now);
   void delete_matching(const Match& match, bool strict, std::optional<std::uint16_t> priority);
+  /// The wildcard groups in probe order; also refreshes exact_group_.
   const std::vector<MaskGroup*>& probe_order() const;
   /// True when `a` outranks `b`: higher priority, then exact-over-
   /// wildcard, then earlier install.
@@ -141,9 +145,12 @@ class FlowTable {
   EntryList entries_;
   // Tuple spaces keyed by Match::mask_signature().
   std::unordered_map<std::uint64_t, MaskGroup> groups_;
-  // Groups sorted by descending max priority, rebuilt lazily when a
-  // group appears/vanishes or a group's max priority moves.
+  // Wildcard groups sorted by descending max priority, rebuilt lazily
+  // when a group appears/vanishes or a group's max priority moves; the
+  // exact group (or nullptr) is looked up at the same time, so lookup()
+  // never searches groups_.
   mutable std::vector<MaskGroup*> probe_order_;
+  mutable MaskGroup* exact_group_ = nullptr;
   mutable bool probe_order_dirty_ = true;
 
   std::uint64_t next_seq_ = 0;
@@ -159,9 +166,9 @@ class FlowTable {
   // creates new misses. Without it, every packet of an unmatched flow
   // re-probes all mask groups before taking the packet-in path.
   // Bounded: the memo resets when it reaches kMissMemoCap (and on every
-  // version bump).
-  static constexpr std::size_t kMissMemoCap = 4096;
-  std::unordered_set<net::FlowKey> miss_memo_;
+  // version bump). It grows on demand, so a switch that never misses
+  // holds no memo slots.
+  FlowKeyIndex<bool> miss_memo_;
   std::uint64_t miss_memo_version_ = 0;
   std::uint64_t miss_short_circuits_ = 0;
 

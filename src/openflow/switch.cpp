@@ -158,8 +158,12 @@ void OpenFlowSwitch::sweep_expired() { table_.expire(scheduler_->now()); }
 std::uint32_t OpenFlowSwitch::buffer_packet(const net::Packet& packet) {
   const std::uint32_t id = next_buffer_id_++;
   if (buffers_.size() >= kNumBuffers) {
-    buffer_sent_at_.erase(buffers_.begin()->first);
-    buffers_.erase(buffers_.begin());  // oldest
+    // Evict the oldest buffer; its packet-in span ends here, unanswered.
+    if (auto sent = buffer_sent_at_.find(buffers_.begin()->first); sent != buffer_sent_at_.end()) {
+      obs::tracer().end_span(sent->second.second, scheduler_->now(), "evicted");
+      buffer_sent_at_.erase(sent);
+    }
+    buffers_.erase(buffers_.begin());
   }
   buffers_[id] = packet;
   return id;

@@ -67,6 +67,12 @@ class EventCallback {
  public:
   static constexpr std::size_t kInlineBytes = 72;
 
+  /// Whether a callable of type D is stored inline (no heap allocation).
+  template <class D>
+  static constexpr bool kFitsInline = sizeof(D) <= kInlineBytes &&
+                                      alignof(D) <= alignof(void*) &&
+                                      std::is_nothrow_move_constructible_v<D>;
+
   EventCallback() noexcept = default;
 
   template <class F, class D = std::decay_t<F>,
@@ -109,11 +115,6 @@ class EventCallback {
     // nullptr when the callable is trivially destructible.
     void (*destroy)(void* storage) noexcept;
   };
-
-  template <class D>
-  static constexpr bool kFitsInline = sizeof(D) <= kInlineBytes &&
-                                      alignof(D) <= alignof(void*) &&
-                                      std::is_nothrow_move_constructible_v<D>;
 
   /// A callable too large for the buffer, moved to the heap.
   template <class D>

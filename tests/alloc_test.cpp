@@ -1,8 +1,8 @@
 // Heap-allocation gate for the packet path. A counting global operator
-// new shows that, once warm, the event engine schedules and fires events
-// and a link carries a host-to-host flow without allocating. The counts
-// are exact and machine-independent, so CI holds them without timing
-// anything.
+// new shows that, once warm, the event engine schedules and fires events,
+// a link carries a host-to-host flow, and an OpenFlow switch parses,
+// looks up and forwards a flow without allocating. The counts are exact
+// and machine-independent, so CI holds them without timing anything.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 
 #include "net/builder.hpp"
 #include "netemu/network.hpp"
+#include "netemu/switch_node.hpp"
 #include "util/event.hpp"
 
 namespace {
@@ -152,6 +153,57 @@ TEST(Allocations, WarmLinkCarriesAUdpFlowWithoutAllocating) {
   EXPECT_EQ(b.rx_packets(), 10'100u);
   EXPECT_EQ(net.links()[0]->delivered(0), 10'100u);
   EXPECT_EQ(net.links()[0]->dropped(0), 0u);
+}
+
+TEST(Allocations, WarmSwitchForwardsWithoutAllocating) {
+  EventScheduler sched;
+  netemu::Network net(sched);
+  auto& a = net.add_host("a", net::MacAddr::from_u64(1), net::Ipv4Addr(10, 0, 0, 1));
+  auto& b = net.add_host("b", net::MacAddr::from_u64(2), net::Ipv4Addr(10, 0, 0, 2));
+  openflow::OpenFlowSwitch& sw = net.add_switch("s1", 1).datapath();
+  ASSERT_TRUE(net.add_link("a", 0, "s1", 1, netemu::LinkConfig{}).ok());
+  ASSERT_TRUE(net.add_link("s1", 2, "b", 0, netemu::LinkConfig{}).ok());
+  openflow::FlowTable& table = sw.flow_table();
+  auto add_flow = [&](std::uint16_t in_port, std::uint16_t out_port) {
+    openflow::FlowMod mod;
+    mod.match = openflow::Match().in_port(in_port);
+    mod.actions = openflow::output_to(out_port);
+    table.apply(mod, sched.now());
+  };
+  constexpr std::uint64_t kRate = 100'000;
+  auto warm_then_count = [&] {
+    a.start_udp_flow(b.mac(), b.ip(), 1000, 2000, 100, kRate, 64);
+    sched.run();
+    a.start_udp_flow(b.mac(), b.ip(), 1000, 2000, 10'000, kRate, 64);
+    AllocationWindow window;
+    sched.run();
+    return window.count();
+  };
+
+  // Installed-flow hits: every frame matches in_port 1 -> port 2.
+  add_flow(1, 2);
+  const std::uint64_t hit_allocations = warm_then_count();
+  EXPECT_EQ(hit_allocations, 0u);
+  EXPECT_EQ(b.rx_packets(), 10'100u);
+  EXPECT_EQ(table.matches(), 10'100u);
+
+  // Miss-memo hits: only a flow for the other direction is installed and
+  // no controller is attached, so each frame misses the table and the
+  // fail-standalone fallback floods it to b. After the first miss, every
+  // lookup is answered by the memo.
+  openflow::FlowMod purge;
+  purge.command = openflow::FlowModCommand::kDelete;
+  table.apply(purge, sched.now());
+  add_flow(2, 1);
+  openflow::SwitchLiveness liveness;
+  liveness.fail_mode = openflow::FailMode::kStandalone;
+  sw.set_liveness(liveness);
+  const std::uint64_t memo_allocations = warm_then_count();
+  EXPECT_EQ(memo_allocations, 0u);
+  EXPECT_EQ(b.rx_packets(), 20'200u);
+  EXPECT_EQ(table.matches(), 10'100u);
+  EXPECT_EQ(table.miss_short_circuits(), 10'099u);
+  EXPECT_EQ(sw.standalone_forwards(), 10'100u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include "click/filter_expr.hpp"
 #include "net/builder.hpp"
+#include "support/view_flow_parser.hpp"
 
 namespace escape::click {
 namespace {
@@ -171,6 +172,26 @@ INSTANTIATE_TEST_SUITE_P(Ports, PortSweep,
 /// Property sweep: prefix-length consistency -- an address inside the
 /// prefix matches, the address with the highest-order prefix bit flipped
 /// does not (for len >= 1).
+// --- ClassifyCtx ----------------------------------------------------------------
+
+/// from_packet against the view-based reference (a key parse, then a
+/// second Ethernet/IPv4/TCP parse for the flags) on the seeded mutation
+/// corpus the parser's own differential test uses.
+TEST(ClassifyCtx, FromPacketMatchesViewParserOnMutationCorpus) {
+  const std::vector<Packet> corpus = net::testing::parser_mutation_corpus(0xf1a9, 400);
+  std::size_t with_flags = 0;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const ClassifyCtx ctx = ClassifyCtx::from_packet(corpus[i]);
+    const net::FlowKey want =
+        net::testing::view_extract_flow_key(corpus[i], 0).value_or(net::FlowKey{});
+    EXPECT_EQ(ctx.key, want) << "frame " << i << ": " << ctx.key.to_string() << " vs "
+                             << want.to_string();
+    EXPECT_EQ(ctx.tcp_flags, net::testing::view_tcp_flags(corpus[i])) << "frame " << i;
+    if (ctx.tcp_flags != 0) ++with_flags;
+  }
+  EXPECT_GT(with_flags, 100u);
+}
+
 class PrefixSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(PrefixSweep, PrefixSemantics) {

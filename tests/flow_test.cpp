@@ -598,6 +598,35 @@ TEST(FlowTableMissMemo, RepeatMissesShortCircuitUntilTableChanges) {
   EXPECT_EQ(table.miss_short_circuits(), 2u);
 }
 
+TEST(FlowTableMissMemo, ResetsAtItsCapAndOnAnyVersionBump) {
+  openflow::FlowTable table;
+  table.apply(of_add(openflow::Match().tp_dst(1), 100), 0);
+  constexpr auto kCap = static_cast<std::uint16_t>(openflow::FlowTable::kMissMemoCap);
+  for (std::uint16_t port = 2; port < 2 + kCap; ++port) table.lookup(of_key(port), 100, 0);
+  EXPECT_EQ(table.miss_short_circuits(), 0u);
+  // The memo is full, and every key in it still short-circuits.
+  table.lookup(of_key(2), 100, 0);
+  table.lookup(of_key(1 + kCap), 100, 0);
+  EXPECT_EQ(table.miss_short_circuits(), 2u);
+
+  // One more distinct miss starts the memo over with that key alone.
+  table.lookup(of_key(2 + kCap), 100, 0);
+  table.lookup(of_key(2 + kCap), 100, 0);
+  EXPECT_EQ(table.miss_short_circuits(), 3u);
+  table.lookup(of_key(2), 100, 0);  // forgotten: probes again
+  EXPECT_EQ(table.miss_short_circuits(), 3u);
+  table.lookup(of_key(2), 100, 0);
+  EXPECT_EQ(table.miss_short_circuits(), 4u);
+
+  // A flow-mod that matches none of these keys still empties the memo.
+  table.apply(of_add(openflow::Match().tp_dst(3 + kCap), 100), 0);
+  table.lookup(of_key(2), 100, 0);
+  EXPECT_EQ(table.miss_short_circuits(), 4u);
+  table.lookup(of_key(2), 100, 0);
+  EXPECT_EQ(table.miss_short_circuits(), 5u);
+  EXPECT_EQ(table.matches(), 0u);
+}
+
 TEST(FlowTableMissMemo, ExpiryInvalidatesMemoizedMisses) {
   openflow::FlowTable table;
   table.apply(of_add(openflow::Match().tp_dst(80), 100, /*idle=*/seconds(1)), 0);

@@ -8,6 +8,7 @@
 #include "net/flow.hpp"
 #include "net/headers.hpp"
 #include "net/packet_pool.hpp"
+#include "support/view_flow_parser.hpp"
 
 namespace escape::net {
 namespace {
@@ -287,6 +288,75 @@ TEST(FlowKey, EqualityAndHashConsistency) {
   EXPECT_EQ(std::hash<FlowKey>{}(*k1), std::hash<FlowKey>{}(*k2));
   auto k3 = extract_flow_key(p2, 5);
   EXPECT_NE(*k1, *k3);
+}
+
+/// The one-pass parser against the view-based reference on a seeded
+/// mutation corpus: the same frames rejected, the same key field for
+/// field, and the same TCP flags from the flag-reporting overload.
+TEST(FlowKeyDifferential, OnePassParserMatchesViewParserOnMutationCorpus) {
+  const std::vector<Packet> corpus = testing::parser_mutation_corpus(0x5eed, 400);
+  std::size_t rejected = 0, ip_rejected = 0, l4_rejected = 0;
+  std::size_t tcp_with_flags = 0, arp_accepted = 0, arp_rejected = 0;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const Packet& p = corpus[i];
+    const auto want = testing::view_extract_flow_key(p, 7);
+    const auto got = extract_flow_key(p, 7);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "frame " << i << " len " << p.size();
+    std::uint8_t flags = 0xee;
+    const auto got_with_flags = extract_flow_key(p, 7, flags);
+    ASSERT_EQ(got_with_flags.has_value(), want.has_value()) << "frame " << i;
+    EXPECT_EQ(flags, testing::view_tcp_flags(p)) << "frame " << i;
+    if (!want) {
+      ++rejected;
+      continue;
+    }
+    EXPECT_EQ(*got, *want) << "frame " << i << ": " << got->to_string() << " vs "
+                           << want->to_string();
+    EXPECT_EQ(*got_with_flags, *want) << "frame " << i;
+
+    // Tally which checks the corpus reached, so it cannot pass vacuously.
+    if (want->dl_type == ethertype::kIpv4) {
+      const bool has_l4 = want->nw_proto == ipproto::kUdp || want->nw_proto == ipproto::kTcp ||
+                          want->nw_proto == ipproto::kIcmp;
+      if (want->nw_src.value() == 0 && want->nw_dst.value() == 0) ++ip_rejected;
+      if (has_l4 && want->tp_src == 0 && want->tp_dst == 0) ++l4_rejected;
+      if (flags != 0) ++tcp_with_flags;
+    } else if (want->dl_type == ethertype::kArp) {
+      ++(want->nw_src.value() != 0 ? arp_accepted : arp_rejected);
+    }
+  }
+  EXPECT_GT(corpus.size(), 3000u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(ip_rejected, 100u);
+  EXPECT_GT(l4_rejected, 50u);
+  EXPECT_GT(tcp_with_flags, 100u);
+  EXPECT_GT(arp_accepted, 10u);
+  EXPECT_GT(arp_rejected, 10u);
+}
+
+TEST(FlowKey, TcpFlagsNeedAValidTcpHeader) {
+  TcpFields tcp;
+  tcp.src_port = 1;
+  tcp.dst_port = 2;
+  tcp.flags = 0x11;  // FIN|ACK
+  Packet p = PacketBuilder()
+                 .eth(MacAddr::from_u64(1), MacAddr::from_u64(2))
+                 .ipv4(Ipv4Addr(1, 0, 0, 1), Ipv4Addr(1, 0, 0, 2), ipproto::kTcp)
+                 .tcp(tcp)
+                 .build();
+  std::uint8_t flags = 0;
+  auto key = extract_flow_key(p, 0, flags);
+  ASSERT_TRUE(key);
+  EXPECT_EQ(flags, 0x11);
+  EXPECT_EQ(key->tp_dst, 2);
+
+  // Data offset 4 (< 5 words): the key keeps L3, loses L4 and the flags.
+  p.mutable_bytes()[EthernetView::kSize + Ipv4View::kMinSize + 12] = 4 << 4;
+  key = extract_flow_key(p, 0, flags);
+  ASSERT_TRUE(key);
+  EXPECT_EQ(flags, 0);
+  EXPECT_EQ(key->nw_proto, ipproto::kTcp);
+  EXPECT_EQ(key->tp_dst, 0);
 }
 
 TEST(PacketAnnotations, Defaults) {

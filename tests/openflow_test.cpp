@@ -2,8 +2,13 @@
 // priority/timeout behaviour, and the switch message handling.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "net/builder.hpp"
+#include "obs/trace.hpp"
+#include "openflow/flow_key_index.hpp"
 #include "openflow/switch.hpp"
+#include "util/random.hpp"
 
 namespace escape::openflow {
 namespace {
@@ -84,6 +89,116 @@ TEST(Match, ToStringListsConstrainedFields) {
   EXPECT_NE(s.find("in_port=3"), std::string::npos);
   EXPECT_NE(s.find("tp_dst=80"), std::string::npos);
   EXPECT_EQ(Match().to_string(), "match[*]");
+}
+
+// --- FlowKeyIndex -------------------------------------------------------------------
+
+FlowKey numbered_key(std::uint32_t n) {
+  FlowKey k;
+  k.dl_type = net::ethertype::kIpv4;
+  k.nw_src = Ipv4Addr(n);
+  k.tp_src = static_cast<std::uint16_t>(n);
+  return k;
+}
+
+/// Every key gets one hash, hence one tag and one home slot.
+struct OneHomeHash {
+  std::size_t operator()(const FlowKey&) const { return 42; }
+};
+
+/// A handful of hashes, so probe runs mix keys with different homes and
+/// wrap around the end of the slot array.
+struct FewHomesHash {
+  std::size_t operator()(const FlowKey& k) const { return k.tp_src % 5; }
+};
+
+template <typename Index>
+void expect_same_contents(Index& index, const std::map<std::uint32_t, int>& want,
+                          std::uint32_t universe, const std::string& where) {
+  ASSERT_EQ(index.size(), want.size()) << where;
+  EXPECT_GE(index.capacity(), 2 * index.size()) << where;
+  for (std::uint32_t n = 0; n < universe; ++n) {
+    const int* got = index.find(numbered_key(n));
+    auto it = want.find(n);
+    if (it == want.end()) {
+      EXPECT_EQ(got, nullptr) << where << " key " << n;
+    } else {
+      ASSERT_NE(got, nullptr) << where << " key " << n;
+      EXPECT_EQ(*got, it->second) << where << " key " << n;
+    }
+  }
+}
+
+TEST(FlowKeyIndex, EraseFromTheMiddleOfOneProbeRun) {
+  FlowKeyIndex<int, OneHomeHash> index;
+  std::map<std::uint32_t, int> want;
+  for (std::uint32_t n = 0; n < 12; ++n) {
+    index[numbered_key(n)] = static_cast<int>(n) * 10;
+    want[n] = static_cast<int>(n) * 10;
+  }
+  expect_same_contents(index, want, 16, "filled");
+  // Middle, then the run's head, then its tail: each erase shifts the
+  // rest of the run back and refills the freed node index from the end.
+  for (std::uint32_t n : {5u, 6u, 0u, 11u, 3u}) {
+    ASSERT_TRUE(index.erase(numbered_key(n)));
+    EXPECT_FALSE(index.erase(numbered_key(n)));
+    want.erase(n);
+    expect_same_contents(index, want, 16, "after erasing " + std::to_string(n));
+  }
+  index[numbered_key(5)] = 55;
+  want[5] = 55;
+  expect_same_contents(index, want, 16, "after re-inserting 5");
+}
+
+TEST(FlowKeyIndex, ChurnWithGrowthMatchesAStdMap) {
+  auto churn = [](auto index, const std::string& name) {
+    Rng rng{17};
+    std::map<std::uint32_t, int> want;
+    std::size_t grown = index.capacity();
+    int grows = 0;
+    for (int op = 1; op <= 20000; ++op) {
+      const auto n = static_cast<std::uint32_t>(rng.next_below(op < 10000 ? 3000 : 300));
+      if (rng.next_bool(op < 10000 ? 0.7 : 0.3)) {
+        index[numbered_key(n)] = op;
+        want[n] = op;
+      } else {
+        EXPECT_EQ(index.erase(numbered_key(n)), want.erase(n) == 1) << name << " op " << op;
+      }
+      if (index.capacity() != grown) {
+        ++grows;
+        grown = index.capacity();
+      }
+      if (op % 2500 == 0) {
+        expect_same_contents(index, want, 3000, name + " op " + std::to_string(op));
+      }
+    }
+    EXPECT_GE(grows, 8) << name;
+  };
+  churn(FlowKeyIndex<int>{}, "std::hash");
+  churn(FlowKeyIndex<int, FewHomesHash>{}, "few homes");
+}
+
+TEST(FlowKeyIndex, EraseToEmptyThenRefill) {
+  FlowKeyIndex<int> index;
+  EXPECT_EQ(index.find(numbered_key(1)), nullptr);
+  EXPECT_FALSE(index.erase(numbered_key(1)));
+  EXPECT_EQ(index.capacity(), 0u);
+  std::map<std::uint32_t, int> want;
+  for (std::uint32_t n = 0; n < 100; ++n) index[numbered_key(n)] = 1;
+  const std::size_t capacity = index.capacity();
+  for (std::uint32_t n = 0; n < 100; ++n) ASSERT_TRUE(index.erase(numbered_key(n)));
+  EXPECT_TRUE(index.empty());
+  expect_same_contents(index, want, 200, "emptied");
+  for (std::uint32_t n = 100; n < 200; ++n) {
+    index[numbered_key(n)] = 2;
+    want[n] = 2;
+  }
+  expect_same_contents(index, want, 200, "refilled");
+  EXPECT_EQ(index.capacity(), capacity);
+  index.clear();
+  EXPECT_TRUE(index.empty());
+  EXPECT_EQ(index.capacity(), capacity);
+  expect_same_contents(index, {}, 200, "cleared");
 }
 
 // --- FlowTable ----------------------------------------------------------------------
@@ -467,6 +582,34 @@ TEST_F(SwitchFixture, FlowRemovedSentOnTimeout) {
 TEST_F(SwitchFixture, UnknownPortDrops) {
   sw.receive(99, packet());
   EXPECT_TRUE(channel->of_type<PacketIn>().empty());
+}
+
+TEST_F(SwitchFixture, EvictedPacketInBufferClosesItsSpan) {
+  obs::tracer().clear();
+  // The controller never answers: the 257th miss evicts buffer 0.
+  for (std::uint16_t i = 0; i <= 256; ++i) {
+    sw.receive(1, packet(static_cast<std::uint16_t>(1000 + i)));
+  }
+  auto ins = channel->of_type<PacketIn>();
+  ASSERT_EQ(ins.size(), 257u);
+  const std::string first_arg = "dpid=42 buffer=" + std::to_string(*ins.front()->buffer_id);
+
+  std::uint64_t first_span = 0;
+  std::map<std::uint64_t, std::string> ends;
+  std::size_t begins = 0;
+  for (const auto& event : obs::tracer().events()) {
+    if (event.phase == obs::TracePhase::kBegin && event.name == "packet_in") {
+      ++begins;
+      if (event.arg == first_arg) first_span = event.span_id;
+    } else if (event.phase == obs::TracePhase::kEnd) {
+      ends[event.span_id] = event.arg;
+    }
+  }
+  EXPECT_EQ(begins, 257u);
+  ASSERT_NE(first_span, 0u);
+  ASSERT_EQ(ends.count(first_span), 1u) << "the evicted buffer's packet_in span never ends";
+  EXPECT_EQ(ends[first_span], "evicted");
+  EXPECT_EQ(ends.size(), 1u);  // the 256 buffered packet-ins are still open
 }
 
 TEST_F(SwitchFixture, OutputToControllerFromFlow) {
