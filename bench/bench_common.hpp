@@ -14,8 +14,11 @@
 namespace escape::benchutil {
 
 /// Writes the process-wide metrics snapshot to BENCH_<name>.json in the
-/// working directory. Returns false (with a note on stderr) on I/O error
-/// so benches still exit 0 -- the artifact is best-effort.
+/// working directory. Called once every benchmark (and so every
+/// Environment) is gone: the series hosts, links and switches expose
+/// have left with them, and the file holds the registry-owned metrics.
+/// Returns false (with a note on stderr) on I/O error so benches still
+/// exit 0 -- the artifact is best-effort.
 inline bool write_bench_json(const std::string& name) {
   const std::string path = "BENCH_" + name + ".json";
   std::ofstream out(path);

@@ -9,7 +9,7 @@
 namespace escape::click {
 
 Router::~Router() {
-  if (metrics_registry_) metrics_registry_->remove_callbacks(this);
+  if (metrics_registry_) metrics_registry_->remove_owner(this);
 }
 
 void Router::export_metrics(obs::MetricsRegistry& registry, obs::Labels base_labels) {
@@ -19,7 +19,7 @@ void Router::export_metrics(obs::MetricsRegistry& registry, obs::Labels base_lab
       obs::Labels labels = base_labels;
       labels.emplace_back("element", e->name());
       labels.emplace_back("handler", handler);
-      registry.callback_gauge(
+      registry.expose_gauge(
           "escape_click_handler_value", std::move(labels), this,
           [e, handler]() -> std::optional<double> {
             auto value = e->call_read(handler);

@@ -70,8 +70,8 @@ class Router {
   /// All "element.handler" read handler names, for discovery.
   std::vector<std::string> list_read_handlers() const;
 
-  /// Exports every numeric read handler into `registry` as a callback
-  /// gauge escape_click_handler_value{<base_labels>,element=...,
+  /// Exports every numeric read handler into `registry` as an
+  /// owner-held gauge escape_click_handler_value{<base_labels>,element=...,
   /// handler=...} -- the Clicky monitoring surface made scrapeable.
   /// Handlers whose value does not parse as a number are skipped at
   /// exposition time. The registration is keyed to this router and

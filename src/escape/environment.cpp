@@ -33,7 +33,18 @@ Environment::Environment(EnvironmentOptions options)
     l2_ = std::make_shared<pox::L2Learning>();
     controller_->add_app(l2_);
   }
+  obs::MetricsRegistry::global().expose_gauge("escape_chains_degraded", {}, this, [this] {
+    std::size_t n = 0;
+    for (const auto& [_, dep] : deployments_) {
+      // A migrating (kScaling) chain is healthy, not degraded.
+      n += dep.state == ChainState::kDegraded || dep.state == ChainState::kRecovering ||
+           dep.state == ChainState::kFailed;
+    }
+    return static_cast<double>(n);
+  });
 }
+
+Environment::~Environment() { obs::MetricsRegistry::global().remove_owner(this); }
 
 Status Environment::load_topology(const service::TopologySpec& spec) {
   return spec.build(network_);
@@ -617,16 +628,6 @@ Result<ChainState> Environment::chain_state(std::uint32_t chain_id) const {
   return dep->state;
 }
 
-void Environment::update_degraded_gauge() {
-  std::size_t n = 0;
-  for (const auto& [_, dep] : deployments_) {
-    // A migrating (kScaling) chain is healthy, not degraded.
-    n += dep.state == ChainState::kDegraded || dep.state == ChainState::kRecovering ||
-         dep.state == ChainState::kFailed;
-  }
-  obs::MetricsRegistry::global().gauge("escape_chains_degraded").set(static_cast<double>(n));
-}
-
 void Environment::degrade_chains_on_container(const std::string& container) {
   for (auto& [id, dep] : deployments_) {
     if (dep.state == ChainState::kRecovering) continue;
@@ -674,7 +675,6 @@ void Environment::degrade_chains_on_dpid(openflow::DatapathId dpid) {
       // repairs them in place, so no recovery (re-embed) is queued.
       dep.state = ChainState::kDegraded;
       dep.steering_degraded = true;
-      update_degraded_gauge();
       log_.warn("chain ", chain_id, " DEGRADED: steering diverged on dpid=", dpid);
     } else if (dep.state == ChainState::kScaling) {
       // The migration's barrier-confirmed installs can no longer be
@@ -691,7 +691,6 @@ void Environment::handle_dpid_resynced(openflow::DatapathId dpid) {
         dep.state == ChainState::kDegraded) {
       dep.state = ChainState::kActive;
       dep.steering_degraded = false;
-      update_degraded_gauge();
       log_.info("chain ", id, " ACTIVE again: steering rules resynced");
     }
   }
@@ -712,7 +711,6 @@ void Environment::queue_recovery(std::uint32_t chain_id) {
   // A queued re-embed supersedes any steering-only degradation: the
   // recovery path reinstalls the chain's rules itself.
   it->second.steering_degraded = false;
-  update_degraded_gauge();
   log_.warn("chain ", chain_id, " marked DEGRADED");
   std::weak_ptr<bool> alive = alive_;
   scheduler_.schedule(0, [this, alive, chain_id] {
@@ -727,13 +725,11 @@ void Environment::recover_chain(std::uint32_t chain_id) {
   if (dep.state != ChainState::kDegraded || !engine_ || !view_) return;
   if (dep.recovery_attempts >= recovery_.max_recovery_attempts) {
     dep.state = ChainState::kFailed;
-    update_degraded_gauge();
     log_.error("chain ", chain_id, " FAILED: recovery attempts exhausted");
     return;
   }
   ++dep.recovery_attempts;
   dep.state = ChainState::kRecovering;
-  update_degraded_gauge();
   const SimTime started = scheduler_.now();
   const std::uint64_t span = obs::tracer().begin_span(
       started, "recovery", "re-embed",
@@ -861,7 +857,6 @@ void Environment::finish_recovery(std::uint32_t chain_id, SimTime started,
       });
     }
   }
-  update_degraded_gauge();
 }
 
 // --- elastic scaling -------------------------------------------------------------
@@ -1397,7 +1392,6 @@ void Environment::scale_fail(std::shared_ptr<ScaleJob> job, Error error) {
       it->second.state == ChainState::kScaling) {
     // The old generation never stopped serving; the chain is healthy.
     it->second.state = ChainState::kActive;
-    update_degraded_gauge();
   }
   obs::tracer().end_span(job->span, scheduler_.now(), error.code);
   obs::MetricsRegistry::global()
@@ -1601,7 +1595,6 @@ void Environment::scale_commit(std::shared_ptr<ScaleJob> job) {
   dep.cpu_ledger = job->new_ledger;
   release_cpu_ledger(job->old_ledger);
   dep.state = ChainState::kActive;
-  update_degraded_gauge();
 
   auto& registry = obs::MetricsRegistry::global();
   registry

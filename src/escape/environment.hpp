@@ -142,6 +142,7 @@ struct ScaleJob;  // internal migration state machine (environment.cpp)
 class Environment {
  public:
   explicit Environment(EnvironmentOptions options = {});
+  ~Environment();
 
   /// The sharded engine driving virtual time. Single-shard (the
   /// default) behaves exactly like the classic single EventScheduler;
@@ -367,7 +368,6 @@ class Environment {
   /// Marks a chain degraded (if not already recovering) and schedules
   /// its recovery as a zero-delay event.
   void queue_recovery(std::uint32_t chain_id);
-  void update_degraded_gauge();
 
   /// Async re-embedding of a degraded chain: best-effort teardown of the
   /// stale remnants, re-map against the surviving view, redeploy under

@@ -9,11 +9,15 @@ Host::Host(std::string name, EventScheduler& scheduler, net::MacAddr mac, net::I
     : Node(std::move(name), scheduler), mac_(mac), ip_(ip) {
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels labels{{"host", this->name()}};
-  m_rx_packets_ = &registry.counter("escape_host_rx_packets_total", labels);
-  m_rx_bytes_ = &registry.counter("escape_host_rx_bytes_total", labels);
-  m_tx_packets_ = &registry.counter("escape_host_tx_packets_total", labels);
-  m_latency_us_ = &registry.histogram("escape_host_latency_us", labels);
+  registry.expose_counter("escape_host_rx_packets_total", labels, this,
+                          [this] { return rx_packets_; });
+  registry.expose_counter("escape_host_rx_bytes_total", labels, this, [this] { return rx_bytes_; });
+  registry.expose_counter("escape_host_tx_packets_total", labels, this,
+                          [this] { return tx_packets_; });
+  registry.expose_histogram("escape_host_latency_us", labels, this, latency_us_);
 }
+
+Host::~Host() { obs::MetricsRegistry::global().remove_owner(this); }
 
 void Host::deliver(std::uint16_t, net::Packet&& packet) {
   // Protocol reflexes of a "standard tools" host: answer ARP requests
@@ -39,8 +43,6 @@ void Host::deliver(std::uint16_t, net::Packet&& packet) {
             if (icmp->type == net::IcmpView::kEchoRequest) {
               ++rx_packets_;
               rx_bytes_ += packet.size();
-              m_rx_packets_->add();
-              m_rx_bytes_->add(packet.size());
               ++echo_requests_;
               const std::vector<std::uint8_t> echo_payload(icmp->payload.begin(),
                                                            icmp->payload.end());
@@ -65,16 +67,11 @@ void Host::deliver(std::uint16_t, net::Packet&& packet) {
 
   ++rx_packets_;
   rx_bytes_ += packet.size();
-  m_rx_packets_->add();
-  m_rx_bytes_->add(packet.size());
   if (packet.seq() + 1 > max_seq_seen_) max_seq_seen_ = packet.seq() + 1;
   if (packet.has_timestamp()) {
     const SimTime now = scheduler().now();
     if (now >= packet.timestamp()) {
-      const double us =
-          static_cast<double>(now - packet.timestamp()) / timeunit::kMicrosecond;
-      latency_us_.record(us);
-      m_latency_us_->record(us);
+      latency_us_.record(static_cast<double>(now - packet.timestamp()) / timeunit::kMicrosecond);
     }
   }
   for (auto& fn : observers_) fn(packet);
@@ -84,7 +81,6 @@ void Host::deliver(std::uint16_t, net::Packet&& packet) {
 
 void Host::send(net::Packet&& packet) {
   ++tx_packets_;
-  m_tx_packets_->add();
   send_out(0, std::move(packet));
 }
 

@@ -15,6 +15,7 @@ namespace escape::netemu {
 class Host : public Node {
  public:
   Host(std::string name, EventScheduler& scheduler, net::MacAddr mac, net::Ipv4Addr ip);
+  ~Host() override;
 
   NodeKind kind() const override { return NodeKind::kHost; }
   net::MacAddr mac() const { return mac_; }
@@ -60,6 +61,8 @@ class Host : public Node {
   /// Highest sequence number seen + 1 (0 when none), for loss estimation.
   std::uint64_t max_seq_seen() const { return max_seq_seen_; }
 
+  /// Zeroes the counts and the latency histogram, and with them the
+  /// host's escape_host_* series.
   void reset_counters();
 
  private:
@@ -82,18 +85,14 @@ class Host : public Node {
   };
   std::optional<FlowState> flow_;
 
+  // The escape_host_*{host=...} series read the rx/tx counts and
+  // latency_us_ at exposition time.
   std::uint64_t rx_packets_ = 0;
   std::uint64_t rx_bytes_ = 0;
   std::uint64_t tx_packets_ = 0;
   std::uint64_t max_seq_seen_ = 0;
   std::uint64_t echo_requests_ = 0;
-  // Per-instance histogram (authoritative for tests/benches); the
-  // registry mirrors below feed the process-wide view.
   obs::BoundedHistogram latency_us_;
-  obs::Counter* m_rx_packets_;
-  obs::Counter* m_rx_bytes_;
-  obs::Counter* m_tx_packets_;
-  obs::BoundedHistogram* m_latency_us_;
   std::vector<std::function<void(const net::Packet&)>> observers_;
 };
 

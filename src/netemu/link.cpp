@@ -24,15 +24,21 @@ Link::Link(Node* node_a, std::uint16_t port_a, Node* node_b, std::uint16_t port_
                                          node_b_->name().c_str(), port_b_);
   const char* dir_name[2] = {"ab", "ba"};
   for (int d = 0; d < 2; ++d) {
+    const Direction* dir = &dir_[d];
     obs::Labels labels{{"link", id}, {"dir", dir_name[d]}};
-    dir_[d].m_delivered = &registry.counter("escape_link_delivered_total", labels);
-    dir_[d].m_bytes = &registry.counter("escape_link_delivered_bytes_total", labels);
-    dir_[d].m_dropped = &registry.counter("escape_link_dropped_total", labels);
-    dir_[d].m_queue_depth = &registry.gauge("escape_link_queue_depth", labels);
+    registry.expose_counter("escape_link_delivered_total", labels, this,
+                            [dir] { return dir->delivered; });
+    registry.expose_counter("escape_link_delivered_bytes_total", labels, this,
+                            [dir] { return dir->delivered_bytes; });
+    registry.expose_counter("escape_link_dropped_total", labels, this,
+                            [dir] { return dir->dropped; });
+    registry.expose_gauge("escape_link_queue_depth", labels, this,
+                          [dir] { return static_cast<double>(dir->pending.size); });
   }
 }
 
 Link::~Link() {
+  obs::MetricsRegistry::global().remove_owner(this);
   dir_[0].event.cancel();
   dir_[1].event.cancel();
 }
@@ -99,11 +105,9 @@ void Link::apply_set_up(int direction, bool up) {
     // The wire is cut: everything in flight is lost.
     const std::uint64_t lost = dir.pending.size;
     dir.dropped += lost;
-    dir.m_dropped->add(lost);
     dir.pending.clear();
     dir.event.cancel();
     dir.busy_until = 0;
-    dir.m_queue_depth->set(0);
   }
 }
 
@@ -136,13 +140,11 @@ void Link::remove_state_listener(std::uint64_t id) {
 bool Link::enqueue_frame(Direction& dir, net::Packet&& packet) {
   if (!dir.up) {
     ++dir.dropped;
-    dir.m_dropped->add();
     return false;
   }
   Rng& rng = dir.cross ? dir.rng : loss_rng_;
   if (config_.loss > 0.0 && rng.next_bool(config_.loss)) {
     ++dir.dropped;
-    dir.m_dropped->add();
     return false;
   }
 
@@ -150,7 +152,6 @@ bool Link::enqueue_frame(Direction& dir, net::Packet&& packet) {
   // (tail drop), emulating the interface transmit ring.
   if (dir.pending.size >= config_.queue_frames) {
     ++dir.dropped;
-    dir.m_dropped->add();
     return false;
   }
 
@@ -160,7 +161,6 @@ bool Link::enqueue_frame(Direction& dir, net::Packet&& packet) {
   dir.busy_until = tx_done;
   dir.pending.push_back(PendingFrame{tx_done, tx_done + config_.delay, std::move(packet)},
                         config_.queue_frames);
-  dir.m_queue_depth->set(static_cast<double>(dir.pending.size));
   return true;
 }
 
@@ -187,9 +187,7 @@ void Link::fire(int from_endpoint) {
   net::Packet packet = std::move(dir.pending.front().packet);
   dir.pending.pop_front();
   ++dir.delivered;
-  dir.m_delivered->add();
-  dir.m_bytes->add(packet.size());
-  dir.m_queue_depth->set(static_cast<double>(dir.pending.size));
+  dir.delivered_bytes += packet.size();
 
   // Re-arm for the next frame before delivering: delivery can re-enter
   // transmit() on this same direction (forwarding loops), and that path

@@ -110,16 +110,11 @@ class Link {
     SimTime busy_until = 0;
     FrameRing pending;                 // tx_done/deliver_at monotonic
     EventHandle event;                 // armed for pending.front()
+    // The direction's escape_link_*{link=...,dir=...} series read these
+    // counts and pending.size at exposition time.
     std::uint64_t delivered = 0;
+    std::uint64_t delivered_bytes = 0;
     std::uint64_t dropped = 0;
-    // Registry mirrors of the per-instance counters above: the
-    // process-wide view (escape_link_*{link=...,dir=...}). The members
-    // stay authoritative for per-link accessors, so counts never
-    // alias across environments sharing a link name.
-    obs::Counter* m_delivered = nullptr;
-    obs::Counter* m_bytes = nullptr;
-    obs::Counter* m_dropped = nullptr;
-    obs::Gauge* m_queue_depth = nullptr;
   };
 
   SimDuration tx_time(std::size_t bytes) const;

@@ -145,7 +145,6 @@ std::string_view metric_kind_name(MetricKind kind) {
   switch (kind) {
     case MetricKind::kCounter: return "counter";
     case MetricKind::kGauge: return "gauge";
-    case MetricKind::kCallbackGauge: return "gauge";
     case MetricKind::kHistogram: return "histogram";
   }
   return "unknown";
@@ -165,34 +164,33 @@ MetricsRegistry::Entry* MetricsRegistry::find_or_create(std::string_view name,
                                                         const void* owner) {
   sort_labels(labels);
   const std::string key = key_of(name, labels);
-  const bool callback = kind == MetricKind::kCallbackGauge;
   auto it = metrics_.find(key);
   if (it != metrics_.end()) {
-    // Callback gauges are re-registrable (a restarted VNF re-exports its
-    // handlers); everything else must match the original kind.
-    if (it->second.kind == kind) {
-      if (callback && it->second.owner != owner) {
-        // Takeover: the series leaves its old owner's list for the new one.
-        auto held = by_owner_.find(it->second.owner);
+    Entry& live = it->second;
+    // An identity keeps its kind and its holder: registry-owned series
+    // are shared through get-or-create, owner-held ones are re-exposable
+    // (a restarted VNF re-exports its handlers) and move on takeover.
+    if (live.kind == kind && (live.owner == nullptr) == (owner == nullptr)) {
+      if (live.owner != owner) {
+        auto held = by_owner_.find(live.owner);
         auto& list = held->second;
         *std::find(list.begin(), list.end(), it) = list.back();
         list.pop_back();
         if (list.empty()) by_owner_.erase(held);
         by_owner_[owner].push_back(it);
-        it->second.owner = owner;
+        live.owner = owner;
       }
-      return &it->second;
+      return &live;
     }
-    obs_log().warn("metric '", key, "' re-registered as ",
-                   metric_kind_name(kind), " but exists as ",
-                   metric_kind_name(it->second.kind), "; returning detached metric");
+    obs_log().warn("metric '", key, "' registered as ", owner ? "owner-held " : "",
+                   metric_kind_name(kind), " but exists as ", live.owner ? "owner-held " : "",
+                   metric_kind_name(live.kind), "; returning detached metric");
     detached_.push_back(std::make_unique<Entry>());
     Entry* orphan = detached_.back().get();
     orphan->name = std::string(name);
     orphan->labels = std::move(labels);
     orphan->kind = kind;
-    orphan->owner = owner;  // unindexed: remove_callbacks never sees it
-    return orphan;
+    return orphan;  // unindexed: remove_owner never sees it
   }
   Entry entry;
   entry.name = std::string(name);
@@ -200,7 +198,7 @@ MetricsRegistry::Entry* MetricsRegistry::find_or_create(std::string_view name,
   entry.kind = kind;
   entry.owner = owner;
   it = metrics_.emplace(key, std::move(entry)).first;
-  if (callback) by_owner_[owner].push_back(it);
+  if (owner) by_owner_[owner].push_back(it);
   return &it->second;
 }
 
@@ -226,22 +224,31 @@ BoundedHistogram& MetricsRegistry::histogram(std::string_view name, Labels label
   return *e->histogram;
 }
 
-void MetricsRegistry::callback_gauge(std::string_view name, Labels labels,
-                                     const void* owner, CallbackFn fn) {
+void MetricsRegistry::expose_counter(std::string_view name, Labels labels, const void* owner,
+                                     CounterFn fn) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry* e = find_or_create(name, std::move(labels), MetricKind::kCallbackGauge, owner);
-  e->callback = std::move(fn);
+  find_or_create(name, std::move(labels), MetricKind::kCounter, owner)->read_counter =
+      std::move(fn);
 }
 
-void MetricsRegistry::remove_callbacks(const void* owner) {
+void MetricsRegistry::expose_gauge(std::string_view name, Labels labels, const void* owner,
+                                   GaugeFn fn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  find_or_create(name, std::move(labels), MetricKind::kGauge, owner)->read_gauge = std::move(fn);
+}
+
+void MetricsRegistry::expose_histogram(std::string_view name, Labels labels, const void* owner,
+                                       const BoundedHistogram& histogram) {
+  std::lock_guard<std::mutex> lock(mu_);
+  find_or_create(name, std::move(labels), MetricKind::kHistogram, owner)->held_histogram =
+      &histogram;
+}
+
+void MetricsRegistry::remove_owner(const void* owner) {
   std::lock_guard<std::mutex> lock(mu_);
   auto held = by_owner_.find(owner);
   if (held == by_owner_.end()) return;
-  for (Map::iterator it : held->second) {
-    if (it->second.kind == MetricKind::kCallbackGauge && it->second.owner == owner) {
-      metrics_.erase(it);
-    }
-  }
+  for (Map::iterator it : held->second) metrics_.erase(it);
   by_owner_.erase(held);
 }
 
@@ -268,18 +275,13 @@ std::string MetricsRegistry::render_text() const {
     }
     switch (e.kind) {
       case MetricKind::kCounter:
-        out += e.name + labels + " " + std::to_string(e.counter->value()) + "\n";
+        out += e.name + labels + " " + std::to_string(e.counter_value()) + "\n";
         break;
       case MetricKind::kGauge:
-        out += e.name + labels + " " + format_value(e.gauge->value()) + "\n";
+        if (auto v = e.gauge_value()) out += e.name + labels + " " + format_value(*v) + "\n";
         break;
-      case MetricKind::kCallbackGauge: {
-        auto v = e.callback ? e.callback() : std::nullopt;
-        if (v) out += e.name + labels + " " + format_value(*v) + "\n";
-        break;
-      }
       case MetricKind::kHistogram: {
-        const BoundedHistogram& h = *e.histogram;
+        const BoundedHistogram& h = e.histogram_value();
         out += e.name + "_count" + labels + " " + std::to_string(h.count()) + "\n";
         out += e.name + "_sum" + labels + " " + format_value(h.sum()) + "\n";
         for (double q : {50.0, 95.0, 99.0}) {
@@ -306,19 +308,16 @@ json::Value MetricsRegistry::snapshot_json() const {
     m["labels"] = std::move(labels);
     switch (e.kind) {
       case MetricKind::kCounter:
-        m["value"] = e.counter->value();
+        m["value"] = e.counter_value();
         break;
-      case MetricKind::kGauge:
-        m["value"] = e.gauge->value();
-        break;
-      case MetricKind::kCallbackGauge: {
-        auto v = e.callback ? e.callback() : std::nullopt;
+      case MetricKind::kGauge: {
+        auto v = e.gauge_value();
         if (!v) continue;
         m["value"] = *v;
         break;
       }
       case MetricKind::kHistogram: {
-        const BoundedHistogram& h = *e.histogram;
+        const BoundedHistogram& h = e.histogram_value();
         m["count"] = static_cast<std::uint64_t>(h.count());
         m["sum"] = h.sum();
         m["min"] = h.min();

@@ -3,12 +3,14 @@
 // Prometheus-style text exposition and a JSON snapshot.
 //
 // Design rules:
-//   * metric objects are allocated once and never move or die for the
-//     lifetime of the registry, so components may cache references and
-//     bump them on hot paths without ever re-hashing the name;
-//   * Counter::add is a relaxed atomic fetch-add: concurrent writers (a
-//     future threaded scheduler) can never corrupt the count, and on
-//     today's single-threaded hot paths it compiles to a plain add;
+//   * one instrument per fact: a series is registry-owned (allocated
+//     once, never moving or dying, so callers cache the reference) or
+//     owner-held (a component exposes a count or histogram it keeps
+//     anyway and removes its series before it dies). Both render alike;
+//   * exposition reads owner-held values unsynchronised, so it runs
+//     outside parallel scheduler windows, as Click handlers require;
+//   * Counter::add is a relaxed atomic fetch-add, so registry-owned
+//     process-wide totals stay exact under concurrent shard writers;
 //   * histograms are fixed-size geometric-bucket summaries (HDR-style):
 //     count/sum/min/max are exact, percentiles are bucket estimates with
 //     a bounded relative error, and memory does not grow with samples --
@@ -132,16 +134,16 @@ class BoundedHistogram {
   std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kCallbackGauge, kHistogram };
+enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
 std::string_view metric_kind_name(MetricKind kind);
 
 /// The process-wide metric registry. Registration is get-or-create on
 /// (name, labels); returned references stay valid for the registry's
 /// lifetime. Registering an existing (name, labels) under a *different*
-/// kind is a programming error: it is logged once and a detached metric
-/// (never exported) is returned so the caller's reference is still safe
-/// to use.
+/// kind, or asking get-or-create for an owner-held series, is a
+/// programming error: it is logged once and a detached metric (never
+/// exported) is returned so the caller's reference is still safe to use.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -156,19 +158,26 @@ class MetricsRegistry {
   BoundedHistogram& histogram(std::string_view name, Labels labels = {},
                               HistogramOptions options = {});
 
-  /// A gauge whose value is computed at exposition time (the Click
-  /// read-handler surface). `owner` keys bulk removal: a component that
-  /// registered callbacks MUST call remove_callbacks(owner) before it is
-  /// destroyed, or exposition would call into freed memory. Returning
-  /// nullopt from `fn` skips the sample (non-numeric handler).
-  /// Re-registering an existing callback gauge under another owner moves
-  /// it to that owner.
-  using CallbackFn = std::function<std::optional<double>()>;
-  void callback_gauge(std::string_view name, Labels labels, const void* owner, CallbackFn fn);
+  /// Owner-held series: `owner` keeps the value and the registry reads
+  /// it at exposition time, rendered exactly like a registry-owned
+  /// series of the same kind. A component that exposed series MUST call
+  /// remove_owner(owner) before it (or anything a reader touches) is
+  /// destroyed. Takeover rule, for every kind: exposing a series another
+  /// owner holds moves it to the new owner and its reader. Exposing an
+  /// identity that is registry-owned or of another kind leaves the live
+  /// entry intact and exports nothing.
+  using CounterFn = std::function<std::uint64_t()>;
+  /// Returning nullopt skips the sample (a non-numeric Click handler).
+  using GaugeFn = std::function<std::optional<double>()>;
+  void expose_counter(std::string_view name, Labels labels, const void* owner, CounterFn fn);
+  void expose_gauge(std::string_view name, Labels labels, const void* owner, GaugeFn fn);
+  /// `histogram` must outlive the series.
+  void expose_histogram(std::string_view name, Labels labels, const void* owner,
+                        const BoundedHistogram& histogram);
 
-  /// Removes every callback gauge `owner` currently holds. Costs
-  /// O(k log n) for the owner's k series, not a walk of the registry.
-  void remove_callbacks(const void* owner);
+  /// Removes every series `owner` currently holds. Costs O(k log n) for
+  /// the owner's k series, not a walk of the registry.
+  void remove_owner(const void* owner);
 
   std::size_t size() const;
   bool has(std::string_view name, const Labels& labels = {}) const;
@@ -182,8 +191,9 @@ class MetricsRegistry {
   /// ...value fields}]}.
   json::Value snapshot_json() const;
 
-  /// Zeroes counters/gauges and clears histograms; callbacks and the
-  /// metric set itself are untouched. For tests and bench isolation.
+  /// Zeroes registry-owned counters/gauges and clears their histograms;
+  /// owner-held values and the metric set itself are untouched. For
+  /// tests and bench isolation.
   void reset_values();
 
  private:
@@ -191,26 +201,37 @@ class MetricsRegistry {
     std::string name;
     Labels labels;
     MetricKind kind;
-    const void* owner = nullptr;  // callback gauges only
+    // Registry-owned: the one instrument of the entry's kind.
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<BoundedHistogram> histogram;
-    CallbackFn callback;
+    // Owner-held (owner != nullptr): the reader of the entry's kind.
+    const void* owner = nullptr;
+    CounterFn read_counter;
+    GaugeFn read_gauge;
+    const BoundedHistogram* held_histogram = nullptr;
+
+    std::uint64_t counter_value() const { return counter ? counter->value() : read_counter(); }
+    std::optional<double> gauge_value() const { return gauge ? gauge->value() : read_gauge(); }
+    const BoundedHistogram& histogram_value() const {
+      return histogram ? *histogram : *held_histogram;
+    }
   };
 
   using Map = std::map<std::string, Entry>;
 
-  /// `owner` is recorded only for callback gauges, which are indexed
-  /// under it (a live gauge held by another owner moves to this one).
+  /// `owner` is null for get-or-create and non-null for owner-held
+  /// series, which are indexed under it. An identity that exists with
+  /// another kind or the other holder yields a detached entry.
   Entry* find_or_create(std::string_view name, Labels&& labels, MetricKind kind,
                         const void* owner = nullptr);
   static std::string key_of(std::string_view name, const Labels& labels);
 
   mutable std::mutex mu_;
   Map metrics_;
-  // Every live callback gauge, listed once under the owner it is held by.
+  // Every live owner-held series, listed once under the owner it is held by.
   std::unordered_map<const void*, std::vector<Map::iterator>> by_owner_;
-  // Kind-mismatch registrations park here: alive forever, never exported.
+  // Mismatched registrations park here: alive forever, never exported.
   std::vector<std::unique_ptr<Entry>> detached_;
 };
 

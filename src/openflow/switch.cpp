@@ -27,9 +27,12 @@ OpenFlowSwitch::OpenFlowSwitch(DatapathId dpid, EventScheduler& scheduler)
     : dpid_(dpid), scheduler_(&scheduler) {
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels labels{{"dpid", std::to_string(dpid)}};
-  m_table_hits_ = &registry.counter("escape_of_table_hits_total", labels);
-  m_table_misses_ = &registry.counter("escape_of_table_misses_total", labels);
-  m_packet_ins_ = &registry.counter("escape_of_packet_ins_total", labels);
+  registry.expose_counter("escape_of_table_hits_total", labels, this,
+                          [this] { return table_.matches(); });
+  registry.expose_counter("escape_of_table_misses_total", labels, this,
+                          [this] { return table_.lookups() - table_.matches(); });
+  registry.expose_counter("escape_of_packet_ins_total", labels, this,
+                          [this] { return packet_ins_; });
   m_packet_in_rtt_us_ = &registry.histogram("escape_of_packet_in_rtt_us", labels);
   obs::Labels side_labels = labels;
   side_labels.emplace_back("side", "switch");
@@ -47,6 +50,8 @@ OpenFlowSwitch::OpenFlowSwitch(DatapathId dpid, EventScheduler& scheduler)
     channel_->to_controller(msg);
   });
 }
+
+OpenFlowSwitch::~OpenFlowSwitch() { obs::MetricsRegistry::global().remove_owner(this); }
 
 void OpenFlowSwitch::add_port(std::uint16_t port_no, std::string name, net::MacAddr hw_addr,
                               TxCallback tx) {
@@ -195,10 +200,8 @@ void OpenFlowSwitch::receive(std::uint16_t port_no, net::Packet&& packet) {
   }
   FlowEntry* entry = table_.lookup(*key, packet.size(), scheduler_->now());
   if (entry) {
-    m_table_hits_->add();
     apply_actions(entry->actions, std::move(packet), port_no, /*allow_packet_in=*/true);
   } else {
-    m_table_misses_->add();
     handle_table_miss(std::move(packet), port_no, *key);
   }
 }
@@ -237,7 +240,6 @@ void OpenFlowSwitch::send_packet_in(net::Packet&& packet, std::uint16_t in_port,
   msg.reason = reason;
   msg.packet = std::move(packet);
   ++packet_ins_;
-  m_packet_ins_->add();
   const SimTime now = scheduler_->now();
   const std::uint64_t span = obs::tracer().begin_span(
       now, "openflow", "packet_in",

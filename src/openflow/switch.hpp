@@ -53,6 +53,7 @@ class OpenFlowSwitch {
   using TxCallback = std::function<void(net::Packet&&)>;
 
   OpenFlowSwitch(DatapathId dpid, EventScheduler& scheduler);
+  ~OpenFlowSwitch();
 
   DatapathId datapath_id() const { return dpid_; }
 
@@ -174,9 +175,8 @@ class OpenFlowSwitch {
   std::uint64_t packet_ins_ = 0;
   std::uint64_t standalone_forwards_ = 0;
   std::uint64_t failmode_drops_ = 0;
-  obs::Counter* m_table_hits_;
-  obs::Counter* m_table_misses_;
-  obs::Counter* m_packet_ins_;
+  // Registry-owned: nothing else counts these. Table hits/misses and
+  // packet-ins are exposed from table_ and packet_ins_.
   obs::Counter* m_channel_down_;
   obs::BoundedHistogram* m_packet_in_rtt_us_;
   obs::BoundedHistogram* m_echo_rtt_ms_;

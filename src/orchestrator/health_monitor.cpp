@@ -7,11 +7,14 @@ HealthMonitor::HealthMonitor(EventScheduler& scheduler, HealthMonitorOptions opt
   auto& registry = obs::MetricsRegistry::global();
   m_probe_ok_ = &registry.counter("escape_health_probes_total", {{"result", "ok"}});
   m_probe_fail_ = &registry.counter("escape_health_probes_total", {{"result", "fail"}});
-  m_agents_down_ = &registry.gauge("escape_health_agents_down");
-  m_dpids_diverged_ = &registry.gauge("escape_health_dpids_diverged");
+  registry.expose_gauge("escape_health_agents_down", {}, this,
+                        [this] { return static_cast<double>(agents_down()); });
+  registry.expose_gauge("escape_health_dpids_diverged", {}, this,
+                        [this] { return static_cast<double>(diverged_.size()); });
 }
 
 HealthMonitor::~HealthMonitor() {
+  obs::MetricsRegistry::global().remove_owner(this);
   stop();
   for (auto& [link, id] : link_listeners_) link->remove_state_listener(id);
 }
@@ -50,14 +53,12 @@ void HealthMonitor::watch_steering(pox::TrafficSteering& steering) {
       [this, alive](openflow::DatapathId dpid) {
         if (alive.expired()) return;
         if (!diverged_.insert(dpid).second) return;
-        m_dpids_diverged_->set(static_cast<double>(diverged_.size()));
         log_.warn("steering state diverged on dpid=", dpid);
         if (dpid_diverged_) dpid_diverged_(dpid);
       },
       [this, alive](openflow::DatapathId dpid, std::size_t repaired) {
         if (alive.expired()) return;
         diverged_.erase(dpid);
-        m_dpids_diverged_->set(static_cast<double>(diverged_.size()));
         if (repaired > 0) log_.info("steering resynced dpid=", dpid, ", repaired ", repaired, " rule(s)");
         if (dpid_resynced_) dpid_resynced_(dpid, repaired);
       });
@@ -133,7 +134,6 @@ void HealthMonitor::mark_down(const std::string& container, Watch& watch,
                                         options_.failure_threshold);
   if (watch.down) return;
   watch.down = true;
-  m_agents_down_->set(static_cast<double>(agents_down()));
   log_.warn("agent for ", container, " is DOWN (", error.code, ": ", error.message, ")");
   if (agent_down_) agent_down_(container);
 }
@@ -142,7 +142,6 @@ void HealthMonitor::mark_up(const std::string& container, Watch& watch) {
   watch.consecutive_failures = 0;
   if (!watch.down) return;
   watch.down = false;
-  m_agents_down_->set(static_cast<double>(agents_down()));
   log_.info("agent for ", container, " is UP again");
   if (agent_up_) agent_up_(container);
 }

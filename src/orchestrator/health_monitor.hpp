@@ -102,8 +102,6 @@ class HealthMonitor {
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   obs::Counter* m_probe_ok_;
   obs::Counter* m_probe_fail_;
-  obs::Gauge* m_agents_down_;
-  obs::Gauge* m_dpids_diverged_;
   Logger log_{"orchestrator.health"};
 };
 

@@ -20,12 +20,15 @@ double wall_us() {
 
 }  // namespace
 
+TrafficSteering::~TrafficSteering() { obs::MetricsRegistry::global().remove_owner(this); }
+
 void TrafficSteering::on_startup(Controller& controller) {
   controller_ = &controller;
   auto& registry = obs::MetricsRegistry::global();
   m_flowmods_ = &registry.counter("escape_steering_flowmods_total");
   m_reactive_installs_ = &registry.counter("escape_steering_reactive_installs_total");
-  m_chains_installed_ = &registry.gauge("escape_steering_chains_installed");
+  registry.expose_gauge("escape_steering_chains_installed", {}, this,
+                        [this] { return static_cast<double>(installed_.size()); });
   m_install_latency_us_ = &registry.histogram("escape_steering_install_latency_us");
   m_resyncs_ = &registry.counter("escape_of_resync_total");
   m_rules_purged_ = &registry.counter("escape_of_rules_purged_total");
@@ -167,10 +170,6 @@ void TrafficSteering::erase_intent(std::uint32_t chain_id) {
   }
 }
 
-void TrafficSteering::sync_installed_gauge() {
-  if (m_chains_installed_) m_chains_installed_->set(static_cast<double>(installed_.size()));
-}
-
 Status TrafficSteering::push_flow_mods(const ChainPath& path,
                                        std::optional<std::uint32_t> buffer_id,
                                        DatapathId buffer_dpid) {
@@ -262,7 +261,6 @@ void TrafficSteering::finish_install(PendingInstall& p, Status s) {
     // (their cookie is no longer anyone's intent).
     erase_intent(p.path.chain_id);
     installed_.erase(p.path.chain_id);
-    sync_installed_gauge();
     log_.warn("chain ", p.path.chain_id, " install failed: ", s.error().to_string());
   }
   p.done(std::move(s));
@@ -295,7 +293,6 @@ void TrafficSteering::attempt_install(std::shared_ptr<PendingInstall> p) {
   }
   if (m_install_latency_us_) m_install_latency_us_->record(wall_us() - start_us);
   installed_[p->path.chain_id] = p->path;
-  sync_installed_gauge();
   p->awaiting.clear();
   for (const auto& hop : p->path.hops) p->awaiting.insert(hop.dpid);
   for (const DatapathId dpid : std::set<DatapathId>(p->awaiting)) {
@@ -342,7 +339,6 @@ Status TrafficSteering::install_chain(const ChainPath& path) {
   if (m_install_latency_us_) m_install_latency_us_->record(wall_us() - start_us);
   obs::tracer().end_span(span, ts);
   installed_[path.chain_id] = path;
-  sync_installed_gauge();
   log_.info("installed chain ", path.chain_id, " over ", path.hops.size(), " hops");
   return ok_status();
 }
@@ -375,7 +371,6 @@ Status TrafficSteering::remove_chain(std::uint32_t chain_id) {
   }
   installed_.erase(it);
   erase_intent(chain_id);
-  sync_installed_gauge();
   return ok_status();
 }
 
@@ -435,7 +430,6 @@ bool TrafficSteering::on_packet_in(SwitchConnection& conn, const openflow::Packe
     if (m_reactive_installs_) m_reactive_installs_->add();
     installed_[it->first] = path;
     pending_.erase(it);
-    sync_installed_gauge();
     return true;
   }
   return false;
@@ -506,7 +500,6 @@ void TrafficSteering::on_flow_removed(SwitchConnection& conn, const openflow::Fl
   if (msg.reason == openflow::FlowRemovedReason::kDelete) return;
   pending_[it->first] = it->second;
   installed_.erase(it);
-  sync_installed_gauge();
 }
 
 void TrafficSteering::on_connection_down(SwitchConnection& conn) {

@@ -85,6 +85,8 @@ struct InstallOptions {
 
 class TrafficSteering : public App {
  public:
+  ~TrafficSteering() override;
+
   std::string_view name() const override { return "traffic_steering"; }
 
   void on_startup(Controller& controller) override;
@@ -158,9 +160,6 @@ class TrafficSteering : public App {
   Status push_flow_mods(const ChainPath& path, std::optional<std::uint32_t> buffer_id,
                         DatapathId buffer_dpid);
 
-  /// Keeps the chains-installed gauge in sync with installed_.size().
-  void sync_installed_gauge();
-
   /// In-flight barriered install (shared with its timeout + barrier
   /// callbacks; `finished` makes completion idempotent).
   struct PendingInstall {
@@ -195,7 +194,6 @@ class TrafficSteering : public App {
   std::uint64_t reactive_installs_ = 0;
   obs::Counter* m_flowmods_ = nullptr;
   obs::Counter* m_reactive_installs_ = nullptr;
-  obs::Gauge* m_chains_installed_ = nullptr;
   obs::BoundedHistogram* m_install_latency_us_ = nullptr;
   obs::Counter* m_resyncs_ = nullptr;
   obs::Counter* m_rules_purged_ = nullptr;

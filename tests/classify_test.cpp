@@ -227,8 +227,9 @@ TEST(ClassifyDifferential, BatchApplyEquivalentToSequential) {
 // --- churn fuzz ------------------------------------------------------------
 
 /// 50k seeded random operations; the full observable table state is
-/// diffed against the oracle every 1k ops. Runs under the ASan/TSan CI
-/// jobs like every other test binary.
+/// diffed against the oracle every 1k ops, and every removing step
+/// (delete, delete-strict, expire) re-probes each live exact rule. Runs
+/// under the ASan/TSan CI jobs like every other test binary.
 TEST(ClassifyChurnFuzz, FiftyThousandOpsOracleIdentical) {
   Rng rng{0xC0FFEE};
   FlowTable table;
@@ -242,18 +243,34 @@ TEST(ClassifyChurnFuzz, FiftyThousandOpsOracleIdentical) {
   for (int op = 1; op <= 50000; ++op) {
     now += microseconds(rng.next_range(1, 500));
     const std::uint64_t r = rng.next_below(100);
+    bool removes = true;
     if (r < 25) {
       const FlowMod mod = random_mod(rng, next_cookie);
       table.apply(mod, now);
       oracle.apply(mod, now);
+      removes = mod.command == FlowModCommand::kDelete ||
+                mod.command == FlowModCommand::kDeleteStrict;
     } else if (r < 97) {
       const net::FlowKey key = random_key(rng);
       FlowEntry* got = table.lookup(key, 64, now);
       FlowEntry* want = oracle.lookup(key, 64, now);
       ASSERT_EQ(got != nullptr, want != nullptr) << "op " << op;
       if (got) ASSERT_EQ(got->seq, want->seq) << "op " << op;
+      removes = false;
     } else {
       ASSERT_EQ(table.expire(now), oracle.expire(now)) << "op " << op;
+    }
+    if (removes) {
+      // Random keys seldom hit an exact rule again, so probe each live
+      // exact rule's own key: an erase that loses the index slot of the
+      // node it relocates leaves that node's key unfindable.
+      for (const FlowStatsEntry& rule : oracle.stats(now)) {
+        if (!rule.match.is_exact()) continue;
+        FlowEntry* got = table.lookup(rule.match.fields(), 64, now);
+        FlowEntry* want = oracle.lookup(rule.match.fields(), 64, now);
+        ASSERT_EQ(got != nullptr, want != nullptr) << "op " << op << " exact re-probe";
+        if (got) ASSERT_EQ(got->seq, want->seq) << "op " << op << " exact re-probe";
+      }
     }
     if (op % 1000 == 0) {
       expect_same_state(table, oracle, now, "op " + std::to_string(op));

@@ -3,6 +3,8 @@
 // close/rebind, scripted fault injection and health monitoring.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "fault/fault_plane.hpp"
 #include "netconf/vnf_agent.hpp"
 #include "obs/metrics.hpp"
@@ -514,8 +516,19 @@ TEST(SelfHealing, KilledContainerMultiVnfChainIsReembedded) {
   EXPECT_EQ(moved.at("fw"), "c2");
 }
 
-TEST(SelfHealing, RecoveryFailsCleanlyWithNoSpareCapacity) {
-  Environment env;
+/// The rendered value of one series ("" when it is not exported).
+std::string rendered(const std::string& series) {
+  std::istringstream lines(obs::MetricsRegistry::global().render_text());
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(series + " ", 0) == 0) return line.substr(series.size() + 1);
+  }
+  return "";
+}
+
+/// One container behind one switch: killing c1 leaves a chain nowhere
+/// to go.
+void build_single_container(Environment& env) {
   auto& net = env.network();
   net.add_host("sap1");
   net.add_host("sap2");
@@ -528,6 +541,11 @@ TEST(SelfHealing, RecoveryFailsCleanlyWithNoSpareCapacity) {
   ASSERT_TRUE(net.add_link("sap2", 0, "s1", 2, link).ok());
   ASSERT_TRUE(net.add_link("c1", 0, "s1", 3, link).ok());
   ASSERT_TRUE(env.start().ok());
+}
+
+TEST(SelfHealing, RecoveryFailsCleanlyWithNoSpareCapacity) {
+  Environment env;
+  build_single_container(env);
   RecoveryOptions recovery;
   recovery.max_recovery_attempts = 2;
   recovery.retry_delay = 20 * timeunit::kMillisecond;
@@ -550,6 +568,28 @@ TEST(SelfHealing, RecoveryFailsCleanlyWithNoSpareCapacity) {
   ASSERT_TRUE(env.restore_container("c1").ok());
   env.run_for(timeunit::kSecond);
   EXPECT_EQ(*env.chain_state(*chain), ChainState::kActive);
+}
+
+// The degraded gauge is computed from the chain states, so a FAILED
+// chain stops counting the moment it is undeployed.
+TEST(SelfHealing, UndeployingAFailedChainClearsTheDegradedGauge) {
+  Environment env;
+  build_single_container(env);
+  RecoveryOptions recovery;
+  recovery.max_recovery_attempts = 2;
+  recovery.retry_delay = 20 * timeunit::kMillisecond;
+  ASSERT_TRUE(env.enable_self_healing(recovery).ok());
+  auto chain = env.deploy(monitor_graph());
+  ASSERT_TRUE(chain.ok()) << chain.error().to_string();
+  EXPECT_EQ(rendered("escape_chains_degraded"), "0");
+
+  ASSERT_TRUE(env.kill_container("c1").ok());
+  env.run_for(timeunit::kSecond);
+  ASSERT_EQ(*env.chain_state(*chain), ChainState::kFailed);
+  EXPECT_EQ(rendered("escape_chains_degraded"), "1");
+
+  ASSERT_TRUE(env.undeploy(*chain).ok());
+  EXPECT_EQ(rendered("escape_chains_degraded"), "0");
 }
 
 }  // namespace

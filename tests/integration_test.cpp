@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <sstream>
 
 #include "escape/environment.hpp"
 #include "json/json.hpp"
@@ -471,6 +474,100 @@ TEST_F(EnvFixture, NetconfRttHistogramSeesChannelDelay) {
   // each reply takes at least one round trip of the control-plane delay.
   EXPECT_GT(rtt.count(), 0u);
   EXPECT_GT(rtt.min(), 0.0);
+}
+
+/// Rendered value by series (name plus labels).
+using SeriesValues = std::map<std::string, std::string>;
+
+/// Every exposition line of the global registry.
+SeriesValues exposition_values() {
+  SeriesValues values;
+  std::istringstream lines(obs::MetricsRegistry::global().render_text());
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::size_t space = line.rfind(' ');
+    if (line.empty() || line[0] == '#' || space == std::string::npos) continue;
+    values[line.substr(0, space)] = line.substr(space + 1);
+  }
+  return values;
+}
+
+/// The series host, link and switch expose, with the value each
+/// component's own accessor reports.
+SeriesValues component_counts(Environment& env) {
+  SeriesValues want;
+  auto add = [&want](const std::string& name, const obs::Labels& labels, std::uint64_t v) {
+    want[name + obs::format_labels(labels)] = std::to_string(v);
+  };
+  auto& net = env.network();
+  for (const auto& name : net.node_names()) {
+    if (netemu::Host* h = net.host(name)) {
+      const obs::Labels labels{{"host", name}};
+      add("escape_host_rx_packets_total", labels, h->rx_packets());
+      add("escape_host_rx_bytes_total", labels, h->rx_bytes());
+      add("escape_host_tx_packets_total", labels, h->tx_packets());
+      add("escape_host_latency_us_count", labels, h->latency_us().count());
+    }
+    if (netemu::SwitchNode* sw = net.switch_node(name)) {
+      const auto& dp = sw->datapath();
+      const obs::Labels labels{{"dpid", std::to_string(sw->dpid())}};
+      add("escape_of_table_hits_total", labels, dp.flow_table().matches());
+      add("escape_of_table_misses_total", labels,
+          dp.flow_table().lookups() - dp.flow_table().matches());
+      add("escape_of_packet_ins_total", labels, dp.packet_ins_sent());
+    }
+  }
+  for (const auto& link : net.links()) {
+    const std::string id = strings::format("%s:%u-%s:%u", link->node(0)->name().c_str(),
+                                           link->port(0), link->node(1)->name().c_str(),
+                                           link->port(1));
+    for (int d = 0; d < 2; ++d) {
+      const obs::Labels labels{{"link", id}, {"dir", d == 0 ? "ab" : "ba"}};
+      add("escape_link_delivered_total", labels, link->delivered(d));
+      add("escape_link_dropped_total", labels, link->dropped(d));
+    }
+  }
+  return want;
+}
+
+/// The series of `values` whose metric names appear in `like`.
+SeriesValues same_families(const SeriesValues& values, const SeriesValues& like) {
+  std::set<std::string> names;
+  for (const auto& [series, _] : like) names.insert(series.substr(0, series.find('{')));
+  SeriesValues out;
+  for (const auto& [series, value] : values) {
+    if (names.count(series.substr(0, series.find('{')))) out[series] = value;
+  }
+  return out;
+}
+
+TEST(MetricsOwnership, SeriesAreComponentCountsAndDieWithThem) {
+  SeriesValues want;
+  {
+    EnvironmentOptions opts;
+    opts.threads = 2;
+    opts.shard_by = netemu::ShardBy::kSwitch;
+    Environment env{opts};
+    build_demo_topology(env);
+    ASSERT_TRUE(env.start().ok());
+    ASSERT_EQ(env.scheduler().shard_count(), 2u);
+    auto chain = env.deploy(demo_graph());
+    ASSERT_TRUE(chain.ok()) << chain.error().to_string();
+    auto* sap1 = env.host("sap1");
+    auto* sap2 = env.host("sap2");
+    sap1->start_udp_flow(sap2->mac(), sap2->ip(), 5000, 7777, 200, 2000);
+    sap1->send_ping(sap2->mac(), sap2->ip(), 1);  // no return path: a table miss
+    env.run_for(seconds(1));
+    ASSERT_GE(sap2->rx_packets(), 200u);
+
+    want = component_counts(env);
+    EXPECT_EQ(same_families(exposition_values(), want), want);
+  }
+  // The components are gone and so are their series. Registry-owned
+  // dpid series (packet-in RTT, echo RTT, channel-down) outlive them by
+  // design: no component counts those.
+  const auto left = exposition_values();
+  for (const auto& [series, _] : want) EXPECT_EQ(left.count(series), 0u) << series;
 }
 
 // --- port allocation and chain lifecycles --------------------------------------

@@ -1,7 +1,8 @@
 // Unit tests for the observability layer: metric registry semantics
-// (get-or-create identity, kind mismatch, label formatting), the
-// bounded histogram's accuracy against the exact util/stats Histogram,
-// the text/JSON exposition formats, and the trace ring.
+// (get-or-create identity, kind mismatch, label formatting, owner-held
+// series and their removal), the bounded histogram's accuracy against
+// the exact util/stats Histogram, the text/JSON exposition formats, and
+// the trace ring.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -84,16 +85,16 @@ TEST(Registry, HasAndSize) {
 TEST(Registry, CallbackGaugeExportsAndRemoves) {
   MetricsRegistry registry;
   int owner = 0;
-  registry.callback_gauge("escape_test_cb", {{"id", "a"}}, &owner,
-                          [] { return std::optional<double>(42.0); });
-  registry.callback_gauge("escape_test_cb", {{"id", "b"}}, &owner,
-                          [] { return std::optional<double>(std::nullopt); });
+  registry.expose_gauge("escape_test_cb", {{"id", "a"}}, &owner,
+                        [] { return std::optional<double>(42.0); });
+  registry.expose_gauge("escape_test_cb", {{"id", "b"}}, &owner,
+                        [] { return std::optional<double>(std::nullopt); });
   std::string text = registry.render_text();
   EXPECT_NE(text.find("escape_test_cb{id=\"a\"} 42"), std::string::npos);
   // nullopt callbacks are skipped, not rendered as zero.
   EXPECT_EQ(text.find("id=\"b\""), std::string::npos);
 
-  registry.remove_callbacks(&owner);
+  registry.remove_owner(&owner);
   EXPECT_EQ(registry.render_text().find("escape_test_cb"), std::string::npos);
 }
 
@@ -104,19 +105,19 @@ TEST(Registry, RemoveCallbacksTakesOnlyTheOwnersSeries) {
   std::vector<int> others(100);
   for (int i = 0; i < 10'000; ++i) {
     registry.counter("escape_test_total", {{"i", std::to_string(i)}});
-    registry.callback_gauge("escape_test_cb", {{"i", std::to_string(i)}}, &others[i % 100],
-                            [] { return std::optional<double>(1.0); });
+    registry.expose_gauge("escape_test_cb", {{"i", std::to_string(i)}}, &others[i % 100],
+                          [] { return std::optional<double>(1.0); });
   }
   const std::size_t start = registry.size();
   ASSERT_EQ(start, 20'000u);
 
   int owner = 0;
   for (int h = 0; h < 8; ++h) {
-    registry.callback_gauge("escape_test_cb", {{"owner", "a"}, {"h", std::to_string(h)}},
-                            &owner, [] { return std::optional<double>(2.0); });
+    registry.expose_gauge("escape_test_cb", {{"owner", "a"}, {"h", std::to_string(h)}},
+                          &owner, [] { return std::optional<double>(2.0); });
   }
   EXPECT_EQ(registry.size(), start + 8);
-  registry.remove_callbacks(&owner);
+  registry.remove_owner(&owner);
   EXPECT_EQ(registry.size(), start);
   for (int h = 0; h < 8; ++h) {
     EXPECT_FALSE(registry.has("escape_test_cb", {{"owner", "a"}, {"h", std::to_string(h)}}));
@@ -133,20 +134,20 @@ TEST(Registry, ReRegisteredCallbackMovesToNewOwner) {
   const std::size_t start = registry.size();
   int a = 0;
   int b = 0;
-  registry.callback_gauge("escape_test_cb", {{"id", "shared"}}, &a,
-                          [] { return std::optional<double>(1.0); });
-  registry.callback_gauge("escape_test_cb", {{"id", "a-only"}}, &a,
-                          [] { return std::optional<double>(1.0); });
-  registry.callback_gauge("escape_test_cb", {{"id", "shared"}}, &b,
-                          [] { return std::optional<double>(7.0); });
+  registry.expose_gauge("escape_test_cb", {{"id", "shared"}}, &a,
+                        [] { return std::optional<double>(1.0); });
+  registry.expose_gauge("escape_test_cb", {{"id", "a-only"}}, &a,
+                        [] { return std::optional<double>(1.0); });
+  registry.expose_gauge("escape_test_cb", {{"id", "shared"}}, &b,
+                        [] { return std::optional<double>(7.0); });
   EXPECT_EQ(registry.size(), start + 2);
 
-  registry.remove_callbacks(&a);
+  registry.remove_owner(&a);
   EXPECT_FALSE(registry.has("escape_test_cb", {{"id", "a-only"}}));
   ASSERT_TRUE(registry.has("escape_test_cb", {{"id", "shared"}}));
   EXPECT_NE(registry.render_text().find("escape_test_cb{id=\"shared\"} 7"), std::string::npos);
 
-  registry.remove_callbacks(&b);
+  registry.remove_owner(&b);
   EXPECT_FALSE(registry.has("escape_test_cb", {{"id", "shared"}}));
   EXPECT_EQ(registry.size(), start);
 }
@@ -156,21 +157,21 @@ TEST(Registry, RemoveCallbacksOfUnknownOrRemovedOwnerIsNoOp) {
   int a = 0;
   int b = 0;
   int stranger = 0;
-  registry.callback_gauge("escape_test_cb", {{"id", "a"}}, &a,
-                          [] { return std::optional<double>(1.0); });
+  registry.expose_gauge("escape_test_cb", {{"id", "a"}}, &a,
+                        [] { return std::optional<double>(1.0); });
   // Same owner, same key: still one series, removed once.
-  registry.callback_gauge("escape_test_cb", {{"id", "a"}}, &a,
-                          [] { return std::optional<double>(2.0); });
-  registry.callback_gauge("escape_test_cb", {{"id", "b"}}, &b,
-                          [] { return std::optional<double>(3.0); });
+  registry.expose_gauge("escape_test_cb", {{"id", "a"}}, &a,
+                        [] { return std::optional<double>(2.0); });
+  registry.expose_gauge("escape_test_cb", {{"id", "b"}}, &b,
+                        [] { return std::optional<double>(3.0); });
   const std::size_t start = registry.size();
   EXPECT_EQ(start, 2u);
 
-  registry.remove_callbacks(&stranger);
+  registry.remove_owner(&stranger);
   EXPECT_EQ(registry.size(), start);
-  registry.remove_callbacks(&a);
+  registry.remove_owner(&a);
   EXPECT_EQ(registry.size(), start - 1);
-  registry.remove_callbacks(&a);
+  registry.remove_owner(&a);
   EXPECT_EQ(registry.size(), start - 1);
   EXPECT_TRUE(registry.has("escape_test_cb", {{"id", "b"}}));
 }
@@ -181,15 +182,119 @@ TEST(Registry, CallbackOnKindMismatchLeavesLiveEntryIntact) {
   c.add(5);
   const std::size_t start = registry.size();
   int owner = 0;
-  registry.callback_gauge("escape_test_metric", {}, &owner,
-                          [] { return std::optional<double>(99.0); });
-  registry.remove_callbacks(&owner);
+  registry.expose_gauge("escape_test_metric", {}, &owner,
+                        [] { return std::optional<double>(99.0); });
+  registry.remove_owner(&owner);
   EXPECT_EQ(registry.size(), start);
   EXPECT_EQ(&registry.counter("escape_test_metric"), &c);
   const std::string text = registry.render_text();
   EXPECT_NE(text.find("# TYPE escape_test_metric counter"), std::string::npos);
   EXPECT_NE(text.find("escape_test_metric 5"), std::string::npos);
   EXPECT_EQ(text.find("99"), std::string::npos);
+}
+
+// --- owner-held series -----------------------------------------------------------
+
+TEST(OwnerHeld, RendersLikeRegistryOwned) {
+  MetricsRegistry owned;
+  owned.counter("escape_test_total", {{"id", "x"}}).add(9);
+  owned.gauge("escape_test_level", {{"id", "x"}}).set(2.5);
+  BoundedHistogram& recorded = owned.histogram("escape_test_us", {{"id", "x"}});
+
+  // A component's own count, level and histogram, holding the same facts.
+  std::uint64_t count = 9;
+  double level = 2.5;
+  BoundedHistogram histogram;
+  for (int i = 1; i <= 100; ++i) {
+    recorded.record(i * 1.5);
+    histogram.record(i * 1.5);
+  }
+  MetricsRegistry held;
+  int owner = 0;
+  held.expose_counter("escape_test_total", {{"id", "x"}}, &owner, [&count] { return count; });
+  held.expose_gauge("escape_test_level", {{"id", "x"}}, &owner, [&level] { return level; });
+  held.expose_histogram("escape_test_us", {{"id", "x"}}, &owner, histogram);
+
+  EXPECT_EQ(held.render_text(), owned.render_text());
+  EXPECT_EQ(held.snapshot_json().dump(2), owned.snapshot_json().dump(2));
+  // Values are read at exposition time.
+  count = 10;
+  EXPECT_NE(held.render_text().find("escape_test_total{id=\"x\"} 10"), std::string::npos);
+}
+
+TEST(OwnerHeld, GetOrCreateOnOwnerHeldIdentityIsDetached) {
+  MetricsRegistry registry;
+  BoundedHistogram histogram;
+  histogram.record(3);
+  int owner = 0;
+  registry.expose_counter("escape_test_total", {}, &owner, [] { return std::uint64_t{4}; });
+  registry.expose_gauge("escape_test_level", {}, &owner, [] { return 1.0; });
+  registry.expose_histogram("escape_test_us", {}, &owner, histogram);
+  const std::string before = registry.render_text();
+
+  // Every kind hands back a safe, working instrument...
+  Counter& c = registry.counter("escape_test_total");
+  c.add(100);
+  EXPECT_EQ(c.value(), 100u);
+  registry.gauge("escape_test_level").set(50);
+  registry.histogram("escape_test_us").record(1000);
+  // ...that is never exported; the owner's series are untouched.
+  EXPECT_EQ(registry.size(), 3u);
+  EXPECT_EQ(registry.render_text(), before);
+  EXPECT_EQ(histogram.count(), 1u);
+  // reset_values leaves owner-held values to their owners.
+  registry.reset_values();
+  EXPECT_EQ(registry.render_text(), before);
+}
+
+TEST(OwnerHeld, RemovalAndTakeoverCoverEveryKind) {
+  MetricsRegistry registry;
+  registry.counter("escape_test_other_total").add(1);
+  const std::size_t start = registry.size();
+  BoundedHistogram hist_a;
+  BoundedHistogram hist_b;
+  hist_a.record(1);
+  hist_b.record(7);
+  hist_b.record(7);
+  int a = 0;
+  int b = 0;
+  const Labels shared{{"id", "shared"}};
+  registry.expose_counter("escape_test_total", shared, &a, [] { return std::uint64_t{1}; });
+  registry.expose_gauge("escape_test_level", shared, &a, [] { return 1.0; });
+  registry.expose_histogram("escape_test_us", shared, &a, hist_a);
+  registry.expose_counter("escape_test_total", {{"id", "a-only"}}, &a,
+                          [] { return std::uint64_t{1}; });
+  // b takes over every shared series, reader and all.
+  registry.expose_counter("escape_test_total", shared, &b, [] { return std::uint64_t{7}; });
+  registry.expose_gauge("escape_test_level", shared, &b, [] { return 7.0; });
+  registry.expose_histogram("escape_test_us", shared, &b, hist_b);
+  EXPECT_EQ(registry.size(), start + 4);
+
+  registry.remove_owner(&a);
+  EXPECT_EQ(registry.size(), start + 3);
+  EXPECT_FALSE(registry.has("escape_test_total", {{"id", "a-only"}}));
+  std::string text = registry.render_text();
+  EXPECT_NE(text.find("escape_test_total{id=\"shared\"} 7"), std::string::npos);
+  EXPECT_NE(text.find("escape_test_level{id=\"shared\"} 7"), std::string::npos);
+  EXPECT_NE(text.find("escape_test_us_count{id=\"shared\"} 2"), std::string::npos);
+  registry.remove_owner(&b);
+  EXPECT_EQ(registry.size(), start);
+
+  // Exposing over a registry-owned series, or over an owner-held one of
+  // another kind, exports nothing and leaves the live entry alone.
+  int c = 0;
+  registry.expose_counter("escape_test_other_total", {}, &c, [] { return std::uint64_t{99}; });
+  registry.expose_histogram("escape_test_other_total", {}, &c, hist_a);
+  registry.expose_gauge("escape_test_level", {}, &c, [] { return 3.0; });
+  registry.expose_counter("escape_test_level", {}, &a, [] { return std::uint64_t{99}; });
+  registry.remove_owner(&a);
+  EXPECT_EQ(registry.size(), start + 1);
+  text = registry.render_text();
+  EXPECT_NE(text.find("escape_test_other_total 1\n"), std::string::npos);
+  EXPECT_NE(text.find("escape_test_level 3\n"), std::string::npos);
+  EXPECT_EQ(text.find("99"), std::string::npos);
+  registry.remove_owner(&c);
+  EXPECT_EQ(registry.size(), start);
 }
 
 TEST(Registry, CounterIsThreadSafe) {

@@ -159,9 +159,9 @@ int run_chaos_replay(const Options& opts) {
 }
 
 /// Prints the registry lines that belong to one VNF (matched by its
-/// vnf="..." label), prefixed with the current virtual time. This reads
-/// the metrics registry directly -- it must NOT issue NETCONF monitoring
-/// RPCs, because it runs inside a scheduler event.
+/// vnf="..." label), prefixed with the current virtual time. Call it
+/// between run_until slices, never from an event: rendering reads the
+/// handlers of VNFs on every shard, so no shard may be running.
 void print_monitor_sample(const Options& opts, SimTime now) {
   const std::string needle = "vnf=\"" + opts.monitor_vnf + "\"";
   std::istringstream lines(obs::MetricsRegistry::global().render_text());
@@ -627,27 +627,19 @@ int main(int argc, char** argv) {
   netemu::Host* dst = env.host(order->back());
   src->start_udp_flow(dst->mac(), dst->ip(), 40000, 80, opts.count, opts.rate);
 
-  // Clicky-style live monitor: a self-rescheduling virtual-time event
-  // that samples the metrics registry while the traffic runs.
-  struct Monitor {
-    const Options* opts;
-    ShardedScheduler* sched;
-    SimDuration interval;
-    bool active = true;
-    void fire() {
-      if (!active) return;
-      print_monitor_sample(*opts, sched->now());
-      sched->schedule(interval, [this] { fire(); });
-    }
-  };
-  Monitor monitor{&opts, &env.scheduler(), opts.monitor_interval_ms * timeunit::kMillisecond};
+  // Clicky-style live monitor: the traffic runs in slices of virtual
+  // time and the registry is sampled between them.
+  const SimTime end = env.scheduler().now() + seconds(opts.duration_s);
   if (!opts.monitor_vnf.empty()) {
+    const SimDuration interval = opts.monitor_interval_ms * timeunit::kMillisecond;
     std::printf("\nlive monitor (every %llu ms virtual):\n",
                 static_cast<unsigned long long>(opts.monitor_interval_ms));
-    env.scheduler().schedule(monitor.interval, [&monitor] { monitor.fire(); });
+    for (SimTime t = env.scheduler().now() + interval; t <= end; t += interval) {
+      env.scheduler().run_until(t);
+      print_monitor_sample(opts, t);
+    }
   }
-  env.run_for(seconds(opts.duration_s));
-  monitor.active = false;  // keep later pump_until phases quiet
+  env.scheduler().run_until(end);
 
   std::printf("\ntraffic %s -> %s: %llu/%llu delivered",
               order->front().c_str(), order->back().c_str(),
