@@ -1,5 +1,6 @@
 #include "chaos/invariants.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -25,9 +26,6 @@ bool ends_with(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
 
-/// Chains whose reservations are live contribute to the expected books.
-bool counts_reservations(const ChainDeployment& dep) { return dep.reservations_held; }
-
 void check_terminal_states(Environment& env, std::vector<Violation>& out) {
   for (std::uint32_t id : env.deployed_chains()) {
     const ChainDeployment* dep = env.deployment(id);
@@ -39,34 +37,56 @@ void check_terminal_states(Environment& env, std::vector<Violation>& out) {
   }
 }
 
+/// An ACTIVE chain holds exactly what its record runs on: one CPU share
+/// per instance, on that instance's container, and the mapping's paths.
+void check_chain_ledger(const ChainDeployment& dep, std::vector<Violation>& out) {
+  std::vector<std::string> held, running;
+  for (const auto& [container, share] : dep.reservations.cpu) held.push_back(container);
+  for (const auto& vnf : dep.record.vnfs) running.push_back(vnf.container);
+  std::sort(held.begin(), held.end());
+  std::sort(running.begin(), running.end());
+  if (held != running) {
+    std::ostringstream os;
+    os << "ledger holds " << held.size() << " CPU share(s) on [";
+    for (const auto& c : held) os << ' ' << c;
+    os << " ] but the record runs " << running.size() << " instance(s) on [";
+    for (const auto& c : running) os << ' ' << c;
+    os << " ]";
+    report(out, "ledger.chain-cpu", "chain " + std::to_string(dep.id), os.str());
+  }
+  const auto& links = dep.reservations.links;
+  const auto& mapped = dep.record.mapping.link_mappings;
+  const bool same_links = std::equal(
+      links.begin(), links.end(), mapped.begin(), mapped.end(), [](const auto& a, const auto& b) {
+        return a.bandwidth_bps == b.bandwidth_bps && a.path.link_indices == b.path.link_indices;
+      });
+  if (!same_links) {
+    report(out, "ledger.chain-links", "chain " + std::to_string(dep.id),
+           "the ledger's " + std::to_string(links.size()) + " link path(s) differ from the " +
+               std::to_string(mapped.size()) + " of the mapping");
+  }
+}
+
 void check_resource_ledger(Environment& env, std::vector<Violation>& out) {
   const sg::ResourceGraph* view = env.resource_view();
   if (view == nullptr) return;
 
-  // Expected per-container usage from the live deployment records.
+  // Expected books: the sum of the chains' reservation ledgers.
   std::map<std::string, double> cpu;
   std::map<std::string, std::size_t> slots;
   std::map<int, std::uint64_t> bandwidth;
   for (std::uint32_t id : env.deployed_chains()) {
     const ChainDeployment* dep = env.deployment(id);
-    if (dep == nullptr || !counts_reservations(*dep)) continue;
-    if (!dep->cpu_ledger.empty()) {
-      // Scaled chains carry their replicas' reservations explicitly.
-      for (const auto& [container, share] : dep->cpu_ledger) {
-        cpu[container] += share;
-        slots[container] += 1;
-      }
-    } else {
-      for (const auto& [vnf_id, container] : dep->record.mapping.placements) {
-        const sg::VnfNode* vnf = dep->graph.vnf(vnf_id);
-        cpu[container] += vnf != nullptr ? vnf->cpu_demand : 0.0;
-        slots[container] += 1;
-      }
+    if (dep == nullptr) continue;
+    for (const auto& [container, share] : dep->reservations.cpu) {
+      cpu[container] += share;
+      slots[container] += 1;
     }
-    for (const auto& lm : dep->record.mapping.link_mappings) {
+    for (const auto& lm : dep->reservations.links) {
       if (lm.bandwidth_bps == 0) continue;
       for (int idx : lm.path.link_indices) bandwidth[idx] += lm.bandwidth_bps;
     }
+    if (dep->state == ChainState::kActive) check_chain_ledger(*dep, out);
   }
 
   for (const auto& node : view->nodes()) {

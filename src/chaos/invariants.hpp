@@ -24,10 +24,11 @@ std::string to_string(const Violation& v);
 /// Runs the full catalog against a quiesced environment:
 ///
 ///   * every deployed chain is in a terminal state (ACTIVE or FAILED);
-///   * per-container CPU and slot usage in the resource view equals the
-///     sum of the live chains' reservations (scale ledger when present,
-///     graph demands otherwise);
-///   * per-link bandwidth usage equals the live chains' path reservations;
+///   * per-container CPU and slot usage and per-link bandwidth usage in
+///     the resource view equal the sum of the chains' reservation ledgers;
+///   * every ACTIVE chain's ledger matches its record: one CPU share per
+///     instance, on that instance's container, and the mapping's link
+///     paths;
 ///   * no dpid is left dirty, and on every clean connected switch the
 ///     steering intent store matches the actual flow table (cookied
 ///     entries only -- l2_learning's cookie-0 namespace is ignored);

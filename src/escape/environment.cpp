@@ -1,6 +1,7 @@
 #include "escape/environment.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
 #include <tuple>
 
@@ -20,6 +21,34 @@ std::string_view chain_state_name(ChainState state) {
     case ChainState::kScaling: return "SCALING";
   }
   return "?";
+}
+
+namespace {
+
+/// The lifecycle table (DESIGN §8): may a chain move from `from` to `to`?
+[[maybe_unused]] bool legal_move(ChainState from, ChainState to) {
+  using S = ChainState;
+  switch (from) {
+    case S::kActive: return to == S::kDegraded || to == S::kScaling;
+    case S::kDegraded: return to != S::kScaling;
+    case S::kRecovering: return to == S::kActive || to == S::kDegraded || to == S::kFailed;
+    case S::kFailed: return to == S::kDegraded;
+    case S::kScaling: return to == S::kActive || to == S::kDegraded;
+  }
+  return false;
+}
+
+}  // namespace
+
+void Environment::transition(ChainDeployment& dep, ChainState to, std::string_view why) {
+  const LogLevel level = to == ChainState::kFailed ? LogLevel::kError
+                         : to == ChainState::kDegraded || to == ChainState::kRecovering
+                             ? LogLevel::kWarn
+                             : LogLevel::kInfo;
+  log_.log(level, "chain ", dep.id, " ", chain_state_name(dep.state), " -> ",
+           chain_state_name(to), ": ", why);
+  assert(legal_move(dep.state, to) && "illegal chain-state transition");
+  dep.state = to;
 }
 
 Environment::Environment(EnvironmentOptions options)
@@ -44,7 +73,11 @@ Environment::Environment(EnvironmentOptions options)
   });
 }
 
-Environment::~Environment() { obs::MetricsRegistry::global().remove_owner(this); }
+Environment::~Environment() {
+  auto& registry = obs::MetricsRegistry::global();
+  for (const auto& [_, dep] : deployments_) registry.remove_owner(&dep);
+  registry.remove_owner(this);
+}
 
 Status Environment::load_topology(const service::TopologySpec& spec) {
   return spec.build(network_);
@@ -125,14 +158,11 @@ Status Environment::start() {
   // Snapshot the substrate into the persistent orchestration view. A
   // re-start after adding nodes rebuilds it: container CPU in use is
   // already reflected by the live containers; link bandwidth reserved by
-  // existing chains is re-applied from their mapping records (network
-  // links are append-only, so recorded link indices stay valid).
+  // existing chains is re-applied from their ledgers (network links are
+  // append-only, so recorded link indices stay valid).
   view_ = orchestrator::resource_view_from(network_);
   for (const auto& [id, dep] : deployments_) {
-    if (!dep.reservations_held) continue;
-    for (const auto& lm : dep.record.mapping.link_mappings) {
-      view_->reserve_path(lm.path, lm.bandwidth_bps);
-    }
+    for (const auto& lm : dep.reservations.links) view_->reserve_path(lm.path, lm.bandwidth_bps);
   }
   for (const auto& name : unavailable_containers_) view_->set_node_available(name, false);
   started_ = true;
@@ -193,64 +223,71 @@ Result<std::uint32_t> Environment::deploy(const sg::ServiceGraph& graph) {
   return deploy(graph, *match);
 }
 
-Result<std::uint32_t> Environment::deploy(const sg::ServiceGraph& graph,
-                                          openflow::Match match) {
-  if (!started_) return make_error("escape.not-started", "call start() before deploy()");
-
+Result<Environment::Embedding> Environment::embed(const sg::ServiceGraph& graph) {
   // Service layer: validate + render Click configs.
   auto rendered = service_layer_.prepare(graph);
   if (!rendered.ok()) return rendered.error();
-
-  // Orchestration layer: map against the persistent view so earlier
+  // Orchestration layer: map against the persistent view so the other
   // chains' CPU/slot/bandwidth reservations are respected. On success
   // the algorithm commits this chain's reservations into the view.
-  sg::ResourceGraph& view = *view_;
   auto algorithm = orchestrator::MappingRegistry::global().create(options_.mapping_algorithm);
   if (!algorithm) {
     return make_error("escape.unknown-algorithm",
                       "no mapping algorithm named '" + options_.mapping_algorithm + "'");
   }
-  auto mapping = algorithm->map(graph, view);
+  auto mapping = algorithm->map(graph, *view_);
   if (!mapping.ok()) return mapping.error();
-  log_.info("mapping: ", mapping->to_string());
+  Embedding e{std::move(*rendered), std::move(*mapping), {}};
+  e.ledger.links = e.mapping.link_mappings;
+  for (const auto& [vnf, container] : e.mapping.placements) {
+    if (const sg::VnfNode* node = graph.vnf(vnf)) {
+      e.ledger.cpu.emplace_back(container, node->cpu_demand);
+    }
+  }
+  return e;
+}
+
+void Environment::release(ReservationLedger& ledger) {
+  if (view_) {
+    for (const auto& lm : ledger.links) view_->release_path(lm.path, lm.bandwidth_bps);
+    for (const auto& [container, cpu] : ledger.cpu) view_->release_vnf(container, cpu);
+  }
+  ledger = {};
+}
+
+Result<std::uint32_t> Environment::deploy(const sg::ServiceGraph& graph,
+                                          openflow::Match match) {
+  if (!started_) return make_error("escape.not-started", "call start() before deploy()");
+  auto embedding = embed(graph);
+  if (!embedding.ok()) return embedding.error();
+  log_.info("mapping: ", embedding->mapping.to_string());
 
   // Deployment: NETCONF bring-up + steering, pumped to completion.
   const std::uint32_t chain_id = next_chain_id_++;
   bool done = false;
   Result<orchestrator::DeploymentRecord> outcome =
       make_error("escape.deploy.pending", "in flight");
-  engine_->deploy(chain_id, *mapping, view, *rendered, match,
+  engine_->deploy(chain_id, embedding->mapping, *view_, embedding->rendered, match,
                   [&done, &outcome](Result<orchestrator::DeploymentRecord> r) {
                     outcome = std::move(r);
                     done = true;
                   });
-  auto release_reservations = [this, &mapping, &graph] {
-    for (const auto& lm : mapping->link_mappings) {
-      view_->release_path(lm.path, lm.bandwidth_bps);
-    }
-    for (const auto& [vnf, container] : mapping->placements) {
-      if (const sg::VnfNode* node = graph.vnf(vnf)) {
-        view_->release_vnf(container, node->cpu_demand);
-      }
-    }
-  };
-  if (auto s = pump_until(done, "deploy"); !s.ok()) {
-    release_reservations();
-    return s.error();
-  }
+  if (auto s = pump_until(done, "deploy"); !s.ok()) outcome = s.error();
   if (!outcome.ok()) {
-    release_reservations();
+    release(embedding->ledger);
     return outcome.error();
   }
 
-  ChainDeployment dep;
+  ChainDeployment& dep = deployments_[chain_id];
   dep.id = chain_id;
   dep.graph = graph;
   dep.record = std::move(*outcome);
-  deployments_[chain_id] = std::move(dep);
+  dep.reservations = std::move(embedding->ledger);
+  obs::MetricsRegistry::global().expose_gauge(
+      "escape_chain_instances", {{"chain", std::to_string(chain_id)}}, &dep,
+      [&dep] { return static_cast<double>(dep.scale_instances); });
   log_.info("chain ", chain_id, " deployed in ",
-            static_cast<double>(deployments_[chain_id].record.setup_latency()) /
-                timeunit::kMillisecond,
+            static_cast<double>(dep.record.setup_latency()) / timeunit::kMillisecond,
             " ms (virtual)");
   watch_chain_policy(chain_id);
   return chain_id;
@@ -305,7 +342,6 @@ Result<std::uint32_t> Environment::install_return_path(std::uint32_t chain_id) {
   record.graph = sg::ServiceGraph("return-of-" + std::to_string(chain_id));
   record.record.chain_id = reverse.chain_id;
   record.record.chain_path = reverse;
-  record.reservations_held = false;  // pure steering, nothing reserved
   deployments_[reverse.chain_id] = std::move(record);
   return reverse.chain_id;
 }
@@ -334,41 +370,11 @@ Status Environment::undeploy(std::uint32_t chain_id) {
   });
   if (auto s = pump_until(done, "undeploy"); !s.ok()) return s;
   if (!outcome.ok()) return outcome;
-  // Give the chain's substrate reservations back to the view.
-  release_chain_reservations(it->second);
+  release(it->second.reservations);
   if (autoscaler_) autoscaler_->unwatch_chain(chain_id);
+  obs::MetricsRegistry::global().remove_owner(&it->second);
   deployments_.erase(it);
   return ok_status();
-}
-
-void Environment::release_cpu_ledger(std::vector<std::pair<std::string, double>>& ledger) {
-  if (!view_) {
-    ledger.clear();
-    return;
-  }
-  for (const auto& [container, cpu] : ledger) view_->release_vnf(container, cpu);
-  ledger.clear();
-}
-
-void Environment::release_chain_reservations(ChainDeployment& dep) {
-  if (!dep.reservations_held) return;
-  dep.reservations_held = false;
-  if (!view_) return;
-  for (const auto& lm : dep.record.mapping.link_mappings) {
-    view_->release_path(lm.path, lm.bandwidth_bps);
-  }
-  if (dep.scale_generation > 0) {
-    // Scaled chains account CPU through the per-generation ledger: the
-    // replica instances are not graph nodes, so the graph-derived path
-    // below cannot describe them.
-    release_cpu_ledger(dep.cpu_ledger);
-    return;
-  }
-  for (const auto& [vnf, container] : dep.record.mapping.placements) {
-    if (const sg::VnfNode* node = dep.graph.vnf(vnf)) {
-      view_->release_vnf(container, node->cpu_demand);
-    }
-  }
 }
 
 netconf::VnfAgentClient* Environment::agent_client(const std::string& container_name) {
@@ -583,15 +589,15 @@ Status Environment::enable_self_healing(RecoveryOptions options) {
       unavailable_containers_.erase(container);
       if (view_) view_->set_node_available(container, true);
     }
-    // Fresh capacity may unblock chains that could not be re-embedded.
+    // Fresh capacity may unblock chains waiting for a re-embed. A chain
+    // degraded on steering grounds only keeps its placement: the resync
+    // repairs its rules in place (DESIGN §9).
     for (auto& [id, dep] : deployments_) {
-      if (dep.state != ChainState::kDegraded && dep.state != ChainState::kFailed) continue;
+      const bool waiting = dep.state == ChainState::kFailed ||
+                           (dep.state == ChainState::kDegraded && dep.dirty_dpids.empty());
+      if (!waiting) continue;
       dep.recovery_attempts = 0;
-      dep.state = ChainState::kDegraded;
-      const std::uint32_t chain_id = id;
-      scheduler_.schedule(0, [this, alive, chain_id] {
-        if (!alive.expired()) recover_chain(chain_id);
-      });
+      schedule_reembed(dep, 0, "agent up, re-queued");
     }
   });
   health_->on_link_state([this, alive](const std::string& a, const std::string& b, bool up) {
@@ -617,8 +623,6 @@ Status Environment::enable_self_healing(RecoveryOptions options) {
   return ok_status();
 }
 
-void Environment::disable_self_healing() { health_.reset(); }
-
 Result<ChainState> Environment::chain_state(std::uint32_t chain_id) const {
   const ChainDeployment* dep = deployment(chain_id);
   if (!dep) {
@@ -630,19 +634,16 @@ Result<ChainState> Environment::chain_state(std::uint32_t chain_id) const {
 
 void Environment::degrade_chains_on_container(const std::string& container) {
   for (auto& [id, dep] : deployments_) {
-    if (dep.state == ChainState::kRecovering) continue;
     bool uses = false;
     for (const auto& [vnf, placed_on] : dep.record.mapping.placements) {
       uses = uses || placed_on == container;
     }
-    if (!uses) continue;
-    queue_recovery(id);
+    if (uses) queue_recovery(id);
   }
 }
 
 void Environment::degrade_chains_on_link(const std::string& a, const std::string& b) {
   for (auto& [id, dep] : deployments_) {
-    if (dep.state == ChainState::kRecovering) continue;
     bool uses = false;
     // Substrate segments of the mapping...
     for (const auto& lm : dep.record.mapping.link_mappings) {
@@ -658,8 +659,7 @@ void Environment::degrade_chains_on_link(const std::string& a, const std::string
       const bool veth_b = v.container == b && (v.in_switch == a || v.out_switch == a);
       uses = uses || veth_a || veth_b;
     }
-    if (!uses) continue;
-    queue_recovery(id);
+    if (uses) queue_recovery(id);
   }
 }
 
@@ -668,14 +668,14 @@ void Environment::degrade_chains_on_dpid(openflow::DatapathId dpid) {
     auto it = deployments_.find(chain_id);
     if (it == deployments_.end()) continue;
     ChainDeployment& dep = it->second;
-    dep.dirty_dpids.insert(dpid);
     if (dep.state == ChainState::kActive) {
       // Steering-only degradation: the chain's VNFs are untouched, only
       // the switch rules are untrusted. The post-reconnect resync
       // repairs them in place, so no recovery (re-embed) is queued.
-      dep.state = ChainState::kDegraded;
-      dep.steering_degraded = true;
-      log_.warn("chain ", chain_id, " DEGRADED: steering diverged on dpid=", dpid);
+      dep.dirty_dpids.insert(dpid);
+      transition(dep, ChainState::kDegraded, "steering diverged");
+    } else if (dep.state == ChainState::kDegraded && !dep.dirty_dpids.empty()) {
+      dep.dirty_dpids.insert(dpid);
     } else if (dep.state == ChainState::kScaling) {
       // The migration's barrier-confirmed installs can no longer be
       // trusted on this dpid: abort the migration and re-embed.
@@ -686,12 +686,8 @@ void Environment::degrade_chains_on_dpid(openflow::DatapathId dpid) {
 
 void Environment::handle_dpid_resynced(openflow::DatapathId dpid) {
   for (auto& [id, dep] : deployments_) {
-    if (dep.dirty_dpids.erase(dpid) == 0) continue;
-    if (dep.steering_degraded && dep.dirty_dpids.empty() &&
-        dep.state == ChainState::kDegraded) {
-      dep.state = ChainState::kActive;
-      dep.steering_degraded = false;
-      log_.info("chain ", id, " ACTIVE again: steering rules resynced");
+    if (dep.dirty_dpids.erase(dpid) != 0 && dep.dirty_dpids.empty()) {
+      transition(dep, ChainState::kActive, "steering rules resynced");
     }
   }
 }
@@ -703,17 +699,21 @@ void Environment::queue_recovery(std::uint32_t chain_id) {
     // Fault mid-migration: abort the in-flight scale. Its async steps
     // observe the epoch bump, unwind their half-built generation and
     // release its reservations; the chain itself takes the normal
-    // DEGRADED -> RECOVERING path below (single chain-state owner).
+    // DEGRADED -> RECOVERING path below.
     ++it->second.scale_epoch;
     log_.warn("chain ", chain_id, " migration aborted by fault");
   }
-  it->second.state = ChainState::kDegraded;
-  // A queued re-embed supersedes any steering-only degradation: the
-  // recovery path reinstalls the chain's rules itself.
-  it->second.steering_degraded = false;
-  log_.warn("chain ", chain_id, " marked DEGRADED");
+  schedule_reembed(it->second, 0, "queued for re-embed");
+}
+
+void Environment::schedule_reembed(ChainDeployment& dep, SimDuration delay,
+                                   std::string_view why) {
+  // The re-embed reinstalls the chain's rules itself, so it supersedes
+  // any steering-only degradation.
+  dep.dirty_dpids.clear();
+  transition(dep, ChainState::kDegraded, why);
   std::weak_ptr<bool> alive = alive_;
-  scheduler_.schedule(0, [this, alive, chain_id] {
+  scheduler_.schedule(delay, [this, alive, chain_id = dep.id] {
     if (!alive.expired()) recover_chain(chain_id);
   });
 }
@@ -722,21 +722,20 @@ void Environment::recover_chain(std::uint32_t chain_id) {
   auto it = deployments_.find(chain_id);
   if (it == deployments_.end()) return;
   ChainDeployment& dep = it->second;
-  if (dep.state != ChainState::kDegraded || !engine_ || !view_) return;
+  if (dep.state != ChainState::kDegraded || !dep.dirty_dpids.empty() || !engine_ || !view_) {
+    return;
+  }
   if (dep.recovery_attempts >= recovery_.max_recovery_attempts) {
-    dep.state = ChainState::kFailed;
-    log_.error("chain ", chain_id, " FAILED: recovery attempts exhausted");
+    transition(dep, ChainState::kFailed, "recovery attempts exhausted");
     return;
   }
   ++dep.recovery_attempts;
-  dep.state = ChainState::kRecovering;
+  transition(dep, ChainState::kRecovering, "re-embedding");
   const SimTime started = scheduler_.now();
   const std::uint64_t span = obs::tracer().begin_span(
       started, "recovery", "re-embed",
       "chain " + std::to_string(chain_id) + " attempt " +
           std::to_string(dep.recovery_attempts));
-  log_.warn("recovering chain ", chain_id, " (attempt ", dep.recovery_attempts, "/",
-            recovery_.max_recovery_attempts, ")");
 
   std::weak_ptr<bool> alive = alive_;
   // Injectable: a crash right as recovery starts tearing down remnants
@@ -752,57 +751,38 @@ void Environment::recover_chain(std::uint32_t chain_id) {
     auto it = deployments_.find(chain_id);
     if (it == deployments_.end()) return;
     ChainDeployment& dep = it->second;
-    release_chain_reservations(dep);
+    release(dep.reservations);
 
     // Step 2: re-map against the surviving resource view.
-    auto rendered = service_layer_.prepare(dep.graph);
-    if (!rendered.ok()) {
-      finish_recovery(chain_id, started, span, rendered.error());
+    auto embedding = embed(dep.graph);
+    if (!embedding.ok()) {
+      finish_recovery(chain_id, started, span, embedding.error());
       return;
     }
-    auto algorithm =
-        orchestrator::MappingRegistry::global().create(options_.mapping_algorithm);
-    if (!algorithm) {
-      finish_recovery(chain_id, started, span,
-                      make_error("escape.unknown-algorithm",
-                                 "no mapping algorithm named '" +
-                                     options_.mapping_algorithm + "'"));
-      return;
-    }
-    auto mapping = algorithm->map(dep.graph, *view_);
-    if (!mapping.ok()) {
-      finish_recovery(chain_id, started, span, mapping.error());
-      return;
-    }
-    dep.reservations_held = true;  // map() committed the new reservations
-    // The redeploy-failure path below releases via dep.record.mapping, so
-    // the record must describe the reservations map() just committed --
-    // releasing the stale pre-recovery mapping would double-release it and
-    // leak the new one on every failed attempt.
-    dep.record.mapping = *mapping;
-    // The scaling state dies at remap time, not on recovery success: the
-    // reservations map() just made are graph-derived, and with
-    // scale_generation still > 0 a failed redeploy would release through
-    // the (already-drained) per-generation ledger and leak them. Found by
-    // the chaos explorer (deploy.rpc crash/drop during re-embed).
+    const orchestrator::MappingResult& mapping = embedding->mapping;
+    dep.reservations = std::move(embedding->ledger);
+    // The record describes the new placement from here, so a fault on it
+    // reaches the chain while it redeploys.
+    dep.record.mapping = mapping;
+    // The re-embed runs the ORIGINAL (unscaled) graph, so the scaling
+    // state dies here: one instance, and a fresh anchor computed from
+    // the recovered path if the chain scales again.
     dep.scale_instances = 1;
     dep.scale_generation = 0;
-    dep.cpu_ledger.clear();
     dep.scale_anchor.reset();
-    log_.info("chain ", chain_id, " re-mapped: ", mapping->to_string());
+    log_.info("chain ", chain_id, " re-mapped: ", mapping.to_string());
 
     // Injectable: a crash between the remap's reservation commit and the
     // redeploy -- the ledger-balance invariant watches this window.
     chaos::hit("recover.redeploy", chaos::kCanCrash,
                chaos::SiteContext::of_container(
-                   mapping->placements.empty() ? std::string()
-                                               : mapping->placements.begin()->second,
+                   mapping.placements.empty() ? std::string() : mapping.placements.begin()->second,
                    chain_id));
 
     // Step 3: redeploy under the same chain id (fresh veths + steering).
     const openflow::Match match = dep.record.chain_path.match;
     engine_->deploy(
-        chain_id, *mapping, *view_, *rendered, match,
+        chain_id, mapping, *view_, embedding->rendered, match,
         [this, alive, chain_id, started, span](Result<orchestrator::DeploymentRecord> r) {
           if (alive.expired()) return;
           auto it = deployments_.find(chain_id);
@@ -811,7 +791,7 @@ void Environment::recover_chain(std::uint32_t chain_id) {
             it->second.record = std::move(*r);
             finish_recovery(chain_id, started, span, ok_status());
           } else {
-            release_chain_reservations(it->second);
+            release(it->second.reservations);
             finish_recovery(chain_id, started, span, r.error());
           }
         });
@@ -827,16 +807,8 @@ void Environment::finish_recovery(std::uint32_t chain_id, SimTime started,
   if (it == deployments_.end()) return;
   ChainDeployment& dep = it->second;
   if (outcome.ok()) {
-    dep.state = ChainState::kActive;
+    transition(dep, ChainState::kActive, "re-embedded");
     dep.recovery_attempts = 0;
-    // Recovery re-embeds the ORIGINAL (unscaled) graph, so any scaling
-    // state is gone: back to one instance, graph-derived reservations,
-    // and a fresh anchor computed from the recovered path if the chain
-    // scales again.
-    dep.scale_instances = 1;
-    dep.scale_generation = 0;
-    dep.cpu_ledger.clear();
-    dep.scale_anchor.reset();
     const double latency_ms =
         static_cast<double>(scheduler_.now() - started) / timeunit::kMillisecond;
     registry.counter("escape_recovery_total", {{"result", "ok"}}).add();
@@ -847,14 +819,9 @@ void Environment::finish_recovery(std::uint32_t chain_id, SimTime started,
     log_.warn("chain ", chain_id, " recovery attempt failed: ",
               outcome.error().to_string());
     if (dep.recovery_attempts >= recovery_.max_recovery_attempts) {
-      dep.state = ChainState::kFailed;
-      log_.error("chain ", chain_id, " FAILED: recovery attempts exhausted");
+      transition(dep, ChainState::kFailed, "recovery attempts exhausted");
     } else {
-      dep.state = ChainState::kDegraded;
-      std::weak_ptr<bool> alive = alive_;
-      scheduler_.schedule(recovery_.retry_delay, [this, alive, chain_id] {
-        if (!alive.expired()) recover_chain(chain_id);
-      });
+      schedule_reembed(dep, recovery_.retry_delay, "retrying re-embed");
     }
   }
 }
@@ -884,7 +851,7 @@ struct ScaleJob {
   // New generation ([0] is the splitter when target > 1).
   std::vector<orchestrator::VnfDeployment> new_vnfs;
   std::vector<std::pair<std::uint16_t, std::uint16_t>> splitter_outs;  // (cport, sport)
-  std::vector<std::pair<std::string, double>> new_ledger;
+  ReservationLedger ledger;  // the new generation's CPU shares
   pox::ChainPath new_path;
   bool steering_installed = false;
   // Sequential NETCONF bring-up; step_inst maps a step to its instance
@@ -897,7 +864,6 @@ struct ScaleJob {
   std::vector<orchestrator::VnfDeployment> old_vnfs;
   std::vector<orchestrator::VnfDeployment> old_sources;  // stateful instances to export
   pox::ChainPath old_path;
-  std::vector<std::pair<std::string, double>> old_ledger;
 
   // Migration payload.
   std::vector<std::string> exports;  // one blob per old source
@@ -1098,14 +1064,6 @@ void Environment::scale_chain_async(std::uint32_t chain_id, std::size_t target,
     if (v.vnf_id == job->vnf_id && job->stateful) job->old_sources.push_back(v);
   }
   const double replica_cpu = vnf.cpu_demand > 0 ? vnf.cpu_demand : tmpl->default_cpu;
-  if (dep.scale_generation == 0) {
-    auto placed = dep.record.mapping.placements.find(vnf.id);
-    if (placed != dep.record.mapping.placements.end()) {
-      job->old_ledger.emplace_back(placed->second, replica_cpu);
-    }
-  } else {
-    job->old_ledger = dep.cpu_ledger;
-  }
   job->done = std::move(done);
   job->started = scheduler_.now();
   job->span = obs::tracer().begin_span(
@@ -1155,13 +1113,11 @@ void Environment::scale_chain_async(std::uint32_t chain_id, std::size_t target,
   }
 
   // --- reserve CPU + allocate veths (synchronous side effects). ------------
-  dep.state = ChainState::kScaling;
-  log_.info("chain ", chain_id, " SCALING: ", dep.scale_instances, " -> ", target,
-            " instance(s), generation ", job->generation);
+  transition(dep, ChainState::kScaling, "migration started");
 
   auto fail_sync = [this, job, &dep](Error error) {
-    release_cpu_ledger(job->new_ledger);
-    dep.state = ChainState::kActive;
+    release(job->ledger);
+    transition(dep, ChainState::kActive, "migration failed to start");
     obs::tracer().end_span(job->span, scheduler_.now(), error.code);
     obs::MetricsRegistry::global()
         .counter("escape_scale_total", {{"result", "failed"}})
@@ -1198,7 +1154,7 @@ void Environment::scale_chain_async(std::uint32_t chain_id, std::size_t target,
       fail_sync(placed.error());
       return;
     }
-    job->new_ledger.emplace_back(*placed, cpus[n]);
+    job->ledger.cpu.emplace_back(*placed, cpus[n]);
     netemu::VnfContainer* container = network_.container(*placed);
     netemu::SwitchNode* in_sw = network_.switch_node(anchor.in_switch);
     netemu::SwitchNode* out_sw = network_.switch_node(anchor.out_switch);
@@ -1346,7 +1302,7 @@ bool Environment::scale_aborted(const std::shared_ptr<ScaleJob>& job) {
 void Environment::scale_unwind(const std::shared_ptr<ScaleJob>& job) {
   if (job->unwound) return;
   job->unwound = true;
-  release_cpu_ledger(job->new_ledger);
+  release(job->ledger);
   std::weak_ptr<bool> alive = alive_;
   auto finish = [this, alive, job] {
     if (alive.expired()) return;
@@ -1390,8 +1346,7 @@ void Environment::scale_fail(std::shared_ptr<ScaleJob> job, Error error) {
   auto it = deployments_.find(job->chain_id);
   if (it != deployments_.end() && it->second.scale_epoch == job->epoch &&
       it->second.state == ChainState::kScaling) {
-    // The old generation never stopped serving; the chain is healthy.
-    it->second.state = ChainState::kActive;
+    transition(it->second, ChainState::kActive, "migration failed; old generation serves");
   }
   obs::tracer().end_span(job->span, scheduler_.now(), error.code);
   obs::MetricsRegistry::global()
@@ -1592,14 +1547,13 @@ void Environment::scale_commit(std::shared_ptr<ScaleJob> job) {
   dep.record.vnfs = job->new_vnfs;
   dep.scale_generation = job->generation;
   dep.scale_instances = job->target;
-  dep.cpu_ledger = job->new_ledger;
-  release_cpu_ledger(job->old_ledger);
-  dep.state = ChainState::kActive;
+  // The old generation's CPU shares leave the chain's ledger and go
+  // back to the view.
+  std::swap(dep.reservations.cpu, job->ledger.cpu);
+  release(job->ledger);
+  transition(dep, ChainState::kActive, "migration committed");
 
   auto& registry = obs::MetricsRegistry::global();
-  registry
-      .gauge("escape_chain_instances", {{"chain", std::to_string(job->chain_id)}})
-      .set(static_cast<double>(job->target));
   registry.counter("escape_scale_total", {{"result", "ok"}}).add();
   const double latency_ms =
       static_cast<double>(scheduler_.now() - job->started) / timeunit::kMillisecond;
@@ -1730,8 +1684,6 @@ Status Environment::enable_autoscaling(orchestrator::AutoScalerOptions options) 
             " ms");
   return ok_status();
 }
-
-void Environment::disable_autoscaling() { autoscaler_.reset(); }
 
 void Environment::watch_chain_policy(std::uint32_t chain_id) {
   if (!autoscaler_) return;

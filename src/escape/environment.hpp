@@ -80,10 +80,11 @@ struct RecoveryOptions {
 };
 
 /// Lifecycle of a deployed chain under the fault plane and the elastic
-/// scaler. kScaling means a make-before-break migration is in flight;
-/// the Environment is the single owner of every transition, so a fault
-/// arriving mid-migration aborts the migration (scale_epoch bump) and
-/// routes the chain through the normal kDegraded -> kRecovering path.
+/// scaler. kScaling means a make-before-break migration is in flight.
+/// Environment::transition is the one writer and checks every move
+/// against the table in DESIGN §8, so a fault arriving mid-migration
+/// aborts the migration (scale_epoch bump) and routes the chain through
+/// the normal kDegraded -> kRecovering path.
 enum class ChainState : std::uint8_t { kActive, kDegraded, kRecovering, kFailed, kScaling };
 
 std::string_view chain_state_name(ChainState state);
@@ -104,24 +105,30 @@ struct ScaleAnchor {
   std::vector<pox::SteeringHop> suffix;  // hops after the re-entry
 };
 
+/// What a chain holds in the orchestration view: the link paths it
+/// reserved bandwidth on and one CPU share per live instance. Set from
+/// the mapping at deploy and re-map, swapped at scale commit, emptied on
+/// release; the view's books are the sum of the chains' ledgers.
+struct ReservationLedger {
+  std::vector<orchestrator::LinkMapping> links;
+  std::vector<std::pair<std::string, double>> cpu;  // (container, share)
+};
+
 /// A deployed service chain with its measured bring-up record.
 struct ChainDeployment {
   std::uint32_t id = 0;
   sg::ServiceGraph graph;
   orchestrator::DeploymentRecord record;
+  /// Written only by Environment::transition.
   ChainState state = ChainState::kActive;
-  /// True while this chain's CPU/slot/bandwidth reservations are
-  /// committed in the orchestration view (recovery releases and
-  /// re-commits them; the flag prevents double release).
-  bool reservations_held = true;
+  ReservationLedger reservations;
   int recovery_attempts = 0;
-  /// Dpids whose flow tables diverged (OpenFlow channel drop / switch
-  /// restart) while this chain had rules on them; drained as the
-  /// steering audits barrier-confirm each one clean again.
+  /// Steering-only degradation: while the chain is DEGRADED, the dpids
+  /// whose flow tables diverged (OpenFlow channel drop / switch restart)
+  /// under its rules. The resync repairs them in place and the chain is
+  /// ACTIVE again once the last one is barrier-confirmed clean. Empty
+  /// for a chain waiting for a re-embed.
   std::set<openflow::DatapathId> dirty_dpids;
-  /// True when the ONLY reason this chain is degraded is steering
-  /// divergence: the resync repairs rules in place, no re-embedding.
-  bool steering_degraded = false;
   /// Elastic-scaling state. `scale_instances` replicas of the chain's
   /// (single) VNF currently serve traffic; `scale_generation` counts
   /// completed migrations (0 = pristine). Bumping `scale_epoch` aborts
@@ -130,10 +137,6 @@ struct ChainDeployment {
   std::size_t scale_instances = 1;
   std::uint32_t scale_generation = 0;
   std::uint64_t scale_epoch = 0;
-  /// CPU reservations (container, share) of the live generation. Once
-  /// scale_generation > 0 the release path uses this ledger instead of
-  /// the graph-derived placements (replica ids are not graph nodes).
-  std::vector<std::pair<std::string, double>> cpu_ledger;
   std::optional<ScaleAnchor> scale_anchor;
 };
 
@@ -295,7 +298,6 @@ class Environment {
   /// surviving resource view and re-embedded under the same chain id.
   /// Off by default -- without it the environment stays fail-stop.
   Status enable_self_healing(RecoveryOptions options = {});
-  void disable_self_healing();
   bool self_healing() const { return health_ != nullptr; }
   orchestrator::HealthMonitor* health_monitor() { return health_.get(); }
 
@@ -336,7 +338,6 @@ class Environment {
   /// the policies' Click handlers across every deployed chain with a
   /// matching VNF on a virtual-time tick and drives scale_chain_async.
   Status enable_autoscaling(orchestrator::AutoScalerOptions options);
-  void disable_autoscaling();
   orchestrator::AutoScaler* autoscaler() { return autoscaler_.get(); }
 
  private:
@@ -350,9 +351,22 @@ class Environment {
   /// management network.
   void on_shard_of(netemu::Node* node, std::function<void()> fn);
 
-  /// Gives a chain's substrate reservations back to the view (no-op if
-  /// it holds none).
-  void release_chain_reservations(ChainDeployment& dep);
+  /// A graph rendered by the service layer and mapped against the live
+  /// view; map() has committed what `ledger` lists.
+  struct Embedding {
+    std::vector<service::RenderedVnf> rendered;
+    orchestrator::MappingResult mapping;
+    ReservationLedger ledger;
+  };
+  /// The render-and-map step deploy() and recover_chain() share.
+  Result<Embedding> embed(const sg::ServiceGraph& graph);
+
+  /// Gives every reservation in `ledger` back to the view and empties it.
+  void release(ReservationLedger& ledger);
+
+  /// The one writer of ChainDeployment::state: asserts (Debug builds)
+  /// that the move is in the lifecycle table, then logs it.
+  void transition(ChainDeployment& dep, ChainState to, std::string_view why);
 
   /// Marks every chain placed on `container` / crossing link `a<->b`
   /// degraded and queues its recovery.
@@ -369,9 +383,15 @@ class Environment {
   /// its recovery as a zero-delay event.
   void queue_recovery(std::uint32_t chain_id);
 
-  /// Async re-embedding of a degraded chain: best-effort teardown of the
-  /// stale remnants, re-map against the surviving view, redeploy under
-  /// the same chain id. Runs entirely inside scheduler events.
+  /// Every path toward a re-embed ends here: the chain is DEGRADED with
+  /// no steering-only degradation left, and recover_chain runs `delay`
+  /// later.
+  void schedule_reembed(ChainDeployment& dep, SimDuration delay, std::string_view why);
+
+  /// Async re-embedding of a chain waiting for one (DEGRADED, no dirty
+  /// dpids): best-effort teardown of the stale remnants, re-map against
+  /// the surviving view, redeploy under the same chain id. Runs entirely
+  /// inside scheduler events.
   void recover_chain(std::uint32_t chain_id);
   void finish_recovery(std::uint32_t chain_id, SimTime started, std::uint64_t span,
                        Status outcome);
@@ -392,7 +412,6 @@ class Environment {
   /// a transiently failed teardown here must not strand steering rules
   /// or instances (nothing else remembers the old generation).
   void retire_old_generation(orchestrator::DeploymentRecord record, int attempt);
-  void release_cpu_ledger(std::vector<std::pair<std::string, double>>& ledger);
   /// Subscribes the chain to the first autoscale policy matching one of
   /// its VNFs (no-op without an AutoScaler or a match).
   void watch_chain_policy(std::uint32_t chain_id);

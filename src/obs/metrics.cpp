@@ -202,45 +202,54 @@ MetricsRegistry::Entry* MetricsRegistry::find_or_create(std::string_view name,
   return &it->second;
 }
 
+namespace {
+
+/// The registry-owned instrument of type T an entry holds, created on
+/// first use.
+template <typename T, typename Instrument, typename... Args>
+T& owned(Instrument& instrument, Args&&... args) {
+  if (!std::holds_alternative<std::unique_ptr<T>>(instrument)) {
+    instrument = std::make_unique<T>(std::forward<Args>(args)...);
+  }
+  return *std::get<std::unique_ptr<T>>(instrument);
+}
+
+}  // namespace
+
 Counter& MetricsRegistry::counter(std::string_view name, Labels labels) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry* e = find_or_create(name, std::move(labels), MetricKind::kCounter);
-  if (!e->counter) e->counter = std::make_unique<Counter>();
-  return *e->counter;
+  return owned<Counter>(find_or_create(name, std::move(labels), MetricKind::kCounter)->instrument);
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, Labels labels) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry* e = find_or_create(name, std::move(labels), MetricKind::kGauge);
-  if (!e->gauge) e->gauge = std::make_unique<Gauge>();
-  return *e->gauge;
+  return owned<Gauge>(find_or_create(name, std::move(labels), MetricKind::kGauge)->instrument);
 }
 
 BoundedHistogram& MetricsRegistry::histogram(std::string_view name, Labels labels,
                                              HistogramOptions options) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry* e = find_or_create(name, std::move(labels), MetricKind::kHistogram);
-  if (!e->histogram) e->histogram = std::make_unique<BoundedHistogram>(options);
-  return *e->histogram;
+  return owned<BoundedHistogram>(
+      find_or_create(name, std::move(labels), MetricKind::kHistogram)->instrument, options);
 }
 
 void MetricsRegistry::expose_counter(std::string_view name, Labels labels, const void* owner,
                                      CounterFn fn) {
   std::lock_guard<std::mutex> lock(mu_);
-  find_or_create(name, std::move(labels), MetricKind::kCounter, owner)->read_counter =
+  find_or_create(name, std::move(labels), MetricKind::kCounter, owner)->instrument =
       std::move(fn);
 }
 
 void MetricsRegistry::expose_gauge(std::string_view name, Labels labels, const void* owner,
                                    GaugeFn fn) {
   std::lock_guard<std::mutex> lock(mu_);
-  find_or_create(name, std::move(labels), MetricKind::kGauge, owner)->read_gauge = std::move(fn);
+  find_or_create(name, std::move(labels), MetricKind::kGauge, owner)->instrument = std::move(fn);
 }
 
 void MetricsRegistry::expose_histogram(std::string_view name, Labels labels, const void* owner,
                                        const BoundedHistogram& histogram) {
   std::lock_guard<std::mutex> lock(mu_);
-  find_or_create(name, std::move(labels), MetricKind::kHistogram, owner)->held_histogram =
+  find_or_create(name, std::move(labels), MetricKind::kHistogram, owner)->instrument =
       &histogram;
 }
 
@@ -339,9 +348,9 @@ json::Value MetricsRegistry::snapshot_json() const {
 void MetricsRegistry::reset_values() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, e] : metrics_) {
-    if (e.counter) e.counter->reset();
-    if (e.gauge) e.gauge->set(0);
-    if (e.histogram) e.histogram->clear();
+    if (auto* c = std::get_if<std::unique_ptr<Counter>>(&e.instrument)) (*c)->reset();
+    if (auto* g = std::get_if<std::unique_ptr<Gauge>>(&e.instrument)) (*g)->set(0);
+    if (auto* h = std::get_if<std::unique_ptr<BoundedHistogram>>(&e.instrument)) (*h)->clear();
   }
 }
 

@@ -31,6 +31,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "json/json.hpp"
@@ -201,20 +202,24 @@ class MetricsRegistry {
     std::string name;
     Labels labels;
     MetricKind kind;
-    // Registry-owned: the one instrument of the entry's kind.
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<BoundedHistogram> histogram;
-    // Owner-held (owner != nullptr): the reader of the entry's kind.
-    const void* owner = nullptr;
-    CounterFn read_counter;
-    GaugeFn read_gauge;
-    const BoundedHistogram* held_histogram = nullptr;
+    const void* owner = nullptr;  // non-null for owner-held series
+    // The one instrument: registry-owned (a unique_ptr) or the owner's
+    // reader, of the entry's kind. Empty until registration fills it.
+    std::variant<std::monostate, std::unique_ptr<Counter>, std::unique_ptr<Gauge>,
+                 std::unique_ptr<BoundedHistogram>, CounterFn, GaugeFn, const BoundedHistogram*>
+        instrument;
 
-    std::uint64_t counter_value() const { return counter ? counter->value() : read_counter(); }
-    std::optional<double> gauge_value() const { return gauge ? gauge->value() : read_gauge(); }
+    std::uint64_t counter_value() const {
+      const auto* owned = std::get_if<std::unique_ptr<Counter>>(&instrument);
+      return owned ? (*owned)->value() : std::get<CounterFn>(instrument)();
+    }
+    std::optional<double> gauge_value() const {
+      const auto* owned = std::get_if<std::unique_ptr<Gauge>>(&instrument);
+      return owned ? (*owned)->value() : std::get<GaugeFn>(instrument)();
+    }
     const BoundedHistogram& histogram_value() const {
-      return histogram ? *histogram : *held_histogram;
+      const auto* owned = std::get_if<std::unique_ptr<BoundedHistogram>>(&instrument);
+      return owned ? **owned : *std::get<const BoundedHistogram*>(instrument);
     }
   };
 

@@ -101,8 +101,6 @@ class DeploymentEngine {
                                                                   netemu::Node& sw);
 
  private:
-  struct Job;
-
   void teardown_impl(const DeploymentRecord& record, bool best_effort, bool remove_steering,
                      std::function<void(Status)> done);
   Result<std::vector<VnfDeployment>> allocate_veths(std::uint32_t chain_id,

@@ -567,6 +567,42 @@ TEST(ScalingMigration, ContainerKillMidMigrationConvergesViaRecovery) {
   EXPECT_NEAR(total_container_cpu_used(env), 0.0, 1e-9);
 }
 
+/// The rendered value of a chain's instances gauge ("" when it is not
+/// exported).
+std::string instances_gauge(std::uint32_t chain) {
+  const std::string series = "escape_chain_instances{chain=\"" + std::to_string(chain) + "\"}";
+  std::istringstream lines(obs::MetricsRegistry::global().render_text());
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(series + " ", 0) == 0) return line.substr(series.size() + 1);
+  }
+  return "";
+}
+
+TEST(ScalingMigration, InstancesGaugeFollowsTheChainFromDeployToUndeploy) {
+  Environment env;
+  build_scaling_topology(env);
+  ASSERT_TRUE(env.start().ok());
+  ASSERT_TRUE(env.enable_self_healing().ok());
+  auto chain = env.deploy(nat_graph(), dst_match(env.host("sap2")));
+  ASSERT_TRUE(chain.ok()) << chain.error().to_string();
+  EXPECT_EQ(instances_gauge(*chain), "1");
+
+  ASSERT_TRUE(env.scale_chain(*chain, 2).ok());
+  EXPECT_EQ(instances_gauge(*chain), "2");
+
+  // Recovery re-embeds the unscaled graph on the surviving container.
+  const std::string replicas_host = env.deployment(*chain)->record.vnfs.back().container;
+  ASSERT_TRUE(env.kill_container(replicas_host).ok());
+  env.run_for(seconds(2));
+  ASSERT_EQ(*env.chain_state(*chain), ChainState::kActive);
+  ASSERT_EQ(*env.chain_instances(*chain), 1u);
+  EXPECT_EQ(instances_gauge(*chain), "1");
+
+  ASSERT_TRUE(env.undeploy(*chain).ok());
+  EXPECT_EQ(instances_gauge(*chain), "");
+}
+
 TEST(ScalingMigration, AutoscalerClosesTheLoopOutAndBackIn) {
   Environment env;
   build_scaling_topology(env);

@@ -391,6 +391,62 @@ TEST(Failure, ChaosOfChannelFlapResyncsSteeringWithoutReembed) {
   EXPECT_EQ(dst->rx_packets(), 150u);
 }
 
+TEST(Failure, AgentUpLeavesSteeringOnlyDegradationToTheResync) {
+  // An unrelated agent coming back while s1's channel is down must not
+  // re-embed a chain that is degraded only on steering grounds: its
+  // instance on c1 is healthy and the resync repairs its rules in place.
+  // A re-embed through the unreachable s1 leaves no instance anywhere
+  // (or, with the longer outage, a FAILED chain).
+  for (const int outage_ms : {150, 400}) {
+    SCOPED_TRACE("s1 outage " + std::to_string(outage_ms) + " ms");
+    EnvironmentOptions opts;
+    opts.controller_liveness.echo_interval = 10 * timeunit::kMillisecond;
+    opts.controller_liveness.miss_threshold = 2;
+    opts.switch_liveness.echo_interval = 10 * timeunit::kMillisecond;
+    opts.switch_liveness.miss_threshold = 2;
+    Environment env(opts);
+    build_chaos_topology(env);
+    ASSERT_TRUE(env.start().ok());
+    ASSERT_TRUE(env.enable_self_healing().ok());
+    auto chain = env.deploy(monitor_graph());
+    ASSERT_TRUE(chain.ok()) << chain.error().to_string();
+    ASSERT_EQ(env.deployment(*chain)->record.mapping.placements.at("mon"), "c1");
+
+    fault::FaultPlane chaos(env);
+    fault::FaultEvent flap;
+    flap.at = 10 * timeunit::kMillisecond;
+    flap.action = "of-channel-flap";
+    flap.target = "s1";
+    flap.down = outage_ms * timeunit::kMillisecond;
+    ASSERT_TRUE(chaos.schedule(flap).ok());
+    fault::FaultEvent crash;
+    crash.at = 60 * timeunit::kMillisecond;
+    crash.action = "crash-agent";
+    crash.target = "c2";
+    ASSERT_TRUE(chaos.schedule(crash).ok());
+    fault::FaultEvent respawn = crash;
+    respawn.at = 90 * timeunit::kMillisecond;
+    respawn.action = "respawn-agent";
+    ASSERT_TRUE(chaos.schedule(respawn).ok());
+
+    env.run_for(800 * timeunit::kMillisecond);
+    EXPECT_EQ(*env.chain_state(*chain), ChainState::kActive);
+    const auto& vnfs = env.deployment(*chain)->record.vnfs;
+    ASSERT_EQ(vnfs.size(), 1u);
+    EXPECT_EQ(vnfs.front().container, "c1");
+    const auto running = env.container("c1")->vnf_ids();
+    EXPECT_NE(std::find(running.begin(), running.end(), vnfs.front().instance_id),
+              running.end())
+        << "the chain's instance is gone from c1";
+
+    auto* src = env.host("sap1");
+    auto* dst = env.host("sap2");
+    src->start_udp_flow(dst->mac(), dst->ip(), 1, 80, 50, 1000);
+    env.run_for(seconds(1));
+    EXPECT_EQ(dst->rx_packets(), 50u);
+  }
+}
+
 TEST(Failure, SchedulerStaysQuietAfterTrafficEnds) {
   // Guard against runaway periodic work: after all flows end, a bounded
   // run_for must not execute unbounded event counts (the switch sweep
