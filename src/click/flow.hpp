@@ -49,8 +49,9 @@ class Router;
 
 // --- flow identity ----------------------------------------------------------
 
-/// The classification key: IPv4 5-tuple. ICMP uses type/code as the
-/// port pair so echo streams form flows too; other IP protocols use 0.
+/// The classification key: IPv4 5-tuple. ICMP uses (type, identifier)
+/// as the port pair so echo streams form flows too; other IP protocols
+/// use 0.
 struct FlowTuple {
   std::uint32_t src_ip = 0;
   std::uint32_t dst_ip = 0;

@@ -44,42 +44,47 @@ std::uint32_t TraceRing::shard() const {
   return shard_;
 }
 
-void TraceRing::push(TraceEvent&& event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  event.shard = shard_;
-  event.seq = next_seq_++;
-  ++total_;
+void TraceRing::record(SimTime ts, TracePhase phase, std::uint64_t span_id,
+                       std::string_view category, std::string_view name, std::string_view arg) {
+  TraceEvent* event;
   if (size_ < capacity_) {
-    ring_.push_back(std::move(event));
+    event = &ring_.emplace_back();
     ++size_;
-    return;
+  } else {
+    // Overwrite the oldest event; assign() keeps its strings' capacity.
+    event = &ring_[head_];
+    head_ = (head_ + 1) % capacity_;
   }
-  ring_[head_] = std::move(event);
-  head_ = (head_ + 1) % capacity_;
+  ++total_;
+  event->ts = ts;
+  event->phase = phase;
+  event->span_id = span_id;
+  event->shard = shard_;
+  event->seq = next_seq_++;
+  event->category.assign(category);
+  event->name.assign(name);
+  event->arg.assign(arg);
 }
 
 void TraceRing::instant(SimTime ts, std::string_view category, std::string_view name,
-                        std::string arg) {
-  push(TraceEvent{ts, TracePhase::kInstant, 0, 0, 0, std::string(category),
-                  std::string(name), std::move(arg)});
+                        std::string_view arg) {
+  std::lock_guard<std::mutex> lock(mu_);
+  record(ts, TracePhase::kInstant, 0, category, name, arg);
 }
 
 std::uint64_t TraceRing::begin_span(SimTime ts, std::string_view category,
-                                    std::string_view name, std::string arg) {
-  std::uint64_t id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Shard index in the low byte keeps ids unique across the per-shard
-    // rings without any cross-ring coordination; never 0.
-    id = (next_span_++ << 8) | (shard_ & 0xffu);
-  }
-  push(TraceEvent{ts, TracePhase::kBegin, id, 0, 0, std::string(category),
-                  std::string(name), std::move(arg)});
+                                    std::string_view name, std::string_view arg) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Shard index in the low byte keeps ids unique across the per-shard
+  // rings without any cross-ring coordination; never 0.
+  const std::uint64_t id = (next_span_++ << 8) | (shard_ & 0xffu);
+  record(ts, TracePhase::kBegin, id, category, name, arg);
   return id;
 }
 
-void TraceRing::end_span(std::uint64_t span_id, SimTime ts, std::string arg) {
-  push(TraceEvent{ts, TracePhase::kEnd, span_id, 0, 0, "", "", std::move(arg)});
+void TraceRing::end_span(std::uint64_t span_id, SimTime ts, std::string_view arg) {
+  std::lock_guard<std::mutex> lock(mu_);
+  record(ts, TracePhase::kEnd, span_id, {}, {}, arg);
 }
 
 std::vector<TraceEvent> TraceRing::events() const {

@@ -1,10 +1,11 @@
 // The observability layer's event tracer: a fixed-capacity ring buffer
 // of timestamped events with optional begin/end spans. Recording is
-// O(1) and allocation-free apart from the event strings; when the ring
-// is full the oldest events are overwritten (the dropped count keeps
-// the loss visible). Timestamps are virtual nanoseconds supplied by the
-// caller, so a span across two scheduler events measures real
-// control-plane latency (e.g. packet-in -> flow-mod).
+// O(1); when the ring is full the oldest event is overwritten in place
+// (the dropped count keeps the loss visible) and its strings' capacity
+// is reused, so a wrapped ring records without allocating. Timestamps
+// are virtual nanoseconds supplied by the caller, so a span across two
+// scheduler events measures real control-plane latency (e.g. packet-in
+// -> flow-mod).
 #pragma once
 
 #include <cstdint>
@@ -49,15 +50,15 @@ class TraceRing {
 
   /// Records a point event.
   void instant(SimTime ts, std::string_view category, std::string_view name,
-               std::string arg = "");
+               std::string_view arg = {});
 
   /// Opens a span; returns its id (never 0) for end_span.
   std::uint64_t begin_span(SimTime ts, std::string_view category, std::string_view name,
-                           std::string arg = "");
+                           std::string_view arg = {});
 
   /// Closes a span opened by begin_span. Unknown/already-closed ids
   /// still record the end event (the ring may have dropped the begin).
-  void end_span(std::uint64_t span_id, SimTime ts, std::string arg = "");
+  void end_span(std::uint64_t span_id, SimTime ts, std::string_view arg = {});
 
   /// Events currently held, oldest first.
   std::vector<TraceEvent> events() const;
@@ -72,7 +73,9 @@ class TraceRing {
   json::Value to_json() const;
 
  private:
-  void push(TraceEvent&& event);
+  /// Writes one event into the next slot; the caller holds mu_.
+  void record(SimTime ts, TracePhase phase, std::uint64_t span_id, std::string_view category,
+              std::string_view name, std::string_view arg);
 
   mutable std::mutex mu_;
   std::vector<TraceEvent> ring_;

@@ -1,6 +1,11 @@
 #include "openflow/switch.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <iterator>
+
 #include "net/flow.hpp"
+#include "net/packet_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -8,7 +13,19 @@ namespace escape::openflow {
 
 namespace {
 constexpr SimDuration kSweepInterval = timeunit::kSecond;
+
+/// The packet-in span's label, "dpid=<dpid> buffer=<id>", formatted into
+/// `out` without allocating.
+std::string_view packet_in_label(char (&out)[48], DatapathId dpid, std::uint32_t buffer_id) {
+  constexpr std::string_view kDpid = "dpid=";
+  constexpr std::string_view kBuffer = " buffer=";
+  char* end = std::copy(kDpid.begin(), kDpid.end(), out);
+  end = std::to_chars(end, std::end(out), dpid).ptr;
+  end = std::copy(kBuffer.begin(), kBuffer.end(), end);
+  end = std::to_chars(end, std::end(out), buffer_id).ptr;
+  return {out, static_cast<std::size_t>(end - out)};
 }
+}  // namespace
 
 std::string_view message_type_name(const Message& m) {
   static constexpr std::string_view kNames[] = {
@@ -148,9 +165,16 @@ void OpenFlowSwitch::note_controller_activity() {
 
 void OpenFlowSwitch::restart() {
   table_.clear();
-  buffers_.clear();
-  for (auto& [_, sent] : buffer_sent_at_) obs::tracer().end_span(sent.second, scheduler_->now());
-  buffer_sent_at_.clear();
+  // Every held buffer's id is among the last kNumBuffers issued; walking
+  // them in id order ends each held span once, oldest first.
+  if (!buffers_.empty()) {
+    for (std::uint32_t id = next_buffer_id_ - kNumBuffers; id != next_buffer_id_; ++id) {
+      BufferSlot& slot = buffers_[id % kNumBuffers];
+      if (!slot.held) continue;
+      slot.held = false;
+      obs::tracer().end_span(slot.span, scheduler_->now());
+    }
+  }
   standalone_macs_.clear();
   echo_outstanding_.clear();
   channel_live_ = channel_ != nullptr;
@@ -160,30 +184,22 @@ void OpenFlowSwitch::restart() {
 
 void OpenFlowSwitch::sweep_expired() { table_.expire(scheduler_->now()); }
 
-std::uint32_t OpenFlowSwitch::buffer_packet(const net::Packet& packet) {
-  const std::uint32_t id = next_buffer_id_++;
-  if (buffers_.size() >= kNumBuffers) {
-    // Evict the oldest buffer; its packet-in span ends here, unanswered.
-    if (auto sent = buffer_sent_at_.find(buffers_.begin()->first); sent != buffer_sent_at_.end()) {
-      obs::tracer().end_span(sent->second.second, scheduler_->now(), "evicted");
-      buffer_sent_at_.erase(sent);
-    }
-    buffers_.erase(buffers_.begin());
-  }
-  buffers_[id] = packet;
-  return id;
-}
-
-void OpenFlowSwitch::record_buffer_release(std::uint32_t buffer_id) {
-  auto it = buffer_sent_at_.find(buffer_id);
-  if (it == buffer_sent_at_.end()) return;
-  const SimTime sent = it->second.first;
+std::optional<net::Packet> OpenFlowSwitch::release_buffer(std::uint32_t buffer_id) {
+  if (buffers_.empty()) return std::nullopt;
+  BufferSlot& slot = buffers_[buffer_id % kNumBuffers];
+  // A stale id, or one never issued, finds its slot holding another id.
+  if (!slot.held || slot.id != buffer_id) return std::nullopt;
+  slot.held = false;
   const SimTime now = scheduler_->now();
-  if (now >= sent) {
-    m_packet_in_rtt_us_->record(static_cast<double>(now - sent) / timeunit::kMicrosecond);
+  if (now >= slot.sent_at) {
+    m_packet_in_rtt_us_->record(static_cast<double>(now - slot.sent_at) / timeunit::kMicrosecond);
   }
-  obs::tracer().end_span(it->second.second, now);
-  buffer_sent_at_.erase(it);
+  obs::tracer().end_span(slot.span, now);
+  // The packet leaves with its buffer; the slot takes a recycled one, so
+  // its next frame is not copied into fresh heap memory.
+  net::Packet packet = net::default_packet_pool().acquire(0);
+  std::swap(packet, slot.packet);
+  return packet;
 }
 
 void OpenFlowSwitch::receive(std::uint16_t port_no, net::Packet&& packet) {
@@ -234,17 +250,25 @@ void OpenFlowSwitch::standalone_forward(net::Packet&& packet, std::uint16_t in_p
 void OpenFlowSwitch::send_packet_in(net::Packet&& packet, std::uint16_t in_port,
                                     PacketInReason reason) {
   if (!connected()) return;  // no controller: table-miss drops
+  if (buffers_.empty()) buffers_.resize(kNumBuffers);
+  const SimTime now = scheduler_->now();
+  const std::uint32_t id = next_buffer_id_++;
+  BufferSlot& slot = buffers_[id % kNumBuffers];
+  // Still held: the buffer 256 ids older is evicted, unanswered.
+  if (slot.held) obs::tracer().end_span(slot.span, now, "evicted");
+  slot.packet = packet;  // into the slot's existing capacity
+  slot.id = id;
+  slot.held = true;
+  slot.sent_at = now;
+  ++packet_ins_;
+  char label[48];
+  slot.span = obs::tracer().begin_span(now, "openflow", "packet_in",
+                                       packet_in_label(label, dpid_, id));
   PacketIn msg;
-  msg.buffer_id = buffer_packet(packet);
+  msg.buffer_id = id;
   msg.in_port = in_port;
   msg.reason = reason;
   msg.packet = std::move(packet);
-  ++packet_ins_;
-  const SimTime now = scheduler_->now();
-  const std::uint64_t span = obs::tracer().begin_span(
-      now, "openflow", "packet_in",
-      "dpid=" + std::to_string(dpid_) + " buffer=" + std::to_string(*msg.buffer_id));
-  buffer_sent_at_[*msg.buffer_id] = {now, span};
   channel_->to_controller(std::move(msg));
 }
 
@@ -334,13 +358,10 @@ void OpenFlowSwitch::apply_actions(const ActionList& actions, net::Packet&& pack
 
 void OpenFlowSwitch::release_flow_mod_buffer(const FlowMod& mod) {
   if (!mod.buffer_id) return;
-  record_buffer_release(*mod.buffer_id);
-  auto it = buffers_.find(*mod.buffer_id);
-  if (it == buffers_.end()) return;
-  net::Packet packet = std::move(it->second);
-  const std::uint16_t in_port = static_cast<std::uint16_t>(packet.in_port());
-  buffers_.erase(it);
-  apply_actions(mod.actions, std::move(packet), in_port, /*allow_packet_in=*/false);
+  std::optional<net::Packet> packet = release_buffer(*mod.buffer_id);
+  if (!packet) return;
+  const std::uint16_t in_port = static_cast<std::uint16_t>(packet->in_port());
+  apply_actions(mod.actions, std::move(*packet), in_port, /*allow_packet_in=*/false);
 }
 
 void OpenFlowSwitch::handle_message(const Message& message) {
@@ -383,11 +404,9 @@ void OpenFlowSwitch::handle_message(const Message& message) {
         } else if constexpr (std::is_same_v<T, PacketOut>) {
           net::Packet packet;
           if (msg.buffer_id) {
-            record_buffer_release(*msg.buffer_id);
-            auto it = buffers_.find(*msg.buffer_id);
-            if (it == buffers_.end()) return;
-            packet = std::move(it->second);
-            buffers_.erase(it);
+            std::optional<net::Packet> held = release_buffer(*msg.buffer_id);
+            if (!held) return;
+            packet = std::move(*held);
           } else {
             packet = msg.packet;
           }

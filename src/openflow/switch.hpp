@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "openflow/flow_table.hpp"
@@ -140,10 +141,9 @@ class OpenFlowSwitch {
   /// eligible port receives the original instead of a clone.
   void flood(net::Packet& packet, std::uint16_t in_port, bool include_in_port, bool consume);
   void send_packet_in(net::Packet&& packet, std::uint16_t in_port, PacketInReason reason);
-  std::uint32_t buffer_packet(const net::Packet& packet);
-  /// Closes the packet-in RTT measurement for a buffer the controller
-  /// just referenced (flow-mod or packet-out).
-  void record_buffer_release(std::uint32_t buffer_id);
+  /// Ends the packet-in round trip of buffer `buffer_id` (RTT sample and
+  /// span) and hands back its packet; nullopt when the id is not held.
+  std::optional<net::Packet> release_buffer(std::uint32_t buffer_id);
   /// Applies a flow-mod's actions to its referenced buffered packet.
   void release_flow_mod_buffer(const FlowMod& mod);
 
@@ -153,14 +153,22 @@ class OpenFlowSwitch {
   FlowTable table_;
   std::shared_ptr<ControlChannel> channel_;
 
-  // OF 1.0-style packet buffering for packet-in / packet-out.
+  // OF 1.0-style packet buffering for packet-in / packet-out: Open
+  // vSwitch's pktbuf rule. Buffer id N lives in slot N % kNumBuffers, so
+  // a packet-in replaces the buffer 256 ids older if it is still held.
+  // A slot keeps its packet's capacity for the next frame, and its send
+  // time and span measure the controller's round trip when the buffer
+  // is released (flow-mod / packet-out). Sized on the first packet-in.
   static constexpr std::uint32_t kNumBuffers = 256;
+  struct BufferSlot {
+    std::uint32_t id = 0;
+    bool held = false;
+    SimTime sent_at = 0;
+    std::uint64_t span = 0;
+    net::Packet packet;
+  };
   std::uint32_t next_buffer_id_ = 0;
-  std::map<std::uint32_t, net::Packet> buffers_;
-  // Virtual send time + trace span of each outstanding packet-in, so the
-  // controller's reaction (flow-mod / packet-out releasing the buffer)
-  // yields a measurable round-trip latency.
-  std::map<std::uint32_t, std::pair<SimTime, std::uint64_t>> buffer_sent_at_;
+  std::vector<BufferSlot> buffers_;
 
   // Control-channel liveness (switch side of the echo state machine).
   SwitchLiveness liveness_;

@@ -110,7 +110,9 @@ class App {
   virtual void on_startup(Controller&) {}
   virtual void on_connection_up(SwitchConnection&) {}
   virtual void on_connection_down(SwitchConnection&) {}
-  /// Return true to stop further apps from seeing this packet-in.
+  /// Return true to stop further apps from seeing this packet-in. The
+  /// frame's buffer is recycled once the apps have run, so an app must
+  /// copy whatever it keeps of the packet.
   virtual bool on_packet_in(SwitchConnection&, const openflow::PacketIn&) { return false; }
   virtual void on_flow_removed(SwitchConnection&, const openflow::FlowRemoved&) {}
   virtual void on_port_status(SwitchConnection&, const openflow::PortStatus&) {}

@@ -1,8 +1,9 @@
 // Heap-allocation gate for the packet path. A counting global operator
 // new shows that, once warm, the event engine schedules and fires events,
-// a link carries a host-to-host flow, and an OpenFlow switch parses,
-// looks up and forwards a flow without allocating. The counts are exact
-// and machine-independent, so CI holds them without timing anything.
+// a link carries a host-to-host flow, an OpenFlow switch parses, looks
+// up and forwards a flow, and a switch buffers and traces packet-ins
+// without allocating. The counts are exact and machine-independent, so
+// CI holds them without timing anything.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <new>
 
 #include "net/builder.hpp"
+#include "net/packet_pool.hpp"
 #include "netemu/network.hpp"
 #include "netemu/switch_node.hpp"
 #include "util/event.hpp"
@@ -204,6 +206,47 @@ TEST(Allocations, WarmSwitchForwardsWithoutAllocating) {
   EXPECT_EQ(table.matches(), 10'100u);
   EXPECT_EQ(table.miss_short_circuits(), 10'099u);
   EXPECT_EQ(sw.standalone_forwards(), 10'100u);
+}
+
+/// Drops every message, returning a packet-in's frame to the pool as
+/// the controller does once its apps have run.
+struct RecyclingChannel : openflow::ControlChannel {
+  std::uint64_t packet_ins = 0;
+  void to_controller(openflow::Message message) override {
+    if (auto* in = std::get_if<openflow::PacketIn>(&message)) {
+      ++packet_ins;
+      net::default_packet_pool().recycle(std::move(in->packet));
+    }
+  }
+  bool connected() const override { return true; }
+};
+
+TEST(Allocations, WarmSwitchPacketInsWithoutAllocating) {
+  EventScheduler sched;
+  openflow::OpenFlowSwitch sw(1, sched);
+  sw.add_port(1, "eth1", net::MacAddr::from_u64(1), [](net::Packet&&) {});
+  auto channel = std::make_shared<RecyclingChannel>();
+  sw.connect(channel);
+  // The table stays empty: every frame misses and becomes a packet-in,
+  // which copies it into a buffer slot and opens a trace span.
+  const net::Packet frame =
+      net::make_udp_packet(net::MacAddr::from_u64(1), net::MacAddr::from_u64(2),
+                           net::Ipv4Addr(10, 0, 0, 1), net::Ipv4Addr(10, 0, 0, 2), 1000, 2000);
+  net::PacketPool& pool = net::default_packet_pool();
+  auto send = [&] { sw.receive(1, pool.acquire_copy(frame)); };
+
+  // Past the 256 buffer slots (every later packet-in evicts) and two
+  // wraps of the 4096-event trace ring (two events per packet-in).
+  for (int i = 0; i < 10'000; ++i) send();
+  std::uint64_t allocations = 0;
+  {
+    AllocationWindow window;
+    for (int i = 0; i < 10'000; ++i) send();
+    allocations = window.count();
+  }
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(sw.packet_ins_sent(), 20'000u);
+  EXPECT_EQ(channel->packet_ins, 20'000u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // stateful chain.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
 #include "click/config.hpp"
@@ -15,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "openflow/switch.hpp"
+#include "support/view_flow_parser.hpp"
 #include "util/strings.hpp"
 
 namespace escape {
@@ -73,6 +75,42 @@ struct Collector {
     to->set_sink([this](Packet&& p) { packets.push_back(std::move(p)); });
   }
 };
+
+// --- FlowTuple --------------------------------------------------------------
+
+/// The one-pass FlowTuple parser against the view-based body it
+/// replaced, on the seeded mutation corpus: the same frames rejected and
+/// the same tuple, field for field.
+TEST(FlowTupleDifferential, OnePassParserMatchesViewParserOnMutationCorpus) {
+  const std::vector<Packet> corpus = net::testing::parser_mutation_corpus(0x5eed, 400);
+  ASSERT_GE(corpus.size(), 3000u);
+  std::size_t rejected = 0, l4_zero = 0;
+  std::map<std::uint8_t, std::size_t> with_ports;  // proto -> tuples with a nonzero port
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const Packet& p = corpus[i];
+    const auto want = net::testing::view_flow_tuple(p);
+    const auto got = FlowTuple::from_packet(p);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "frame " << i << " len " << p.size();
+    if (!want) {
+      ++rejected;
+      continue;
+    }
+    EXPECT_EQ(*got, *want) << "frame " << i << ": " << got->to_string() << " vs "
+                           << want->to_string();
+    if (want->src_port != 0 || want->dst_port != 0) {
+      ++with_ports[want->proto];
+    } else {
+      ++l4_zero;
+    }
+  }
+  // The corpus reached every branch: rejections, each L4 header's
+  // ports, and L4 headers that failed their checks.
+  EXPECT_GT(rejected, 100u);
+  EXPECT_GT(l4_zero, 10u);
+  EXPECT_GT(with_ports[net::ipproto::kTcp], 10u);
+  EXPECT_GT(with_ports[net::ipproto::kUdp], 10u);
+  EXPECT_GT(with_ports[net::ipproto::kIcmp], 10u);
+}
 
 // --- FlowStateTable ---------------------------------------------------------
 

@@ -502,6 +502,41 @@ TEST(Trace, RingWrapsOldestFirstAndCountsDrops) {
   EXPECT_EQ(events.back().name, "e9");
 }
 
+TEST(Trace, WrappedSlotsReadBackExactly) {
+  // Args and names long enough to leave heap capacity in each slot.
+  const std::string long_arg = "dpid=123456789 buffer=4294967295 and then some";
+  TraceRing ring(2);
+  ring.begin_span(1, "openflow-category", "packet_in-long-name", long_arg);
+  ring.begin_span(2, "openflow-category", "packet_in-long-name", long_arg);
+  // Both slots are overwritten with shorter strings: nothing of the
+  // previous event's strings may show through.
+  ring.instant(3, "obs", "tick", "n=1");
+  ring.end_span(77, 4, "evicted");
+  auto events = ring.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(ring.dropped(), 2u);
+  EXPECT_EQ(events[0].phase, TracePhase::kInstant);
+  EXPECT_EQ(events[0].ts, 3u);
+  EXPECT_EQ(events[0].span_id, 0u);
+  EXPECT_EQ(events[0].category, "obs");
+  EXPECT_EQ(events[0].name, "tick");
+  EXPECT_EQ(events[0].arg, "n=1");
+  EXPECT_EQ(events[1].phase, TracePhase::kEnd);
+  EXPECT_EQ(events[1].ts, 4u);
+  EXPECT_EQ(events[1].span_id, 77u);
+  EXPECT_EQ(events[1].category, "");
+  EXPECT_EQ(events[1].name, "");
+  EXPECT_EQ(events[1].arg, "evicted");
+  EXPECT_EQ(events[1].seq, events[0].seq + 1);
+
+  // A default (empty) arg clears a slot's previous arg.
+  ring.begin_span(5, "c", "n");
+  events = ring.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[1].arg, "");
+  EXPECT_EQ(events[1].name, "n");
+}
+
 TEST(Trace, ToJsonRoundTrips) {
   TraceRing ring(8);
   ring.instant(42, "cat", "name", "arg");

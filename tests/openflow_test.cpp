@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "net/builder.hpp"
 #include "obs/trace.hpp"
@@ -610,6 +613,131 @@ TEST_F(SwitchFixture, EvictedPacketInBufferClosesItsSpan) {
   ASSERT_EQ(ends.count(first_span), 1u) << "the evicted buffer's packet_in span never ends";
   EXPECT_EQ(ends[first_span], "evicted");
   EXPECT_EQ(ends.size(), 1u);  // the 256 buffered packet-ins are still open
+}
+
+/// The packet-in spans in the trace: span id -> buffer id from the
+/// begin label, and span id -> end arg for the ends seen from `from`.
+struct PacketInSpans {
+  std::map<std::uint64_t, std::uint32_t> buffer_of;
+  std::vector<std::pair<std::uint64_t, std::string>> ends;
+
+  explicit PacketInSpans(std::size_t from = 0) {
+    const auto events = obs::tracer().events();
+    const std::string prefix = "dpid=42 buffer=";
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const auto& e = events[i];
+      if (e.phase == obs::TracePhase::kBegin && e.name == "packet_in") {
+        EXPECT_EQ(e.arg.rfind(prefix, 0), 0u) << e.arg;
+        buffer_of[e.span_id] =
+            static_cast<std::uint32_t>(std::stoul(e.arg.substr(prefix.size())));
+      } else if (e.phase == obs::TracePhase::kEnd && i >= from) {
+        ends.emplace_back(e.span_id, e.arg);
+      }
+    }
+  }
+  /// The end arg of buffer `id`'s span; nullopt while it is open.
+  std::optional<std::string> end_of(std::uint32_t id) const {
+    for (const auto& [span, arg] : ends) {
+      if (buffer_of.at(span) == id) return arg;
+    }
+    return std::nullopt;
+  }
+};
+
+TEST_F(SwitchFixture, PacketInReplacesTheBufferInItsSlot) {
+  obs::tracer().clear();
+  for (std::uint16_t i = 0; i < 256; ++i) {
+    sw.receive(1, packet(static_cast<std::uint16_t>(1000 + i)));
+  }
+  auto ins = channel->of_type<PacketIn>();
+  ASSERT_EQ(ins.size(), 256u);
+  EXPECT_EQ(ins.front()->buffer_id, 0u);
+  EXPECT_EQ(ins.back()->buffer_id, 255u);
+
+  // Release buffer 10: 255 buffers stay held.
+  PacketOut out;
+  out.buffer_id = 10;
+  out.actions = output_to(2);
+  sw.handle_message(out);
+  ASSERT_EQ(tx[2].size(), 1u);
+  EXPECT_EQ(net::extract_flow_key(tx[2][0], 0)->tp_dst, 1010);
+
+  // Buffer 256 lives in slot 0, so it evicts buffer 0 even though a
+  // slot is free.
+  sw.receive(1, packet(2000));
+  ins = channel->of_type<PacketIn>();
+  ASSERT_EQ(ins.size(), 257u);
+  EXPECT_EQ(ins.back()->buffer_id, 256u);
+  PacketInSpans spans;
+  EXPECT_EQ(spans.end_of(0), "evicted");
+  EXPECT_EQ(spans.end_of(10), "");
+  EXPECT_EQ(spans.ends.size(), 2u);
+
+  // Buffer 0 is gone: naming it releases nothing, and buffer 256 stays
+  // held in its slot.
+  out.buffer_id = 0;
+  sw.handle_message(out);
+  EXPECT_EQ(tx[2].size(), 1u);
+  out.buffer_id = 256;
+  sw.handle_message(out);
+  ASSERT_EQ(tx[2].size(), 2u);
+  EXPECT_EQ(net::extract_flow_key(tx[2][1], 0)->tp_dst, 2000);
+  EXPECT_EQ(PacketInSpans().end_of(256), "");
+}
+
+TEST_F(SwitchFixture, PacketOutNamingAnUnissuedBufferReleasesNothing) {
+  PacketOut out;
+  out.actions = output_to(2);
+  out.buffer_id = 0;  // no packet-in yet
+  sw.handle_message(out);
+  for (std::uint16_t i = 0; i < 3; ++i) sw.receive(1, packet(static_cast<std::uint16_t>(1000 + i)));
+  // Ids 256 and 258 map to the held slots 0 and 2; 5000 to an empty one.
+  for (std::uint32_t id : {3u, 256u, 258u, 5000u, 0xffffffffu}) {
+    out.buffer_id = id;
+    sw.handle_message(out);
+  }
+  EXPECT_TRUE(tx[2].empty());
+  // The three issued buffers are all still held.
+  for (std::uint32_t id : {0u, 1u, 2u}) {
+    out.buffer_id = id;
+    sw.handle_message(out);
+  }
+  ASSERT_EQ(tx[2].size(), 3u);
+  EXPECT_EQ(net::extract_flow_key(tx[2][2], 0)->tp_dst, 1002);
+}
+
+TEST_F(SwitchFixture, RestartEndsEachHeldSpanOnceOldestFirst) {
+  obs::tracer().clear();
+  // Ids 0..299: buffers 44..299 are held, 0..43 were evicted.
+  for (std::uint16_t i = 0; i < 300; ++i) {
+    sw.receive(1, packet(static_cast<std::uint16_t>(1000 + i)));
+  }
+  PacketOut out;
+  out.actions = output_to(2);
+  out.buffer_id = 100;
+  sw.handle_message(out);
+  ASSERT_EQ(tx[2].size(), 1u);
+
+  const std::size_t before = obs::tracer().events().size();
+  sw.restart();
+  const PacketInSpans spans(before);
+  std::vector<std::uint32_t> ended;
+  for (const auto& [span, arg] : spans.ends) {
+    EXPECT_EQ(arg, "");
+    ended.push_back(spans.buffer_of.at(span));
+  }
+  std::vector<std::uint32_t> held;
+  for (std::uint32_t id = 44; id < 300; ++id) {
+    if (id != 100) held.push_back(id);
+  }
+  EXPECT_EQ(ended, held);
+
+  // Nothing is held after the restart; ids keep counting.
+  out.buffer_id = 299;
+  sw.handle_message(out);
+  EXPECT_EQ(tx[2].size(), 1u);
+  sw.receive(1, packet());
+  EXPECT_EQ(channel->of_type<PacketIn>().back()->buffer_id, 300u);
 }
 
 TEST_F(SwitchFixture, OutputToControllerFromFlow) {

@@ -1,21 +1,23 @@
-// The reference flow-key parser the one-pass net::extract_flow_key is
-// differentially tested against (tests/net_test.cpp,
-// tests/filter_test.cpp), plus the seeded frame corpus both suites
-// feed it.
+// The reference parsers the one-pass net::extract_flow_key and
+// click::FlowTuple::from_packet are differentially tested against
+// (tests/net_test.cpp, tests/filter_test.cpp, tests/flow_test.cpp),
+// plus the seeded frame corpus the suites feed them.
 //
 // view_extract_flow_key is the view-based parser the one-pass kernel
 // replaced: each header is parsed into its std::optional<...View> from
 // net/headers.hpp, and the next header is parsed from the previous
 // view's payload. view_tcp_flags is how ClassifyCtx::from_packet used to
-// read the TCP flags: a second Ethernet -> IPv4 -> TCP view parse. The
-// views carry every bounds and sanity check, so these functions define
-// which frames are accepted and what each key field holds.
+// read the TCP flags: a second Ethernet -> IPv4 -> TCP view parse.
+// view_flow_tuple is the view-based body FlowTuple::from_packet had.
+// The views carry every bounds and sanity check, so these functions
+// define which frames are accepted and what each field holds.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "click/flow.hpp"
 #include "net/builder.hpp"
 #include "net/flow.hpp"
 #include "net/headers.hpp"
@@ -77,6 +79,36 @@ inline std::uint8_t view_tcp_flags(const Packet& p) {
     }
   }
   return 0;
+}
+
+/// The 5-tuple of an IPv4 frame; nullopt for anything else.
+inline std::optional<click::FlowTuple> view_flow_tuple(const Packet& p) {
+  using click::FlowTuple;
+  auto eth = net::EthernetView::parse(p.bytes());
+  if (!eth || eth->ethertype != net::ethertype::kIpv4) return std::nullopt;
+  auto ip = net::Ipv4View::parse(eth->payload);
+  if (!ip) return std::nullopt;
+  FlowTuple t;
+  t.src_ip = ip->src.value();
+  t.dst_ip = ip->dst.value();
+  t.proto = ip->protocol;
+  if (ip->protocol == net::ipproto::kTcp) {
+    if (auto tcp = net::TcpView::parse(ip->payload)) {
+      t.src_port = tcp->src_port;
+      t.dst_port = tcp->dst_port;
+    }
+  } else if (ip->protocol == net::ipproto::kUdp) {
+    if (auto udp = net::UdpView::parse(ip->payload)) {
+      t.src_port = udp->src_port;
+      t.dst_port = udp->dst_port;
+    }
+  } else if (ip->protocol == net::ipproto::kIcmp) {
+    if (auto icmp = net::IcmpView::parse(ip->payload)) {
+      t.src_port = icmp->type;
+      t.dst_port = icmp->identifier;
+    }
+  }
+  return t;
 }
 
 /// Well-formed seed frames: UDP, TCP (with and without options), ICMP,
