@@ -37,50 +37,22 @@ std::string FlowTuple::to_string() const {
 }
 
 std::optional<FlowTuple> FlowTuple::from_packet(const Packet& p) {
-  // One bounds-checked pass over fixed offsets, with the header views'
-  // rules (net/headers.hpp): Ethernet and IPv4 must parse, an L4 header
-  // that fails its checks leaves the ports zero.
+  // Ethernet and IPv4 must parse; an L4 header that fails its checks
+  // leaves the ports zero.
   const std::span<const std::uint8_t> frame = p.bytes();
   if (frame.size() < net::EthernetView::kSize ||
       net::load_be16(frame.data() + 12) != net::ethertype::kIpv4) {
     return std::nullopt;
   }
-  const std::uint8_t* l3 = frame.data() + net::EthernetView::kSize;
-  const std::size_t l3_len = frame.size() - net::EthernetView::kSize;
-  if (l3_len < net::Ipv4View::kMinSize || (l3[0] >> 4) != 4) return std::nullopt;
-  const std::size_t ihl_bytes = static_cast<std::size_t>(l3[0] & 0x0f) * 4;
-  if (ihl_bytes < net::Ipv4View::kMinSize || ihl_bytes > l3_len) return std::nullopt;
+  const auto ip = net::Ipv4FlowView::parse(frame.subspan(net::EthernetView::kSize));
+  if (!ip) return std::nullopt;
   FlowTuple t;
-  t.src_ip = net::load_be32(l3 + 12);
-  t.dst_ip = net::load_be32(l3 + 16);
-  t.proto = l3[9];
-  const std::uint8_t* l4 = l3 + ihl_bytes;
-  const std::size_t l4_len = l3_len - ihl_bytes;
-  switch (t.proto) {
-    case net::ipproto::kTcp:
-      if (l4_len >= net::TcpView::kMinSize) {
-        const std::size_t offset_bytes = static_cast<std::size_t>(l4[12] >> 4) * 4;
-        if (offset_bytes >= net::TcpView::kMinSize && offset_bytes <= l4_len) {
-          t.src_port = net::load_be16(l4);
-          t.dst_port = net::load_be16(l4 + 2);
-        }
-      }
-      break;
-    case net::ipproto::kUdp:
-      if (l4_len >= net::UdpView::kSize) {
-        t.src_port = net::load_be16(l4);
-        t.dst_port = net::load_be16(l4 + 2);
-      }
-      break;
-    case net::ipproto::kIcmp:
-      if (l4_len >= net::IcmpView::kMinSize) {
-        t.src_port = l4[0];                  // type
-        t.dst_port = net::load_be16(l4 + 4);  // identifier
-      }
-      break;
-    default:
-      break;
-  }
+  t.src_ip = ip->src.value();
+  t.dst_ip = ip->dst.value();
+  t.proto = ip->protocol;
+  t.src_port = ip->tp_src;
+  // ICMP's second port is its identifier, so echo streams form flows.
+  t.dst_port = ip->protocol == net::ipproto::kIcmp ? ip->icmp_identifier : ip->tp_dst;
   return t;
 }
 

@@ -35,41 +35,15 @@ std::optional<FlowKey> parse(std::span<const std::uint8_t> frame, std::uint16_t 
   const std::size_t l3_len = frame.size() - EthernetView::kSize;
 
   if (key.dl_type == ethertype::kIpv4) {
-    if (l3_len < Ipv4View::kMinSize || (l3[0] >> 4) != 4) return key;
-    const std::size_t ihl_bytes = static_cast<std::size_t>(l3[0] & 0x0f) * 4;
-    if (ihl_bytes < Ipv4View::kMinSize || ihl_bytes > l3_len) return key;
-    key.nw_tos = l3[1] >> 2;
-    key.nw_proto = l3[9];
-    key.nw_src = Ipv4Addr(load_be32(l3 + 12));
-    key.nw_dst = Ipv4Addr(load_be32(l3 + 16));
-    const std::uint8_t* l4 = l3 + ihl_bytes;
-    const std::size_t l4_len = l3_len - ihl_bytes;
-    switch (key.nw_proto) {
-      case ipproto::kUdp:
-        if (l4_len >= UdpView::kSize) {
-          key.tp_src = load_be16(l4);
-          key.tp_dst = load_be16(l4 + 2);
-        }
-        break;
-      case ipproto::kTcp:
-        if (l4_len >= TcpView::kMinSize) {
-          const std::size_t offset_bytes = static_cast<std::size_t>(l4[12] >> 4) * 4;
-          if (offset_bytes >= TcpView::kMinSize && offset_bytes <= l4_len) {
-            key.tp_src = load_be16(l4);
-            key.tp_dst = load_be16(l4 + 2);
-            tcp_flags = l4[13];
-          }
-        }
-        break;
-      case ipproto::kIcmp:
-        if (l4_len >= IcmpView::kMinSize) {
-          key.tp_src = l4[0];  // type
-          key.tp_dst = l4[1];  // code
-        }
-        break;
-      default:
-        break;
-    }
+    const auto ip = Ipv4FlowView::parse({l3, l3_len});
+    if (!ip) return key;
+    key.nw_tos = ip->dscp;
+    key.nw_proto = ip->protocol;
+    key.nw_src = ip->src;
+    key.nw_dst = ip->dst;
+    key.tp_src = ip->tp_src;
+    key.tp_dst = ip->tp_dst;
+    tcp_flags = ip->tcp_flags;
   } else if (key.dl_type == ethertype::kArp) {
     // Ethernet/IPv4 ARP only: htype 1, ptype IPv4, hlen 6, plen 4.
     if (l3_len >= ArpView::kSize && load_be16(l3) == 1 && load_be16(l3 + 2) == ethertype::kIpv4 &&

@@ -187,4 +187,64 @@ struct TcpFields {
 
 void write_tcp(std::span<std::uint8_t> out, const TcpFields& fields);
 
+// --- IPv4 flow fields (one pass) ---------------------------------------------
+
+/// What the flow parsers (net::extract_flow_key and
+/// click::FlowTuple::from_packet) read of an IPv4 packet, in one
+/// bounds-checked pass over fixed offsets. It accepts exactly what
+/// Ipv4View::parse accepts, and an L4 header that fails its view's
+/// checks leaves its fields zero.
+struct Ipv4FlowView {
+  std::uint8_t dscp = 0;
+  std::uint8_t protocol = 0;
+  Ipv4Addr src;
+  Ipv4Addr dst;
+  std::uint16_t tp_src = 0;  // TCP/UDP source port, ICMP type
+  std::uint16_t tp_dst = 0;  // TCP/UDP destination port, ICMP code
+  std::uint16_t icmp_identifier = 0;
+  std::uint8_t tcp_flags = 0;
+
+  /// `l3` is the frame after its Ethernet header.
+  static std::optional<Ipv4FlowView> parse(std::span<const std::uint8_t> l3) {
+    if (l3.size() < Ipv4View::kMinSize || (l3[0] >> 4) != 4) return std::nullopt;
+    const std::size_t ihl_bytes = static_cast<std::size_t>(l3[0] & 0x0f) * 4;
+    if (ihl_bytes < Ipv4View::kMinSize || ihl_bytes > l3.size()) return std::nullopt;
+    Ipv4FlowView ip;
+    ip.dscp = l3[1] >> 2;
+    ip.protocol = l3[9];
+    ip.src = Ipv4Addr(load_be32(&l3[12]));
+    ip.dst = Ipv4Addr(load_be32(&l3[16]));
+    const std::uint8_t* l4 = l3.data() + ihl_bytes;
+    const std::size_t l4_len = l3.size() - ihl_bytes;
+    switch (ip.protocol) {
+      case ipproto::kUdp:
+        if (l4_len >= UdpView::kSize) {
+          ip.tp_src = load_be16(l4);
+          ip.tp_dst = load_be16(l4 + 2);
+        }
+        break;
+      case ipproto::kTcp:
+        if (l4_len >= TcpView::kMinSize) {
+          const std::size_t offset_bytes = static_cast<std::size_t>(l4[12] >> 4) * 4;
+          if (offset_bytes >= TcpView::kMinSize && offset_bytes <= l4_len) {
+            ip.tp_src = load_be16(l4);
+            ip.tp_dst = load_be16(l4 + 2);
+            ip.tcp_flags = l4[13];
+          }
+        }
+        break;
+      case ipproto::kIcmp:
+        if (l4_len >= IcmpView::kMinSize) {
+          ip.tp_src = l4[0];
+          ip.tp_dst = l4[1];
+          ip.icmp_identifier = load_be16(l4 + 4);
+        }
+        break;
+      default:
+        break;
+    }
+    return ip;
+  }
+};
+
 }  // namespace escape::net

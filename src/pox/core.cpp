@@ -5,16 +5,6 @@
 
 namespace escape::pox {
 
-namespace {
-// Spare buffers a packet-in may top this thread's pool up to. In a
-// sharded run, frames that worker threads allocated during parallel
-// windows are recycled here, on the controller's thread, so recycling
-// every frame piles up to ~2,600 spare 1400 B buffers per fattree_mix
-// repetition (+4% peak RSS). 256 spares cover the sources' draw between
-// recycles: the pool serves about as few fresh buffers as with no limit.
-constexpr std::size_t kPacketInRecycleLimit = 256;
-}  // namespace
-
 std::optional<Message> Controller::through_wire(Message message) {
   if (!serialize_) return message;
   // A FlowModBatch has no OF 1.0 frame of its own: on the wire it is N

@@ -122,6 +122,16 @@ class App {
 
 class Controller {
  public:
+  /// Spare buffers a packet-in may top its thread's PacketPool up to;
+  /// past it the frame is freed. In a sharded run, frames that worker
+  /// threads allocated during parallel windows are recycled here, on the
+  /// controller's thread, so recycling every frame piles up to ~2,600
+  /// spare 1400 B buffers per fattree_mix repetition (+4% peak RSS). 256
+  /// spares cover the sources' draw between recycles: the pool serves
+  /// about as few fresh buffers as with no limit. The pool's own bound
+  /// (PacketPool's max_free) is 4096 for every other recycler.
+  static constexpr std::size_t kPacketInRecycleLimit = 256;
+
   explicit Controller(EventScheduler& scheduler, SimDuration channel_delay = 100 * timeunit::kMicrosecond);
 
   EventScheduler& scheduler() { return *scheduler_; }

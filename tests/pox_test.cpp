@@ -2,7 +2,10 @@
 // L2 learning, LLDP discovery and chain steering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/builder.hpp"
+#include "net/packet_pool.hpp"
 #include "netemu/network.hpp"
 #include "pox/discovery.hpp"
 #include "pox/l2_learning.hpp"
@@ -255,6 +258,48 @@ TEST(ControllerApps, AppLookupByName) {
   controller.add_app(std::make_shared<TrafficSteering>());
   EXPECT_NE(controller.app("traffic_steering"), nullptr);
   EXPECT_EQ(controller.app("nope"), nullptr);
+}
+
+/// Copies every packet-in frame it sees.
+struct FrameRecorder : App {
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::string_view name() const override { return "frame_recorder"; }
+  bool on_packet_in(SwitchConnection&, const openflow::PacketIn& in) override {
+    frames.push_back(in.packet.data());
+    return false;
+  }
+};
+
+TEST(ControllerPacketIn, FramesReturnToThePoolUpToTheRecycleLimit) {
+  EventScheduler sched;
+  Controller controller(sched, 10 * timeunit::kMicrosecond);
+  auto recorder = std::make_shared<FrameRecorder>();
+  controller.add_app(recorder);
+  // An empty table: every frame misses and goes to the controller.
+  openflow::OpenFlowSwitch sw(1, sched);
+  sw.add_port(1, "eth1", MacAddr::from_u64(1), [](net::Packet&&) {});
+  controller.attach_switch(sw);
+  sched.run_for(milliseconds(1));
+
+  net::PacketPool& pool = net::default_packet_pool();
+  pool.clear();
+  constexpr std::size_t kLimit = Controller::kPacketInRecycleLimit;
+  std::vector<net::Packet> sent;
+  for (std::size_t i = 0; i < kLimit + 50; ++i) {
+    // Frames of their own, not from the pool: only the controller's
+    // recycling moves the free list.
+    sent.push_back(net::make_udp_packet(MacAddr::from_u64(0xa1), MacAddr::from_u64(0xa2),
+                                        Ipv4Addr(10, 0, 0, 1), Ipv4Addr(10, 0, 0, 2),
+                                        static_cast<std::uint16_t>(1000 + i), 2000));
+    sw.receive(1, net::Packet(sent.back()));
+    sched.run_for(milliseconds(1));
+    ASSERT_EQ(recorder->frames.size(), i + 1);
+    EXPECT_EQ(recorder->frames.back(), sent.back().data()) << "packet-in " << i;
+    EXPECT_EQ(pool.free_buffers(), std::min(i + 1, kLimit)) << "packet-in " << i;
+  }
+  EXPECT_EQ(pool.recycled(), kLimit);
+  EXPECT_EQ(controller.packet_ins_handled(), kLimit + 50);
+  pool.clear();
 }
 
 /// One switch with fast echo keepalives on both ends, so channel death
