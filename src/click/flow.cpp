@@ -315,8 +315,7 @@ void FlowManager::set_default_idle_timeout(SimDuration timeout) {
   g_default_idle_timeout = timeout;
 }
 
-FlowManager::FlowManager()
-    : table_(1024, g_default_capacity), idle_timeout_(g_default_idle_timeout) {
+FlowManager::FlowManager() : idle_timeout_(g_default_idle_timeout) {
   declare_ports({PortMode::kPush}, {PortMode::kPush, PortMode::kPush});
   add_read_handler("flows", [this] { return std::to_string(table_.size()); });
   add_read_handler("capacity", [this] { return std::to_string(table_.max_flows()); });

@@ -92,6 +92,9 @@ class FlowStateTable {
   using EvictListener = std::function<void(const FlowBlockHeader&, std::uint8_t*)>;
 
   FlowStateTable(std::size_t initial_buckets, std::size_t max_flows);
+  /// A table with no slots, to be assigned a sized one before its first
+  /// lookup (FlowManager builds its table once, in configure()).
+  FlowStateTable() = default;
 
   /// Reserves `bytes` of per-flow scratch (zero-initialized) aligned to
   /// `align`; returns the offset into the block. Must be called before
@@ -159,7 +162,7 @@ class FlowStateTable {
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
-  std::size_t max_flows_;
+  std::size_t max_flows_ = 1;
   std::size_t block_size_ = 0;   // frozen on first allocation
   std::size_t scratch_end_ = 0;  // running reservation cursor
   bool layout_frozen_ = false;

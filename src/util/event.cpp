@@ -1,6 +1,7 @@
 #include "util/event.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <stdexcept>
 
 namespace escape {
@@ -8,42 +9,78 @@ namespace escape {
 namespace {
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 constexpr std::size_t kArity = 4;
+
+// Cores whose scheduler is gone, newest first. Never destroyed, so a
+// scheduler with static storage duration may still return its core
+// during static destruction.
+struct CorePool {
+  std::mutex mu;
+  detail::EventCore* head = nullptr;
+};
+
+CorePool& core_pool() {
+  static CorePool* const pool = new CorePool;
+  return *pool;
+}
 }  // namespace
 
-void EventHandle::cancel() {
-  if (slot_ == nullptr) return;
-  // Read the counter before the CAS: once the CAS succeeds the owner may
-  // reap and re-arm the slot for another queue, but nothing re-arms it
-  // before the CAS, so on success this is the counter our event holds.
-  std::atomic<std::size_t>* live = slot_->live.load(std::memory_order_relaxed);
-  std::uint64_t expected = armed_;
-  if (slot_->word.compare_exchange_strong(expected, armed_ + 1, std::memory_order_acq_rel,
-                                          std::memory_order_relaxed)) {
-    live->fetch_sub(1, std::memory_order_acq_rel);
+EventScheduler::EventScheduler() {
+  CorePool& pool = core_pool();
+  {
+    std::lock_guard<std::mutex> lock(pool.mu);
+    core_ = pool.head;
+    if (core_ != nullptr) pool.head = core_->next;
   }
+  if (core_ == nullptr) {
+    core_ = new detail::EventCore;
+    return;
+  }
+  // A previous owner's core: every slot is idle (its callback gone, its
+  // word even), whether it was free, returned or still queued when that
+  // owner went, so all of them form the free list, in chunk order, and
+  // the key heap is sized to hold them all.
+  core_->returned.store(nullptr, std::memory_order_relaxed);
+  Slot** tail = &free_;
+  for (auto& chunk : core_->chunks) {
+    for (std::size_t i = 0; i < kChunkSlots; ++i) {
+      *tail = &chunk[i];
+      tail = &chunk[i].next;
+    }
+  }
+  *tail = nullptr;
+  heap_.reserve(core_->chunks.size() * kChunkSlots);
 }
 
-EventScheduler::~EventScheduler() { discard_all(); }
+EventScheduler::~EventScheduler() {
+  discard_all();
+  // Handles may outlive this scheduler, so the core is pooled, not
+  // freed. No other queue can still hold one of its slots: a slot is
+  // only borrowed by a shard of the same ShardedScheduler, and
+  // ~ShardedScheduler discards every shard and outbox before it
+  // destroys any shard. So no slot comes back to this core's return
+  // stack after it was handed on.
+  CorePool& pool = core_pool();
+  std::lock_guard<std::mutex> lock(pool.mu);
+  core_->next = pool.head;
+  pool.head = core_;
+}
 
 EventHandle EventScheduler::schedule_at(SimTime when, Callback cb) {
   if (when < now_) {
     throw std::logic_error("EventScheduler: cannot schedule into the past");
   }
   Slot* slot = nullptr;
-  EventHandle handle = arm(std::move(cb), *this, slot);
+  EventHandle handle = arm(std::move(cb), slot);
   push_key(Key{when, next_seq_++, slot});
   return handle;
 }
 
-EventHandle EventScheduler::arm(Callback&& cb, EventScheduler& runs_on, Slot*& slot) {
+EventHandle EventScheduler::arm(Callback&& cb, Slot*& slot) {
   slot = take_slot();
   slot->cb = std::move(cb);
-  std::atomic<std::size_t>& live = runs_on.core_->live;
-  slot->live.store(&live, std::memory_order_relaxed);
-  live.fetch_add(1, std::memory_order_acq_rel);
   const std::uint64_t armed = slot->word.load(std::memory_order_relaxed) + 1;
   slot->word.store(armed, std::memory_order_release);
-  return EventHandle{core_, slot, armed};
+  return EventHandle{slot, armed};
 }
 
 EventScheduler::Slot* EventScheduler::take_slot() {
@@ -55,7 +92,7 @@ EventScheduler::Slot* EventScheduler::take_slot() {
   if (free_ == nullptr) {
     auto chunk = std::make_unique<Slot[]>(kChunkSlots);
     for (std::size_t i = 0; i < kChunkSlots; ++i) {
-      chunk[i].home = core_.get();
+      chunk[i].home = core_;
       chunk[i].next = (i + 1 < kChunkSlots) ? &chunk[i + 1] : nullptr;
     }
     free_ = &chunk[0];
@@ -69,7 +106,7 @@ EventScheduler::Slot* EventScheduler::take_slot() {
 void EventScheduler::retire(Slot* slot) {
   slot->cb.reset();
   detail::EventCore* home = slot->home;
-  if (home == core_.get()) {
+  if (home == core_) {
     slot->next = free_;
     free_ = slot;
     return;
@@ -136,15 +173,13 @@ bool EventScheduler::pop_and_run(SimTime last) {
     pop_key();
     Slot* slot = top.slot;
     // CAS so a concurrent cross-shard cancel either wins (we reap the
-    // key; the canceller adjusted the counter) or loses (we run it; the
-    // cancel becomes a no-op).
+    // key) or loses (we run it; the cancel becomes a no-op).
     std::uint64_t armed = slot->word.load(std::memory_order_acquire);
     if ((armed & 1) == 0 ||
         !slot->word.compare_exchange_strong(armed, armed + 1, std::memory_order_acq_rel)) {
       retire(slot);
       continue;
     }
-    core_->live.fetch_sub(1, std::memory_order_acq_rel);
     now_ = top.when;
     ++executed_;
     digest_ = (digest_ ^ top.when) * kFnvPrime;
@@ -193,6 +228,12 @@ std::size_t EventScheduler::run_window(SimTime bound, std::size_t max_events) {
   std::size_t ran = 0;
   while (bound > 0 && ran < max_events && pop_and_run(bound - 1)) ++ran;
   return ran;
+}
+
+std::size_t EventScheduler::pending_events() const {
+  std::size_t n = 0;
+  for (const Key& key : heap_) n += key.slot->word.load(std::memory_order_acquire) & 1;
+  return n;
 }
 
 SimTime EventScheduler::next_event_time() {

@@ -19,16 +19,21 @@
 // Handles: each slot carries an atomic state word that only grows. An
 // odd value means "scheduled", the next even value "fired or
 // cancelled", and the slot's next use arms the odd value after that.
-// A handle remembers the odd word its event was armed with, so it can
-// never cancel, or report pending, a later event that reuses the slot.
-// Firing and cancelling are both one CAS from that odd word, so exactly
-// one of them wins even when a handle is cancelled from another shard's
-// thread. The winner of a cancel decrements the pending counter of the
-// queue the event was going to run on, which keeps pending_events()
-// exact before the cancelled key is reaped from the heap. A handle also
-// holds a reference to the slot's core, so cancel() after the scheduler
-// was destroyed touches live memory and is a no-op: the destructor
-// marks every event it still held as fired.
+// A handle is two words, the slot and the odd word its event was armed
+// with, so it can never cancel, or report pending, a later event that
+// reuses the slot. Firing and cancelling are both one CAS from that odd
+// word, so exactly one of them wins even when a handle is cancelled
+// from another shard's thread; that CAS is the one locked instruction
+// an event costs. pending_events() is not a counter: it counts the
+// queued keys whose word is odd when asked.
+//
+// Cores: a scheduler's slots live in its core, and a core is never
+// freed. The destructor marks every event it still held as fired and
+// hands the core to a process-wide pool; the next scheduler takes it
+// and rebuilds its free list from all of its slots. Slot words keep
+// growing across owners, so a handle stays safe to use after its
+// scheduler was destroyed: pending() reads false and cancel() is a
+// failed CAS, also when the slot carries a newer owner's event.
 //
 // For parallel execution the network is partitioned into shards, each
 // with its own EventScheduler, driven together by a ShardedScheduler
@@ -161,28 +166,26 @@ namespace detail {
 struct EventCore;
 
 /// One event's storage. `word` is the handle protocol's state (odd =
-/// scheduled); `live` is the pending counter of the queue the event
-/// runs on (atomic because a stale handle may read it while the owner
-/// re-arms the slot).
+/// scheduled).
 struct EventSlot {
   std::atomic<std::uint64_t> word{0};
-  std::atomic<std::atomic<std::size_t>*> live{nullptr};
   EventCore* home = nullptr;  // owns the memory and the free list
   EventSlot* next = nullptr;  // free-list / return-stack link
   EventCallback cb;
 };
 
-/// Per-scheduler storage kept alive by outstanding handles: the slot
-/// chunks, the pending counter and the stack other shards return
-/// borrowed slots on.
+/// A scheduler's slot storage: the slot chunks and the stack other
+/// shards return borrowed slots on. Never freed; between owners it
+/// waits in a process-wide pool, linked through `next`.
 struct EventCore {
-  std::atomic<std::size_t> live{0};
   std::atomic<EventSlot*> returned{nullptr};
   std::vector<std::unique_ptr<EventSlot[]>> chunks;
+  EventCore* next = nullptr;
 };
 }  // namespace detail
 
-/// Cancellable handle to a scheduled event. Copies share the event.
+/// Cancellable handle to a scheduled event: a slot and the word its
+/// event was armed with. Copies share the event.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -190,7 +193,12 @@ class EventHandle {
   /// Cancels the event if it has not fired yet. Idempotent; safe to call
   /// after the owning scheduler was destroyed, and safe to call from a
   /// different shard/thread than the one that scheduled the event.
-  void cancel();
+  void cancel() {
+    if (slot_ == nullptr) return;
+    std::uint64_t expected = armed_;
+    slot_->word.compare_exchange_strong(expected, armed_ + 1, std::memory_order_acq_rel,
+                                        std::memory_order_relaxed);
+  }
 
   /// True if the event is still scheduled to fire.
   bool pending() const {
@@ -199,14 +207,17 @@ class EventHandle {
 
  private:
   friend class EventScheduler;
-  EventHandle(std::shared_ptr<detail::EventCore> core, detail::EventSlot* slot,
-              std::uint64_t armed)
-      : core_(std::move(core)), slot_(slot), armed_(armed) {}
+  EventHandle(detail::EventSlot* slot, std::uint64_t armed) : slot_(slot), armed_(armed) {}
 
-  std::shared_ptr<detail::EventCore> core_;  // keeps slot_ alive
-  detail::EventSlot* slot_ = nullptr;
-  std::uint64_t armed_ = 0;  // slot_->word while this event is scheduled
+  detail::EventSlot* slot_ = nullptr;  // slots are never freed
+  std::uint64_t armed_ = 0;            // slot_->word while this event is scheduled
 };
+
+// Copying or dropping a handle must stay free of locked instructions
+// (Link::arm overwrites one per hop): no reference count.
+static_assert(std::is_trivially_copyable_v<EventHandle> &&
+                  sizeof(EventHandle) == sizeof(void*) + sizeof(std::uint64_t),
+              "EventHandle is a plain {slot, armed} pair");
 
 /// A virtual-time event queue.
 class EventScheduler {
@@ -221,7 +232,7 @@ class EventScheduler {
   /// its chunks whether or not its shard is busy.
   static constexpr std::size_t kChunkSlots = 64;
 
-  EventScheduler() : core_(std::make_shared<detail::EventCore>()) {}
+  EventScheduler();
   ~EventScheduler();
   EventScheduler(const EventScheduler&) = delete;
   EventScheduler& operator=(const EventScheduler&) = delete;
@@ -254,8 +265,10 @@ class EventScheduler {
   /// an event ran.
   bool step();
 
-  /// Number of pending (non-cancelled, not yet fired) events.
-  std::size_t pending_events() const { return core_->live.load(std::memory_order_acquire); }
+  /// Number of pending (non-cancelled, not yet fired) events, counted
+  /// over the queue on each call: O(queue). Must not be called while
+  /// another thread runs a window of this queue's owner.
+  std::size_t pending_events() const;
 
   bool empty() const { return pending_events() == 0; }
 
@@ -303,13 +316,13 @@ class EventScheduler {
   std::size_t run_window(SimTime bound, std::size_t max_events);
 
   /// Takes a free slot of this queue's core, moves `cb` into it and arms
-  /// it as pending on `runs_on`. The caller queues the slot.
-  EventHandle arm(Callback&& cb, EventScheduler& runs_on, Slot*& slot);
+  /// it. The caller queues the slot.
+  EventHandle arm(Callback&& cb, Slot*& slot);
 
   /// Queues an armed slot (possibly borrowed from another shard's core)
   /// under the next local sequence number. Used by the owner to move
   /// mailbox events into this shard's queue at a synchronization
-  /// barrier; the pending counter was bumped when the event was posted.
+  /// barrier.
   void inject(SimTime when, Slot* slot) { push_key(Key{when, next_seq_++, slot}); }
 
   /// Destroys a fired or cancelled slot's callback and frees the slot.
@@ -339,7 +352,7 @@ class EventScheduler {
   std::uint64_t digest_ = 1469598103934665603ull;  // FNV-1a offset basis
   std::vector<Key> heap_;  // 4-ary min-heap on (when, seq)
   Slot* free_ = nullptr;   // this core's free slots (owner thread only)
-  std::shared_ptr<detail::EventCore> core_;
+  detail::EventCore* core_ = nullptr;  // pooled, never freed
   ShardedScheduler* owner_ = nullptr;
   std::size_t shard_id_ = 0;
 };

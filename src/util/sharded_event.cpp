@@ -56,7 +56,8 @@ ShardedScheduler::~ShardedScheduler() {
     for (auto& w : workers_) w.join();
   }
   // Mail and drained cross-shard events sit in slots borrowed from the
-  // posting shard's core: drop every callback before any shard goes.
+  // posting shard's core: drop every callback before any shard goes, so
+  // no slot is queued anywhere once its core returns to the pool.
   for (auto& row : outbox_) {
     for (auto& box : row) {
       for (auto& m : box) EventScheduler::abandon(m.slot);
@@ -129,6 +130,11 @@ EventHandle ShardedScheduler::schedule_at(SimTime when, Callback cb) {
 std::size_t ShardedScheduler::pending_events() const {
   std::size_t n = 0;
   for (const auto& s : shards_) n += s->pending_events();
+  for (const auto& row : outbox_) {
+    for (const auto& box : row) {
+      for (const Mail& m : box) n += m.slot->word.load(std::memory_order_acquire) & 1;
+    }
+  }
   return n;
 }
 
@@ -328,8 +334,7 @@ void ShardedScheduler::deliver(std::size_t dst, std::vector<Mail>& mail) {
     return a.seq < b.seq;
   });
   for (auto& m : mail) {
-    // Cancelled while still in the outbox: the canceller already
-    // adjusted the pending counter, so just free the slot.
+    // Cancelled while still in the outbox: just free the slot.
     if ((m.slot->word.load(std::memory_order_acquire) & 1) == 0) {
       shards_[dst]->retire(m.slot);
       continue;
@@ -372,7 +377,7 @@ EventHandle ShardedScheduler::post_at(std::size_t dst, SimTime when, Callback cb
   // The slot comes from the sending shard's core: this thread owns its
   // free list, while the destination's is busy running its own window.
   detail::EventSlot* slot = nullptr;
-  EventHandle handle = cur->arm(std::move(cb), *shards_[dst], slot);
+  EventHandle handle = cur->arm(std::move(cb), slot);
   outbox_[src][dst].push_back(Mail{when, static_cast<std::uint32_t>(src), post_seq_[src]++, slot});
   return handle;
 }

@@ -125,6 +125,10 @@ class ShardedScheduler {
   bool step();
 
   bool empty() const { return pending_events() == 0; }
+  /// Events queued on any shard or waiting in an outbox, not yet fired
+  /// or cancelled. O(queues + outboxes); call it between run*() calls or
+  /// from inside an event of a one-thread run, never while another
+  /// thread runs a window.
   std::size_t pending_events() const;
   std::uint64_t executed_events() const;
 
@@ -159,9 +163,9 @@ class ShardedScheduler {
 
  private:
   /// A cross-shard event in transit. The callback waits in `slot`, a
-  /// slot of the posting shard's core, armed and counted as pending on
-  /// the destination; the drain queues the slot itself on the
-  /// destination, so the callback (a link frame included) never moves.
+  /// slot of the posting shard's core, armed, so pending_events() counts
+  /// it here until the drain queues the slot itself on the destination;
+  /// the callback (a link frame included) never moves.
   struct Mail {
     SimTime when = 0;
     std::uint32_t src = 0;

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "net/builder.hpp"
 #include "net/packet_pool.hpp"
@@ -126,6 +127,47 @@ TEST(Allocations, WarmSchedulerSchedulesAndFiresWithoutAllocating) {
   EXPECT_EQ(allocations, 0u);
   EXPECT_EQ(fired, 101'000u);
   EXPECT_EQ(sched.pending_events(), 38u);
+}
+
+TEST(Allocations, SchedulerReusesADestroyedSchedulersSlots) {
+  // Handles outlive their scheduler, so its core is pooled, not freed:
+  // the next scheduler takes its slots, chunk list and chunk and only
+  // allocates its key heap.
+  constexpr std::size_t kSlots = EventScheduler::kChunkSlots;
+  std::vector<EventHandle> stale;
+  std::vector<EventHandle> fresh;
+  stale.reserve(3);
+  fresh.reserve(kSlots);
+  auto a = std::make_unique<EventScheduler>();
+  stale.push_back(a->schedule(1, [] {}));
+  a->run();  // fired
+  stale.push_back(a->schedule(1, [] {}));
+  stale.back().cancel();
+  stale.push_back(a->schedule(2, [] {}));  // still pending when a goes
+
+  std::uint64_t allocations = 0;
+  std::size_t ran = 0;
+  std::size_t stale_pending = 0;
+  std::size_t fresh_pending = 0;
+  std::size_t b_ran = 0;
+  {
+    AllocationWindow window;
+    a.reset();
+    EventScheduler b;
+    for (std::size_t i = 0; i < kSlots; ++i) fresh.push_back(b.schedule(1, [&ran] { ++ran; }));
+    for (auto& h : stale) {
+      stale_pending += h.pending() ? 1 : 0;
+      h.cancel();
+    }
+    for (const auto& h : fresh) fresh_pending += h.pending() ? 1 : 0;
+    b_ran = b.run();
+    allocations = window.count();
+  }
+  EXPECT_EQ(allocations, 1u);
+  EXPECT_EQ(stale_pending, 0u);
+  EXPECT_EQ(fresh_pending, kSlots);
+  EXPECT_EQ(b_ran, kSlots);
+  EXPECT_EQ(ran, kSlots);
 }
 
 TEST(Allocations, WarmLinkCarriesAUdpFlowWithoutAllocating) {

@@ -270,6 +270,41 @@ TEST(ShardedScheduler, CrossShardCancelPreventsExecution) {
   EXPECT_EQ(sched.pending_events(), 0u);
 }
 
+TEST(ShardedScheduler, CrossThreadCancelRacingFireRunsEachEventAtMostOnce) {
+  // Shard 0 cancels shard-1 events that fall inside the same window, so
+  // on two threads each cancel races the fire of its victim: the slot
+  // word's CAS must let exactly one of them win. Shard 0 cancels in
+  // reverse order, so its early cancels mostly win and its late ones
+  // mostly lose. Which events run may vary from run to run.
+  constexpr std::size_t kWindows = 4;
+  constexpr std::size_t kPerWindow = 500;
+  constexpr SimDuration kStep = kHop / kPerWindow;
+  ShardedScheduler sched{2, 2};
+  sched.add_lookahead_edge(0, 1, kHop);
+  sched.add_lookahead_edge(1, 0, kHop);
+  std::vector<std::atomic<int>> runs(kWindows * kPerWindow);
+  std::vector<EventHandle> victims;
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    for (std::size_t i = 0; i < kPerWindow; ++i) {
+      const std::size_t v = w * kPerWindow + i;
+      victims.push_back(sched.shard(1).schedule_at(
+          w * kHop + i * kStep, [&runs, v] { runs[v].fetch_add(1, std::memory_order_relaxed); }));
+    }
+  }
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    for (std::size_t i = 0; i < kPerWindow; ++i) {
+      const std::size_t v = w * kPerWindow + (kPerWindow - 1 - i);
+      sched.shard(0).schedule_at(w * kHop + i * kStep, [&victims, v] { victims[v].cancel(); });
+    }
+  }
+  sched.run();
+  for (std::size_t v = 0; v < runs.size(); ++v) {
+    EXPECT_LE(runs[v].load(), 1) << "event " << v;
+    EXPECT_FALSE(victims[v].pending()) << "event " << v;
+  }
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
 TEST(ShardedScheduler, StepExecutesGloballyEarliest) {
   ShardedScheduler sched{2, 1};
   sched.add_lookahead_edge(0, 1, kHop);

@@ -259,6 +259,35 @@ TEST(EventScheduler, CancelAfterSchedulerDestroyedIsNoOp) {
   EXPECT_FALSE(copy.pending());
 }
 
+TEST(EventScheduler, StaleHandlesNeverTouchTheNextSchedulersEvents) {
+  // A destroyed scheduler's core goes to the next scheduler built, so
+  // B's events sit in the slots A's handles still point at.
+  std::vector<EventHandle> stale;
+  {
+    EventScheduler a;
+    stale.push_back(a.schedule(1, [] {}));
+    a.run();  // fired
+    stale.push_back(a.schedule(1, [] {}));
+    stale.back().cancel();
+    stale.push_back(a.schedule(2, [] {}));  // still pending when A goes
+    EXPECT_TRUE(stale.back().pending());
+  }
+  EventScheduler b;
+  std::size_t ran = 0;
+  std::vector<EventHandle> fresh;
+  for (std::size_t i = 0; i < EventScheduler::kChunkSlots; ++i) {
+    fresh.push_back(b.schedule(1, [&ran] { ++ran; }));
+  }
+  for (auto& h : stale) {
+    EXPECT_FALSE(h.pending());
+    h.cancel();
+  }
+  for (const auto& h : fresh) EXPECT_TRUE(h.pending());
+  EXPECT_EQ(b.pending_events(), EventScheduler::kChunkSlots);
+  EXPECT_EQ(b.run(), EventScheduler::kChunkSlots);
+  EXPECT_EQ(ran, EventScheduler::kChunkSlots);
+}
+
 struct CountingDelete {
   int* deleted;
   void operator()(int* p) const {
