@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "chaos/explorer.hpp"
@@ -187,6 +188,69 @@ TEST(ChaosExplorerTest, SameSeedSameSchedulesSameDigestsAcrossThreadCounts) {
     EXPECT_EQ(ep1.faults_fired, ep4.faults_fired) << "schedule " << i;
     EXPECT_EQ(ep1.failed(), ep4.failed()) << "schedule " << i;
   }
+}
+
+/// FNV-1a over every recorded hit's full identity: site, per-site
+/// occurrence, caps and crash target. A changed site, order, capability
+/// or context moves it.
+std::uint64_t trace_digest(const std::vector<TraceEntry>& trace) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::string_view bytes) {
+    for (unsigned char c : bytes) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+    h ^= 0xff;  // field separator
+    h *= 1099511628211ull;
+  };
+  for (const TraceEntry& e : trace) {
+    mix(e.site);
+    mix(std::to_string(e.occurrence));
+    mix(std::to_string(e.caps));
+    mix(std::to_string(static_cast<unsigned>(e.target_kind)));
+    mix(e.container);
+    mix(std::to_string(e.dpid));
+    mix(std::to_string(e.chain_id));
+  }
+  return h;
+}
+
+/// The lifecycle scenario's fault-point surface: which sites it hits,
+/// how often, with which capabilities and targets, and the clean run's
+/// event order. Refactors of the orchestration layer must leave all of
+/// it unchanged; a deliberate change to the surface updates these
+/// constants together with the explorer's schedule counts.
+TEST(ChaosExplorerTest, LifecycleFaultPointsArePinned) {
+  LifecycleScenarioOptions seq;
+  seq.threads = 1;
+  ChaosExplorer explorer(chaos::lifecycle_scenario(seq), ExplorerOptions{});
+  std::uint64_t digest = 0;
+  const std::vector<TraceEntry> trace = explorer.record(&digest);
+
+  std::map<std::string, std::size_t> per_site;
+  for (const TraceEntry& e : trace) ++per_site[e.site];
+  const std::map<std::string, std::size_t> expected = {
+      {"deploy.rpc", 16},
+      {"scale.rpc", 26},
+      {"teardown.rpc.stop", 9},
+      {"teardown.rpc.remove", 9},
+      {"scale.export", 2},
+      {"scale.import", 2},
+      {"scale.release-hold", 2},
+      {"deploy.steering.install", 4},
+      {"steering.install", 6},
+      {"steering.install.barrier", 12},
+      {"teardown.steering", 5},
+      {"scale.cutover", 2},
+      {"scale.commit", 2},
+      {"scale.reserve", 2},
+      {"recover.teardown", 2},
+      {"recover.redeploy", 2},
+  };
+  EXPECT_EQ(trace.size(), 103u);
+  EXPECT_EQ(per_site, expected);
+  EXPECT_EQ(trace_digest(trace), 7463875406289240010ull);
+  EXPECT_EQ(digest, 7772529799566972030ull);
 }
 
 // --- idempotent teardown under explorer-induced errors (satellite) --------------
