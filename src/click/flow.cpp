@@ -499,6 +499,22 @@ std::string FlowManager::export_state() const {
   return os.str();
 }
 
+std::optional<FlowBlockHeader> parse_flow_record(const std::string& line) {
+  std::istringstream fields(line);
+  std::string kind;
+  FlowBlockHeader h;
+  unsigned sport = 0, dport = 0, proto = 0;
+  fields >> kind >> h.tuple.src_ip >> h.tuple.dst_ip >> sport >> dport >> proto >> h.created >>
+      h.last_seen >> h.packets >> h.bytes;
+  if (!fields || kind != "flow" || proto > 255 || sport > 65535 || dport > 65535) {
+    return std::nullopt;
+  }
+  h.tuple.src_port = static_cast<std::uint16_t>(sport);
+  h.tuple.dst_port = static_cast<std::uint16_t>(dport);
+  h.tuple.proto = static_cast<std::uint8_t>(proto);
+  return h;
+}
+
 Result<std::size_t> FlowManager::import_state(const std::string& text) {
   if (router() == nullptr) {
     return Error{"click.flow.import", "FlowManager not initialized"};
@@ -514,28 +530,21 @@ Result<std::size_t> FlowManager::import_state(const std::string& text) {
     std::string kind;
     fields >> kind;
     if (kind == "flow") {
-      FlowTuple t;
-      unsigned sport = 0, dport = 0, proto = 0;
-      FlowBlockHeader saved;
-      fields >> t.src_ip >> t.dst_ip >> sport >> dport >> proto >> saved.created >>
-          saved.last_seen >> saved.packets >> saved.bytes;
-      if (!fields || proto > 255 || sport > 65535 || dport > 65535) {
+      const std::optional<FlowBlockHeader> saved = parse_flow_record(line);
+      if (!saved) {
         return Error{"click.flow.import", "bad flow record '" + line + "'"};
       }
-      t.src_port = static_cast<std::uint16_t>(sport);
-      t.dst_port = static_cast<std::uint16_t>(dport);
-      t.proto = static_cast<std::uint8_t>(proto);
-      auto res = table_.find_or_create(t, now);
+      auto res = table_.find_or_create(saved->tuple, now);
       if (res.block == nullptr) {
         return Error{"click.flow.import-full",
-                     "flow table at capacity importing " + t.to_string()};
+                     "flow table at capacity importing " + saved->tuple.to_string()};
       }
       block = res.block;
       auto* hdr = table_.header_of(block);
-      hdr->created = saved.created;
-      hdr->last_seen = saved.last_seen;
-      hdr->packets = saved.packets;
-      hdr->bytes = saved.bytes;
+      hdr->created = saved->created;
+      hdr->last_seen = saved->last_seen;
+      hdr->packets = saved->packets;
+      hdr->bytes = saved->bytes;
       ++imported;
     } else if (kind == "state") {
       if (block == nullptr) {
@@ -811,12 +820,12 @@ int FlowLB::backend_for(const Packet& p) {
   if (block == nullptr) {
     // No flow state (non-IP or full table): stateless hash fallback.
     auto tuple = FlowTuple::from_packet(p);
-    return static_cast<int>(tuple ? tuple->hash() % n : 0);
+    return static_cast<int>(tuple ? tuple->hash_backend(n) : 0);
   }
   auto* slot = reinterpret_cast<LbSlot*>(block + slot_off_);
   if (slot->assigned == 0) {
     const auto* hdr = reinterpret_cast<const FlowBlockHeader*>(block);
-    std::size_t backend = round_robin_ ? rr_next_++ % n : hdr->tuple.hash() % n;
+    std::size_t backend = round_robin_ ? rr_next_++ % n : hdr->tuple.hash_backend(n);
     slot->assigned = 1;
     slot->backend = static_cast<std::uint8_t>(backend);
     ++flows_assigned_;

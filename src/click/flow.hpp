@@ -64,6 +64,9 @@ struct FlowTuple {
   /// 64-bit mix of the tuple; never returns 0 (0 marks an empty slot).
   std::uint64_t hash() const;
 
+  /// The output among `n` a MODE hash FlowLB sends this flow to.
+  std::size_t hash_backend(std::size_t n) const { return static_cast<std::size_t>(hash() % n); }
+
   std::string to_string() const;
 
   /// Extracts the tuple from an Ethernet frame; nullopt for non-IPv4.
@@ -78,6 +81,10 @@ struct FlowBlockHeader {
   std::uint64_t packets = 0;
   std::uint64_t bytes = 0;
 };
+
+/// Reads one `flow` record of the hand-off format (FlowManager::
+/// export_state) into a header; nullopt for a line import_state rejects.
+std::optional<FlowBlockHeader> parse_flow_record(const std::string& line);
 
 // --- the state table --------------------------------------------------------
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
 #include <tuple>
 
 #include "chaos/fault_point.hpp"
-#include "click/flow.hpp"
 #include "obs/trace.hpp"
 #include "service/catalog.hpp"
 
@@ -854,20 +852,19 @@ struct ScaleJob {
   ReservationLedger ledger;  // the new generation's CPU shares
   pox::ChainPath new_path;
   bool steering_installed = false;
-  // Sequential NETCONF bring-up; step_inst maps a step to its instance
-  // index so the unwind knows how many instances were touched.
-  std::vector<std::function<void(netconf::VnfAgentClient::StatusCallback)>> steps;
-  std::vector<std::size_t> step_inst;
-  std::size_t touched = 0;
+  // The NETCONF bring-up; its steps name the new instance they act on.
+  std::shared_ptr<orchestrator::RpcChain> bring_up;
+  /// New instances the bring-up has sent a step to: what the unwind
+  /// tears down.
+  std::size_t touched() const { return bring_up ? bring_up->reached : 0; }
 
   // Old generation snapshot (swapped out on commit).
   std::vector<orchestrator::VnfDeployment> old_vnfs;
   std::vector<orchestrator::VnfDeployment> old_sources;  // stateful instances to export
   pox::ChainPath old_path;
 
-  // Migration payload.
-  std::vector<std::string> exports;  // one blob per old source
-  std::vector<std::string> parts;    // one blob per new replica
+  // Migration payload: one blob per old source.
+  std::vector<std::string> exports;
 
   SimTime started = 0;
   std::uint64_t span = 0;
@@ -918,66 +915,6 @@ Result<ScaleAnchor> compute_scale_anchor(netemu::Network& network,
   anchor.prefix.assign(hops.begin(), hops.begin() + static_cast<std::ptrdiff_t>(k));
   anchor.suffix.assign(hops.begin() + static_cast<std::ptrdiff_t>(m) + 1, hops.end());
   return anchor;
-}
-
-/// Splits container-level export blobs per target replica with the same
-/// tuple-hash rule the splitter's hash-mode FlowLB applies, so every
-/// flow's state lands exactly on the replica its packets will reach.
-std::vector<std::string> partition_flow_state(const std::vector<std::string>& blobs,
-                                              std::size_t target) {
-  std::vector<std::ostringstream> parts(target);
-  std::vector<bool> open(target, false);
-  std::string manager;
-  auto close_all = [&] {
-    for (std::size_t t = 0; t < target; ++t) {
-      if (open[t]) {
-        parts[t] << "endmanager\n";
-        open[t] = false;
-      }
-    }
-  };
-  for (const std::string& blob : blobs) {
-    std::istringstream in(blob);
-    std::string line;
-    std::size_t current = target;  // no flow routed yet
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      if (line.rfind("manager ", 0) == 0) {
-        close_all();
-        manager = line;
-        current = target;
-      } else if (line == "endmanager") {
-        close_all();
-        current = target;
-      } else if (line.rfind("flow ", 0) == 0) {
-        std::istringstream fields(line);
-        std::string kind;
-        click::FlowTuple t;
-        unsigned sport = 0, dport = 0, proto = 0;
-        fields >> kind >> t.src_ip >> t.dst_ip >> sport >> dport >> proto;
-        if (!fields) {
-          current = target;  // malformed record: drop it and its state
-          continue;
-        }
-        t.src_port = static_cast<std::uint16_t>(sport);
-        t.dst_port = static_cast<std::uint16_t>(dport);
-        t.proto = static_cast<std::uint8_t>(proto);
-        current = target > 1 ? static_cast<std::size_t>(t.hash() % target) : 0;
-        if (!open[current]) {
-          parts[current] << manager << '\n';
-          open[current] = true;
-        }
-        parts[current] << line << '\n';
-      } else if (current < target) {
-        parts[current] << line << '\n';  // "state ..." lines follow their flow
-      }
-    }
-    close_all();
-  }
-  std::vector<std::string> out;
-  out.reserve(target);
-  for (auto& p : parts) out.push_back(p.str());
-  return out;
 }
 
 }  // namespace
@@ -1226,58 +1163,74 @@ void Environment::scale_chain_async(std::uint32_t chain_id, std::size_t target,
   job->new_path.hops.insert(job->new_path.hops.end(), anchor.suffix.begin(),
                             anchor.suffix.end());
 
-  // --- queue the NETCONF bring-up steps. -----------------------------------
+  // --- the NETCONF bring-up, one new instance after another. ----------------
+  job->bring_up = std::make_shared<orchestrator::RpcChain>();
   for (std::size_t n = 0; n < job->new_vnfs.size(); ++n) {
     const orchestrator::VnfDeployment& d = job->new_vnfs[n];
     const bool is_splitter = with_splitter && n == 0;
-    auto mit = mgmt_.find(d.container);
-    if (mit == mgmt_.end()) {
+    netconf::VnfAgentClient* agent = agent_client(d.container);
+    if (agent == nullptr) {
       fail_sync(make_error("deploy.no-agent", "no management agent for " + d.container));
       return;
     }
-    netconf::VnfAgentClient* agent = mit->second.client.get();
+    auto step = [&](std::function<void(netconf::VnfAgentClient::StatusCallback)> call) {
+      job->bring_up->steps.push_back({"scale.rpc",
+                                      chaos::kCanCrash | chaos::kCanDrop | chaos::kCanDelay,
+                                      chaos::SiteContext::of_container(d.container, chain_id),
+                                      n, std::move(call)});
+    };
     const std::string type = is_splitter ? "flow_splitter" : vnf.vnf_type;
-    job->steps.push_back([agent, id = d.instance_id, type, config = configs[n],
-                          cpu = cpus[n]](auto cb) {
+    step([agent, id = d.instance_id, type, config = configs[n], cpu = cpus[n]](auto cb) {
       agent->initiate_vnf(id, type, config, cpu, std::move(cb));
     });
-    job->step_inst.push_back(n);
-    job->steps.push_back(
-        [agent, id = d.instance_id](auto cb) { agent->start_vnf(id, std::move(cb)); });
-    job->step_inst.push_back(n);
-    job->steps.push_back([agent, id = d.instance_id, port = d.container_in_port](auto cb) {
+    step([agent, id = d.instance_id](auto cb) { agent->start_vnf(id, std::move(cb)); });
+    step([agent, id = d.instance_id, port = d.container_in_port](auto cb) {
       agent->connect_vnf(id, "in0", port, std::move(cb));
     });
-    job->step_inst.push_back(n);
     if (is_splitter) {
       for (std::size_t i = 0; i < target; ++i) {
-        job->steps.push_back([agent, id = d.instance_id, dev = "out" + std::to_string(i),
-                              port = job->splitter_outs[i].first](auto cb) {
+        step([agent, id = d.instance_id, dev = "out" + std::to_string(i),
+              port = job->splitter_outs[i].first](auto cb) {
           agent->connect_vnf(id, dev, port, std::move(cb));
         });
-        job->step_inst.push_back(n);
       }
     } else {
-      job->steps.push_back(
-          [agent, id = d.instance_id, port = d.container_out_port](auto cb) {
-            agent->connect_vnf(id, "out0", port, std::move(cb));
-          });
-      job->step_inst.push_back(n);
+      step([agent, id = d.instance_id, port = d.container_out_port](auto cb) {
+        agent->connect_vnf(id, "out0", port, std::move(cb));
+      });
+    }
+    if (!with_splitter && job->stateful) {
+      // The single new instance is its own entry: its FlowManager must
+      // buffer from the cut-over until the imported state arrives (the
+      // splitter variant is rendered HOLD true from birth instead).
+      step([agent, id = d.instance_id](auto cb) {
+        agent->set_vnf_handler(id, "fm.hold", "1", std::move(cb));
+      });
     }
   }
-  if (!with_splitter && job->stateful) {
-    // The single new instance is its own entry: its FlowManager must
-    // buffer from the cut-over until the imported state arrives (the
-    // splitter variant is rendered HOLD true from birth instead).
-    auto mit = mgmt_.find(job->new_vnfs.front().container);
-    netconf::VnfAgentClient* agent = mit->second.client.get();
-    job->steps.push_back([agent, id = job->new_vnfs.front().instance_id](auto cb) {
-      agent->set_vnf_handler(id, "fm.hold", "1", std::move(cb));
-    });
-    job->step_inst.push_back(0);
-  }
 
-  scale_bring_up(job, 0);
+  scale_steps(job, job->bring_up, "generation bring-up", [this, job] { scale_cut_over(job); });
+}
+
+void Environment::scale_steps(const std::shared_ptr<ScaleJob>& job,
+                              std::shared_ptr<orchestrator::RpcChain> chain, const char* phase,
+                              std::function<void()> next) {
+  std::weak_ptr<bool> alive = alive_;
+  orchestrator::RpcChainHooks hooks;
+  hooks.stop = [this, alive, job] { return alive.expired() || scale_aborted(job); };
+  const std::size_t total = chain->steps.size();
+  orchestrator::run_rpc_chain(
+      network_.scheduler(), std::move(chain), std::move(hooks),
+      [this, job, phase, total, next = std::move(next)](Status s, std::size_t failed) {
+        if (s.ok()) {
+          next();
+          return;
+        }
+        scale_fail(job, make_error(s.error().code, std::string(phase) + " step " +
+                                                       std::to_string(failed + 1) + "/" +
+                                                       std::to_string(total) + ": " +
+                                                       s.error().message));
+      });
 }
 
 bool Environment::scale_aborted(const std::shared_ptr<ScaleJob>& job) {
@@ -1307,7 +1260,7 @@ void Environment::scale_unwind(const std::shared_ptr<ScaleJob>& job) {
   auto finish = [this, alive, job] {
     if (alive.expired()) return;
     if (job->steering_installed) steering_->remove_chain(job->steering_id);
-    if (job->touched == 0) return;
+    if (job->touched() == 0) return;
     // Packets already steered at the new generation are still in flight
     // (and the removal flow-mods have not landed yet): keep the
     // instances serving one settle window before tearing them down.
@@ -1316,10 +1269,8 @@ void Environment::scale_unwind(const std::shared_ptr<ScaleJob>& job) {
       orchestrator::DeploymentRecord remnants;
       remnants.chain_id = job->steering_id;
       remnants.chain_path.chain_id = job->steering_id;  // already removed; benign
-      remnants.vnfs.assign(
-          job->new_vnfs.begin(),
-          job->new_vnfs.begin() +
-              static_cast<std::ptrdiff_t>(std::min(job->touched, job->new_vnfs.size())));
+      remnants.vnfs.assign(job->new_vnfs.begin(),
+                           job->new_vnfs.begin() + static_cast<std::ptrdiff_t>(job->touched()));
       engine_->teardown_best_effort(remnants, [](Status) {});
     });
   };
@@ -1328,7 +1279,7 @@ void Environment::scale_unwind(const std::shared_ptr<ScaleJob>& job) {
   // replicas (fresh state, but delivered) before the rules come out --
   // an aborted migration must not strand buffered packets.
   const bool entry_holds =
-      job->steering_installed && (job->target > 1 || job->stateful) && job->touched > 0;
+      job->steering_installed && (job->target > 1 || job->stateful) && job->touched() > 0;
   netconf::VnfAgentClient* entry_agent =
       entry_holds ? agent_client(job->new_vnfs.front().container) : nullptr;
   if (entry_agent != nullptr) {
@@ -1354,49 +1305,6 @@ void Environment::scale_fail(std::shared_ptr<ScaleJob> job, Error error) {
       .add();
   log_.warn("chain ", job->chain_id, " scale failed: ", error.to_string());
   job->done(error);
-}
-
-void Environment::scale_bring_up(std::shared_ptr<ScaleJob> job, std::size_t step) {
-  if (scale_aborted(job)) return;
-  if (step == job->steps.size()) {
-    scale_cut_over(job);
-    return;
-  }
-  // Injectable: every NETCONF send of the generation bring-up.
-  const chaos::Decision fp =
-      chaos::hit("scale.rpc", chaos::kCanCrash | chaos::kCanDrop | chaos::kCanDelay,
-                 chaos::SiteContext::of_container(
-                     job->new_vnfs[job->step_inst[step]].container, job->chain_id));
-  if (fp.drop()) {
-    scale_fail(job, make_error("chaos.injected-drop",
-                               "generation bring-up step " + std::to_string(step + 1) +
-                                   "/" + std::to_string(job->steps.size()) +
-                                   ": injected rpc drop"));
-    return;
-  }
-  auto proceed = [this, job, step] {
-    if (scale_aborted(job)) return;
-    job->touched = std::max(job->touched, job->step_inst[step] + 1);
-    job->steps[step]([this, job, step](Status s) {
-      if (scale_aborted(job)) return;
-      if (!s.ok()) {
-        scale_fail(job, make_error(s.error().code,
-                                   "generation bring-up step " + std::to_string(step + 1) +
-                                       "/" + std::to_string(job->steps.size()) + ": " +
-                                       s.error().message));
-        return;
-      }
-      scale_bring_up(job, step + 1);
-    });
-  };
-  if (fp.delayed()) {
-    std::weak_ptr<bool> alive = alive_;
-    scheduler_.schedule(fp.delay, [alive, proceed] {
-      if (!alive.expired()) proceed();
-    });
-    return;
-  }
-  proceed();
 }
 
 void Environment::scale_cut_over(std::shared_ptr<ScaleJob> job) {
@@ -1425,109 +1333,78 @@ void Environment::scale_cut_over(std::shared_ptr<ScaleJob> job) {
     std::weak_ptr<bool> alive = alive_;
     scheduler_.schedule(scale_drain_, [this, alive, job] {
       if (alive.expired() || scale_aborted(job)) return;
-      if (!job->old_sources.empty()) {
-        scale_export(job, 0);
-      } else {
-        scale_release_hold(job);
-      }
+      scale_hand_off(job);
     });
   });
 }
 
-void Environment::scale_export(std::shared_ptr<ScaleJob> job, std::size_t index) {
-  if (index == job->old_sources.size()) {
-    job->parts = partition_flow_state(job->exports, job->target);
-    scale_import(job, 0);
-    return;
-  }
-  const orchestrator::VnfDeployment& src = job->old_sources[index];
+void Environment::scale_hand_off(std::shared_ptr<ScaleJob> job) {
+  // Every hand-off step acts on one instance through its container's
+  // agent; a missing agent fails the migration before the list runs.
+  using AgentCall =
+      std::function<void(netconf::VnfAgentClient&, netconf::VnfAgentClient::StatusCallback)>;
+  auto add_step = [this, job](orchestrator::RpcChain& chain, const char* site,
+                              const orchestrator::VnfDeployment& d, std::size_t n,
+                              AgentCall call) {
+    netconf::VnfAgentClient* agent = agent_client(d.container);
+    if (agent == nullptr) {
+      scale_fail(job, make_error("deploy.no-agent", "no management agent for " + d.container));
+      return false;
+    }
+    chain.steps.push_back(
+        {site, chaos::kCanCrash | chaos::kCanDrop,
+         chaos::SiteContext::of_container(d.container, job->chain_id), n,
+         [agent, call = std::move(call)](auto cb) { call(*agent, std::move(cb)); }});
+    return true;
+  };
+
   // Injectable: the state hand-off starts with an export from each old
   // instance -- a crash here strands the flow table on a dying VNF.
-  const chaos::Decision fp =
-      chaos::hit("scale.export", chaos::kCanCrash | chaos::kCanDrop,
-                 chaos::SiteContext::of_container(src.container, job->chain_id));
-  if (fp.drop()) {
-    scale_fail(job, make_error("chaos.injected-drop", "flow-state export dropped"));
-    return;
-  }
-  netconf::VnfAgentClient* client = agent_client(src.container);
-  if (client == nullptr) {
-    scale_fail(job, make_error("deploy.no-agent", "no management agent for " + src.container));
-    return;
-  }
-  client->export_flow_state(src.instance_id, [this, job, index](Result<std::string> r) {
-    if (scale_aborted(job)) return;
-    if (!r.ok()) {
-      scale_fail(job, r.error());
+  auto exports = std::make_shared<orchestrator::RpcChain>();
+  for (std::size_t i = 0; i < job->old_sources.size(); ++i) {
+    const orchestrator::VnfDeployment& src = job->old_sources[i];
+    if (!add_step(*exports, "scale.export", src, i,
+                  [job, id = src.instance_id](netconf::VnfAgentClient& agent, auto cb) {
+                    agent.export_flow_state(id, [job, cb](Result<std::string> blob) {
+                      if (!blob.ok()) {
+                        cb(blob.error());
+                        return;
+                      }
+                      job->exports.push_back(std::move(*blob));
+                      cb(ok_status());
+                    });
+                  })) {
       return;
     }
-    job->exports.push_back(std::move(*r));
-    scale_export(job, index + 1);
-  });
-}
-
-void Environment::scale_import(std::shared_ptr<ScaleJob> job, std::size_t replica) {
-  if (replica == job->target) {
-    scale_release_hold(job);
-    return;
   }
-  const std::size_t idx = job->target > 1 ? 1 + replica : 0;
-  const orchestrator::VnfDeployment& dst = job->new_vnfs[idx];
-  if (job->parts[replica].empty()) {
-    scale_import(job, replica + 1);
-    return;
-  }
-  // Injectable: the matching import into the new generation.
-  const chaos::Decision fp =
-      chaos::hit("scale.import", chaos::kCanCrash | chaos::kCanDrop,
-                 chaos::SiteContext::of_container(dst.container, job->chain_id));
-  if (fp.drop()) {
-    scale_fail(job, make_error("chaos.injected-drop", "flow-state import dropped"));
-    return;
-  }
-  netconf::VnfAgentClient* client = agent_client(dst.container);
-  if (client == nullptr) {
-    scale_fail(job, make_error("deploy.no-agent", "no management agent for " + dst.container));
-    return;
-  }
-  client->import_flow_state(dst.instance_id, job->parts[replica], [this, job, replica](Status s) {
-    if (scale_aborted(job)) return;
-    if (!s.ok()) {
-      scale_fail(job, s.error());
+  scale_steps(job, std::move(exports), "flow-state export", [this, job, add_step] {
+    // Injectable: the matching import into each new replica that has
+    // state to receive, then the release of the entry's packet hold -- a
+    // crash between import and release is the classic window for leaked
+    // "fm.hold" state.
+    const std::vector<std::string> parts = netemu::split_flow_state(job->exports, job->target);
+    auto imports = std::make_shared<orchestrator::RpcChain>();
+    for (std::size_t r = 0; r < job->target; ++r) {
+      if (parts[r].empty()) continue;
+      const std::size_t n = job->target > 1 ? 1 + r : 0;
+      const orchestrator::VnfDeployment& dst = job->new_vnfs[n];
+      if (!add_step(*imports, "scale.import", dst, n,
+                    [id = dst.instance_id, blob = parts[r]](netconf::VnfAgentClient& agent,
+                                                            auto cb) {
+                      agent.import_flow_state(id, blob, std::move(cb));
+                    })) {
+        return;
+      }
+    }
+    const orchestrator::VnfDeployment& entry = job->new_vnfs.front();
+    if ((job->target > 1 || job->stateful) &&
+        !add_step(*imports, "scale.release-hold", entry, 0,
+                  [id = entry.instance_id](netconf::VnfAgentClient& agent, auto cb) {
+                    agent.set_vnf_handler(id, "fm.hold", "0", std::move(cb));
+                  })) {
       return;
     }
-    scale_import(job, replica + 1);
-  });
-}
-
-void Environment::scale_release_hold(std::shared_ptr<ScaleJob> job) {
-  const bool held = job->target > 1 || job->stateful;
-  if (!held) {
-    scale_commit(job);
-    return;
-  }
-  const orchestrator::VnfDeployment& entry = job->new_vnfs.front();
-  // Injectable: releasing the packet hold. A crash between import and
-  // release is the classic window for leaked "fm.hold" state.
-  const chaos::Decision fp =
-      chaos::hit("scale.release-hold", chaos::kCanCrash | chaos::kCanDrop,
-                 chaos::SiteContext::of_container(entry.container, job->chain_id));
-  if (fp.drop()) {
-    scale_fail(job, make_error("chaos.injected-drop", "hold release dropped"));
-    return;
-  }
-  netconf::VnfAgentClient* client = agent_client(entry.container);
-  if (client == nullptr) {
-    scale_fail(job, make_error("deploy.no-agent", "no management agent for " + entry.container));
-    return;
-  }
-  client->set_vnf_handler(entry.instance_id, "fm.hold", "0", [this, job](Status s) {
-    if (scale_aborted(job)) return;
-    if (!s.ok()) {
-      scale_fail(job, s.error());
-      return;
-    }
-    scale_commit(job);
+    scale_steps(job, std::move(imports), "flow-state import", [this, job] { scale_commit(job); });
   });
 }
 

@@ -397,11 +397,17 @@ class Environment {
                        Status outcome);
 
   // --- elastic-scaling internals (see environment.cpp) ---------------------
-  void scale_bring_up(std::shared_ptr<ScaleJob> job, std::size_t step);
+  /// Runs one of the migration's NETCONF step lists: the list stops
+  /// once the job is aborted, its first error fails the migration, and
+  /// `next` runs after its last step.
+  void scale_steps(const std::shared_ptr<ScaleJob>& job,
+                   std::shared_ptr<orchestrator::RpcChain> chain, const char* phase,
+                   std::function<void()> next);
   void scale_cut_over(std::shared_ptr<ScaleJob> job);
-  void scale_export(std::shared_ptr<ScaleJob> job, std::size_t index);
-  void scale_import(std::shared_ptr<ScaleJob> job, std::size_t replica);
-  void scale_release_hold(std::shared_ptr<ScaleJob> job);
+  /// The state hand-off: exports from every stateful old instance, then
+  /// one list of the imports into the new replicas and the release of
+  /// the new entry's packet hold.
+  void scale_hand_off(std::shared_ptr<ScaleJob> job);
   void scale_commit(std::shared_ptr<ScaleJob> job);
   /// True (and unwinds the half-built generation) when the job's chain
   /// vanished or its scale_epoch moved on (fault mid-migration).

@@ -304,6 +304,49 @@ Status VnfContainer::import_flow_state(const std::string& vnf_id, const std::str
   return flush();
 }
 
+std::vector<std::string> split_flow_state(const std::vector<std::string>& blobs,
+                                          std::size_t parts) {
+  std::vector<std::string> out(parts);
+  std::vector<bool> open(parts, false);
+  std::string manager;
+  auto close_all = [&] {
+    for (std::size_t p = 0; p < parts; ++p) {
+      if (open[p]) out[p] += "endmanager\n";
+      open[p] = false;
+    }
+  };
+  for (const std::string& blob : blobs) {
+    std::istringstream lines(blob);
+    std::string line;
+    std::size_t current = parts;  // no flow routed yet
+    while (std::getline(lines, line)) {
+      if (line.empty()) continue;
+      if (line.rfind("manager ", 0) == 0) {
+        close_all();
+        manager = line;
+        current = parts;
+      } else if (line == "endmanager") {
+        close_all();
+        current = parts;
+      } else if (line.rfind("flow ", 0) == 0) {
+        const std::optional<click::FlowBlockHeader> record = click::parse_flow_record(line);
+        if (!record) {
+          current = parts;  // dropped, and its state lines with it
+          continue;
+        }
+        current = record->tuple.hash_backend(parts);
+        if (!open[current]) out[current] += manager + '\n';
+        open[current] = true;
+        out[current] += line + '\n';
+      } else if (current < parts) {
+        out[current] += line + '\n';  // "state ..." lines follow their flow
+      }
+    }
+    close_all();
+  }
+  return out;
+}
+
 std::vector<std::string> VnfContainer::vnf_ids() const {
   std::vector<std::string> out;
   out.reserve(vnfs_.size());

@@ -12,6 +12,8 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "click/config.hpp"
 #include "click/elements.hpp"
@@ -151,5 +153,14 @@ class VnfContainer : public Node {
   std::map<std::uint16_t, std::pair<Instance*, click::FromDevice*>> port_rx_;
   Logger log_{"netemu.container"};
 };
+
+/// Splits export_flow_state() blobs into `parts` import blobs by the
+/// rule a MODE hash FlowLB with `parts` outputs routes by, so each flow's
+/// state lands on the replica its packets reach. A part repeats the
+/// `manager` header of the flows it receives and closes it with
+/// `endmanager`; a part that receives no flow stays empty. A flow record
+/// import_flow_state would reject is dropped with its state lines.
+std::vector<std::string> split_flow_state(const std::vector<std::string>& blobs,
+                                          std::size_t parts);
 
 }  // namespace escape::netemu

@@ -8,36 +8,64 @@
 namespace escape::orchestrator {
 
 namespace {
-// Bring-up steps queued per VNF in deploy() (initiate, start, connect in,
-// connect out). Rollback sizing derives the owning VNF from the failing
-// step index via this constant -- keep it in sync with the push_backs.
-constexpr std::size_t kStepsPerVnf = 4;
 
-/// Runs one NETCONF operation through a named fault point: an injected
-/// drop fails it locally (deferred one event, like a real reply), an
-/// injected delay defers the send, an injected crash (handled inside
-/// hit()) kills the target first and lets the RPC fail naturally.
-void run_rpc_step(EventScheduler& scheduler, const char* site,
-                  const chaos::SiteContext& ctx,
-                  std::function<void(netconf::VnfAgentClient::StatusCallback)> op,
-                  netconf::VnfAgentClient::StatusCallback cb) {
-  const chaos::Decision fp =
-      chaos::hit(site, chaos::kCanCrash | chaos::kCanDrop | chaos::kCanDelay, ctx);
-  if (fp.drop()) {
-    scheduler.schedule(0, [cb = std::move(cb), site]() mutable {
-      cb(make_error("chaos.injected-drop", std::string("injected rpc drop at ") + site));
-    });
+/// A chain in flight: what its pending callbacks share.
+struct ChainRun {
+  EventScheduler* scheduler;
+  std::shared_ptr<RpcChain> chain;
+  RpcChainHooks hooks;
+  std::function<void(Status, std::size_t)> done;
+
+  bool stopped() const { return hooks.stop && hooks.stop(); }
+};
+
+void run_step(const std::shared_ptr<ChainRun>& run, std::size_t index);
+
+void on_reply(const std::shared_ptr<ChainRun>& run, std::size_t index, Status s) {
+  if (run->stopped()) return;
+  if (!s.ok() && !(run->hooks.tolerate && run->hooks.tolerate(s.error()))) {
+    run->done(std::move(s), index);
     return;
   }
-  if (fp.delayed()) {
-    scheduler.schedule(fp.delay, [op = std::move(op), cb = std::move(cb)]() mutable {
-      op(std::move(cb));
-    });
-    return;
-  }
-  op(std::move(cb));
+  run_step(run, index + 1);
 }
+
+void send(const std::shared_ptr<ChainRun>& run, std::size_t index) {
+  RpcStep& step = run->chain->steps[index];
+  run->chain->reached = std::max(run->chain->reached, step.instance + 1);
+  step.call([run, index](Status s) { on_reply(run, index, std::move(s)); });
+}
+
+void run_step(const std::shared_ptr<ChainRun>& run, std::size_t index) {
+  if (run->stopped()) return;
+  if (index == run->chain->steps.size()) {
+    run->done(ok_status(), index);
+    return;
+  }
+  const RpcStep& step = run->chain->steps[index];
+  const chaos::Decision fp = chaos::hit(step.site, step.caps, step.ctx);
+  if (fp.drop()) {
+    run->scheduler->schedule(0, [run, index, site = step.site] {
+      on_reply(run, index,
+               make_error("chaos.injected-drop", std::string("injected rpc drop at ") + site));
+    });
+  } else if (fp.delayed()) {
+    run->scheduler->schedule(fp.delay, [run, index] {
+      if (!run->stopped()) send(run, index);
+    });
+  } else {
+    send(run, index);
+  }
+}
+
 }  // namespace
+
+void run_rpc_chain(EventScheduler& scheduler, std::shared_ptr<RpcChain> chain,
+                   RpcChainHooks hooks, std::function<void(Status, std::size_t)> done) {
+  run_step(std::make_shared<ChainRun>(
+               ChainRun{&scheduler, std::move(chain), std::move(hooks), std::move(done)}),
+           0);
+}
 
 DeploymentEngine::DeploymentEngine(netemu::Network& network, pox::TrafficSteering& steering,
                                    std::map<std::string, netconf::VnfAgentClient*> agents)
@@ -253,13 +281,9 @@ void DeploymentEngine::deploy(std::uint32_t chain_id, const MappingResult& mappi
   record->chain_path = std::move(*chain);
 
   // Phase 2: sequential NETCONF bring-up of every VNF.
-  struct Step {
-    std::function<void(netconf::VnfAgentClient::StatusCallback)> run;
-    std::string container;  // fault-point crash target
-  };
-  auto steps = std::make_shared<std::vector<Step>>();
-
-  for (const auto& d : record->vnfs) {
+  auto bring_up = std::make_shared<RpcChain>();
+  for (std::size_t n = 0; n < record->vnfs.size(); ++n) {
+    const VnfDeployment& d = record->vnfs[n];
     auto agent_it = agents_.find(d.container);
     if (agent_it == agents_.end()) {
       done(make_error("deploy.no-agent", "no management agent for " + d.container));
@@ -276,90 +300,72 @@ void DeploymentEngine::deploy(std::uint32_t chain_id, const MappingResult& mappi
       return;
     }
 
+    auto step = [&](std::function<void(netconf::VnfAgentClient::StatusCallback)> call) {
+      bring_up->steps.push_back({"deploy.rpc",
+                                 chaos::kCanCrash | chaos::kCanDrop | chaos::kCanDelay,
+                                 chaos::SiteContext::of_container(d.container, chain_id), n,
+                                 std::move(call)});
+    };
     // Copied, not pointed-to: the caller's `rendered` vector may be a
     // temporary (the recovery path's is), and this step runs from a
     // scheduler callback long after deploy() returned.
-    steps->push_back({[agent, v = *vnf, id = d.instance_id](auto cb) {
-                        agent->initiate_vnf(id, v.vnf_type, v.click_config, v.cpu_demand,
-                                            std::move(cb));
-                      },
-                      d.container});
-    steps->push_back(
-        {[agent, id = d.instance_id](auto cb) { agent->start_vnf(id, std::move(cb)); },
-         d.container});
-    steps->push_back({[agent, id = d.instance_id, port = d.container_in_port](auto cb) {
-                        agent->connect_vnf(id, "in0", port, std::move(cb));
-                      },
-                      d.container});
-    steps->push_back({[agent, id = d.instance_id, port = d.container_out_port](auto cb) {
-                        agent->connect_vnf(id, "out0", port, std::move(cb));
-                      },
-                      d.container});
-    static_assert(kStepsPerVnf == 4, "step pushes above must match kStepsPerVnf");
+    step([agent, v = *vnf, id = d.instance_id](auto cb) {
+      agent->initiate_vnf(id, v.vnf_type, v.click_config, v.cpu_demand, std::move(cb));
+    });
+    step([agent, id = d.instance_id](auto cb) { agent->start_vnf(id, std::move(cb)); });
+    step([agent, id = d.instance_id, port = d.container_in_port](auto cb) {
+      agent->connect_vnf(id, "in0", port, std::move(cb));
+    });
+    step([agent, id = d.instance_id, port = d.container_out_port](auto cb) {
+      agent->connect_vnf(id, "out0", port, std::move(cb));
+    });
   }
 
   auto* engine = this;
-  auto run_all = std::make_shared<std::function<void(std::size_t)>>();
-  // The stored function must only hold a weak self-reference: capturing
-  // run_all by value would form a shared_ptr cycle (function -> itself)
-  // that leaks the record and every capture. The pending step callback
-  // takes a strong ref, which is what keeps the loop alive between
-  // scheduler events.
-  std::weak_ptr<std::function<void(std::size_t)>> weak_run = run_all;
-  *run_all = [engine, steps, record, done, weak_run](std::size_t index) {
-    if (index == steps->size()) {
-      // Injectable: the hand-off from NETCONF bring-up to steering. A
-      // drop fails the install (partial bring-up rolls back); a crash
-      // restarts the chain's entry switch under the install.
-      const chaos::Decision fp =
-          chaos::hit("deploy.steering.install", chaos::kCanDrop | chaos::kCanCrash,
-                     chaos::SiteContext::of_switch(record->chain_path.hops.front().dpid,
-                                                   record->chain_id));
-      if (fp.drop()) {
-        Error error = make_error("chaos.injected-drop", "steering install dropped");
-        engine->teardown_best_effort(*record, [done, error](Status) { done(error); });
-        return;
-      }
-      // Phase 3: steering. Barrier-confirmed: the completion only fires
-      // once every touched switch has committed the chain's rules, so a
-      // chain cannot report deployed while its flow-mods are in flight
-      // (the old fixed settle delay just hoped they had landed).
-      engine->steering_->install_chain_confirmed(
-          record->chain_path, [engine, record, done](Status s) {
-            if (!s.ok()) {
-              Error error = s.error();
-              engine->teardown_best_effort(*record, [done, error](Status) { done(error); });
-              return;
-            }
-            record->completed_at = engine->network_->scheduler().now();
-            done(*record);
-          });
-      return;
-    }
-    auto self = weak_run.lock();
-    auto continue_with = [engine, steps, record, done, self, index](Status s) {
-      if (!s.ok()) {
-        // Partial-result reporting: annotate how far bring-up got, then
-        // roll back the VNFs already touched (best effort -- some of them
-        // may live on an agent that just died).
-        DeploymentRecord partial = *record;
-        partial.vnfs.resize(std::min(partial.vnfs.size(), index / kStepsPerVnf + 1));
-        Error error = make_error(
-            s.error().code,
-            "chain " + std::to_string(record->chain_id) + " failed at bring-up step " +
-                std::to_string(index + 1) + "/" + std::to_string(steps->size()) + ": " +
-                s.error().message + " (partial bring-up rolled back)");
-        engine->teardown_best_effort(partial, [done, error](Status) { done(error); });
-        return;
-      }
-      (*self)(index + 1);
-    };
-    run_rpc_step(engine->network_->scheduler(), "deploy.rpc",
-                 chaos::SiteContext::of_container((*steps)[index].container,
-                                                  record->chain_id),
-                 (*steps)[index].run, std::move(continue_with));
-  };
-  (*run_all)(0);
+  run_rpc_chain(
+      network_->scheduler(), bring_up, {},
+      [engine, bring_up, record, done](Status s, std::size_t failed) {
+        if (!s.ok()) {
+          // Partial-result reporting: annotate how far bring-up got, then
+          // roll back the VNFs up to the failing step's (best effort --
+          // some of them may live on an agent that just died).
+          DeploymentRecord partial = *record;
+          partial.vnfs.resize(bring_up->steps[failed].instance + 1);
+          Error error = make_error(
+              s.error().code,
+              "chain " + std::to_string(record->chain_id) + " failed at bring-up step " +
+                  std::to_string(failed + 1) + "/" + std::to_string(bring_up->steps.size()) +
+                  ": " + s.error().message + " (partial bring-up rolled back)");
+          engine->teardown_best_effort(partial, [done, error](Status) { done(error); });
+          return;
+        }
+        // Injectable: the hand-off from NETCONF bring-up to steering. A
+        // drop fails the install (partial bring-up rolls back); a crash
+        // restarts the chain's entry switch under the install.
+        const chaos::Decision fp =
+            chaos::hit("deploy.steering.install", chaos::kCanDrop | chaos::kCanCrash,
+                       chaos::SiteContext::of_switch(record->chain_path.hops.front().dpid,
+                                                     record->chain_id));
+        if (fp.drop()) {
+          Error error = make_error("chaos.injected-drop", "steering install dropped");
+          engine->teardown_best_effort(*record, [done, error](Status) { done(error); });
+          return;
+        }
+        // Phase 3: steering. Barrier-confirmed: the completion only fires
+        // once every touched switch has committed the chain's rules, so a
+        // chain cannot report deployed while its flow-mods are in flight
+        // (the old fixed settle delay just hoped they had landed).
+        engine->steering_->install_chain_confirmed(
+            record->chain_path, [engine, record, done](Status s) {
+              if (!s.ok()) {
+                Error error = s.error();
+                engine->teardown_best_effort(*record, [done, error](Status) { done(error); });
+                return;
+              }
+              record->completed_at = engine->network_->scheduler().now();
+              done(*record);
+            });
+      });
 }
 
 namespace {
@@ -418,55 +424,30 @@ void DeploymentEngine::teardown_impl(const DeploymentRecord& record, bool best_e
       return;
     }
   }
-  auto vnfs = std::make_shared<std::vector<VnfDeployment>>(record.vnfs);
-  auto* engine = this;
-  auto run = std::make_shared<std::function<void(std::size_t)>>();
-  // Weak self-reference for the same reason as in deploy(): the pending
-  // RPC callbacks hold the strong refs that keep the loop alive.
-  std::weak_ptr<std::function<void(std::size_t)>> weak_run = run;
-  *run = [engine, vnfs, done, weak_run, best_effort](std::size_t index) {
-    if (index == vnfs->size()) {
-      done(ok_status());
-      return;
-    }
-    auto tolerated = [best_effort](const Error& error) {
-      return best_effort || benign_teardown_error(error);
-    };
-    const VnfDeployment d = (*vnfs)[index];
-    auto self = weak_run.lock();
-    auto it = engine->agents_.find(d.container);
-    if (it == engine->agents_.end()) {
-      if (best_effort) {
-        (*self)(index + 1);
-      } else {
-        done(make_error("deploy.no-agent", "no management agent for " + d.container));
-      }
+  auto chain = std::make_shared<RpcChain>();
+  for (std::size_t n = 0; n < record.vnfs.size(); ++n) {
+    const VnfDeployment& d = record.vnfs[n];
+    auto it = agents_.find(d.container);
+    if (it == agents_.end()) {
+      if (best_effort) continue;
+      done(make_error("deploy.no-agent", "no management agent for " + d.container));
       return;
     }
     netconf::VnfAgentClient* agent = it->second;
-    run_rpc_step(
-        engine->network_->scheduler(), "teardown.rpc.stop",
-        chaos::SiteContext::of_container(d.container),
-        [agent, id = d.instance_id](auto cb) { agent->stop_vnf(id, std::move(cb)); },
-        [engine, agent, d, done, self, index, tolerated](Status s) {
-          if (!s.ok() && !tolerated(s.error())) {
-            done(s);
-            return;
-          }
-          run_rpc_step(
-              engine->network_->scheduler(), "teardown.rpc.remove",
-              chaos::SiteContext::of_container(d.container),
-              [agent, id = d.instance_id](auto cb) { agent->remove_vnf(id, std::move(cb)); },
-              [self, index, done, tolerated](Status s2) {
-                if (!s2.ok() && !tolerated(s2.error())) {
-                  done(s2);
-                  return;
-                }
-                (*self)(index + 1);
-              });
-        });
+    const unsigned caps = chaos::kCanCrash | chaos::kCanDrop | chaos::kCanDelay;
+    chain->steps.push_back(
+        {"teardown.rpc.stop", caps, chaos::SiteContext::of_container(d.container), n,
+         [agent, id = d.instance_id](auto cb) { agent->stop_vnf(id, std::move(cb)); }});
+    chain->steps.push_back(
+        {"teardown.rpc.remove", caps, chaos::SiteContext::of_container(d.container), n,
+         [agent, id = d.instance_id](auto cb) { agent->remove_vnf(id, std::move(cb)); }});
+  }
+  RpcChainHooks hooks;
+  hooks.tolerate = [best_effort](const Error& error) {
+    return best_effort || benign_teardown_error(error);
   };
-  (*run)(0);
+  run_rpc_chain(network_->scheduler(), std::move(chain), std::move(hooks),
+                [done = std::move(done)](Status s, std::size_t) { done(std::move(s)); });
 }
 
 }  // namespace escape::orchestrator

@@ -11,6 +11,13 @@
 //   3. traffic steering -- converts the mapped substrate paths plus the
 //      allocated switch ports into one pox::ChainPath and installs it.
 //
+// Every ordered NETCONF sequence of the orchestrator -- this bring-up,
+// teardown's stopVNF / removeVNF pairs, and the elastic-scaling
+// generation bring-up and state hand-off (escape/environment.cpp) -- is
+// a list of RpcSteps run by run_rpc_chain(): one place that passes each
+// step through its fault point, stops at the first untolerated error and
+// records how far the chain got.
+//
 // Everything is asynchronous over the shared virtual-time scheduler;
 // completion (or the first error) is reported through a callback. The
 // elapsed virtual time between start and completion is the chain setup
@@ -20,7 +27,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <vector>
 
+#include "chaos/fault_point.hpp"
 #include "netconf/vnf_agent.hpp"
 #include "netemu/network.hpp"
 #include "orchestrator/mapping.hpp"
@@ -28,6 +37,44 @@
 #include "service/layer.hpp"
 
 namespace escape::orchestrator {
+
+/// One NETCONF call of an ordered management sequence: the fault point
+/// it passes (site, caps, crash target), the VNF instance it acts on (an
+/// index into the caller's instance list) and the call itself.
+struct RpcStep {
+  const char* site = "";
+  unsigned caps = 0;
+  chaos::SiteContext ctx;
+  std::size_t instance = 0;
+  std::function<void(netconf::VnfAgentClient::StatusCallback)> call;
+};
+
+/// A step list and how far it got. The running chain shares it with its
+/// caller, who reads `reached` to size a rollback.
+struct RpcChain {
+  std::vector<RpcStep> steps;
+  /// One past the highest `instance` of a step that was sent: how many
+  /// of the caller's instances the chain has touched.
+  std::size_t reached = 0;
+};
+
+struct RpcChainHooks {
+  /// Checked before each step and after each reply. True ends the chain
+  /// there without calling `done`: the predicate's owner has taken over.
+  std::function<bool()> stop;
+  /// Errors the chain steps over instead of ending on them.
+  std::function<bool(const Error&)> tolerate;
+};
+
+/// Runs `chain`'s steps in order, each through its fault point: an
+/// injected drop fails the step one event later, as a real reply would;
+/// an injected delay defers the send, and the stop predicate is checked
+/// again when it runs; an injected crash kills the target inside
+/// chaos::hit and the call then fails on its own. Ends with
+/// done(error, index of the failing step) at the first error `tolerate`
+/// does not accept, or with done(ok, steps.size()) after the last step.
+void run_rpc_chain(EventScheduler& scheduler, std::shared_ptr<RpcChain> chain,
+                   RpcChainHooks hooks, std::function<void(Status, std::size_t)> done);
 
 /// Everything the engine records about one deployed VNF instance.
 struct VnfDeployment {

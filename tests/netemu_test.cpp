@@ -3,11 +3,13 @@
 // CPU share model included).
 #include <gtest/gtest.h>
 
+#include "click/flow.hpp"
 #include "net/builder.hpp"
 #include "netemu/network.hpp"
 #include "netemu/pcap.hpp"
 
 #include <cstring>
+#include <sstream>
 
 namespace escape::netemu {
 namespace {
@@ -485,6 +487,126 @@ TEST_F(ContainerFixture, WriteHandlerThroughContainer) {
   EXPECT_FALSE(c.write_handler("v1", "cnt.bogus", "").ok());
 }
 
+// --- flow-state split (the scale-out hand-off) -------------------------------------
+
+click::FlowTuple tuple_of(std::uint32_t i) {
+  click::FlowTuple t;
+  t.src_ip = 0x0a000001;
+  t.dst_ip = 0x0a000101;
+  t.src_port = static_cast<std::uint16_t>(1000 + i);
+  t.dst_port = 80;
+  t.proto = 17;
+  return t;
+}
+
+/// One record as FlowManager::export_state writes it.
+std::string flow_line(const click::FlowTuple& t) {
+  return "flow " + std::to_string(t.src_ip) + " " + std::to_string(t.dst_ip) + " " +
+         std::to_string(t.src_port) + " " + std::to_string(t.dst_port) + " " +
+         std::to_string(unsigned{t.proto}) + " 5 9 3 300";
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
+}
+
+TEST(SplitFlowState, EachFlowAndItsStateLandOnHashModN) {
+  constexpr std::size_t kParts = 3;
+  std::string blob = "manager fm\n";
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    blob += flow_line(tuple_of(i)) + "\nstate nat " + std::to_string(i) + "\n";
+  }
+  blob += "endmanager\n";
+  const std::vector<std::string> parts = split_flow_state({blob}, kParts);
+  ASSERT_EQ(parts.size(), kParts);
+
+  std::size_t flows = 0;
+  for (std::size_t p = 0; p < kParts; ++p) {
+    const std::vector<std::string> lines = lines_of(parts[p]);
+    for (std::size_t k = 0; k < lines.size(); ++k) {
+      if (lines[k].rfind("flow ", 0) != 0) continue;
+      const auto record = click::parse_flow_record(lines[k]);
+      ASSERT_TRUE(record.has_value()) << lines[k];
+      EXPECT_EQ(record->tuple.hash() % kParts, p) << lines[k];
+      const std::uint32_t index = record->tuple.src_port - 1000u;
+      ASSERT_LT(k + 1, lines.size());
+      EXPECT_EQ(lines[k + 1], "state nat " + std::to_string(index));
+      ++flows;
+    }
+  }
+  EXPECT_EQ(flows, 24u);
+}
+
+TEST(SplitFlowState, PartsRepeatTheManagerHeaderAndCloseIt) {
+  constexpr std::size_t kParts = 2;
+  // Two old instances, each with two managers: every part opens each
+  // manager it receives flows for and closes it before the next.
+  std::vector<std::string> blobs;
+  for (std::uint32_t source = 0; source < 2; ++source) {
+    std::string blob;
+    for (const char* manager : {"fm", "fm2"}) {
+      blob += std::string("manager ") + manager + "\n";
+      for (std::uint32_t i = 0; i < 16; ++i) {
+        blob += flow_line(tuple_of(100 * source + i)) + "\n";
+      }
+      blob += "endmanager\n";
+    }
+    blobs.push_back(blob);
+  }
+  for (const std::string& part : split_flow_state(blobs, kParts)) {
+    const std::vector<std::string> lines = lines_of(part);
+    ASSERT_FALSE(lines.empty());
+    std::string open;
+    std::size_t sections = 0;
+    for (const std::string& line : lines) {
+      if (line.rfind("manager ", 0) == 0) {
+        EXPECT_TRUE(open.empty()) << "section " << open << " left open";
+        open = line;
+        ++sections;
+      } else if (line == "endmanager") {
+        EXPECT_FALSE(open.empty());
+        open.clear();
+      } else {
+        EXPECT_FALSE(open.empty()) << "record outside a manager section: " << line;
+      }
+    }
+    EXPECT_TRUE(open.empty());
+    EXPECT_EQ(lines.back(), "endmanager");
+    EXPECT_EQ(sections, 4u);  // both managers, once per source blob
+  }
+}
+
+TEST(SplitFlowState, EmptyPartsStayEmpty) {
+  const click::FlowTuple t = tuple_of(7);
+  const std::string blob = "manager fm\n" + flow_line(t) + "\nendmanager\n";
+  const std::vector<std::string> parts = split_flow_state({blob, "manager fm\nendmanager\n"}, 4);
+  ASSERT_EQ(parts.size(), 4u);
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    if (p == t.hash() % 4) {
+      EXPECT_EQ(parts[p], blob);
+    } else {
+      EXPECT_EQ(parts[p], "") << "part " << p;
+    }
+  }
+}
+
+TEST(SplitFlowState, RecordTheImporterRejectsIsDroppedWithItsState) {
+  const click::FlowTuple good = tuple_of(1);
+  const std::string blob = "manager fm\n"
+                           "flow 167772161 167772417 70000 80 17 5 9 3 300\n"
+                           "state nat port-above-range\n"
+                           "flow 167772161 167772417 1000 80\n"
+                           "state nat truncated-record\n" +
+                           flow_line(good) + "\nstate nat kept\nendmanager\n";
+  const std::vector<std::string> parts = split_flow_state({blob}, 1);
+  ASSERT_EQ(parts.size(), 1u);
+  EXPECT_EQ(parts[0], "manager fm\n" + flow_line(good) + "\nstate nat kept\nendmanager\n");
+  EXPECT_FALSE(click::parse_flow_record("flow 167772161 167772417 70000 80 17 5 9 3 300"));
+  EXPECT_FALSE(click::parse_flow_record("flow 167772161 167772417 1000 80"));
+}
 
 // --- pcap capture -----------------------------------------------------------------
 
