@@ -336,8 +336,7 @@ void Controller::deliver_from_switch(DatapathId dpid, Message message) {
           raise_packet_in(conn, msg);
           // The apps copied what they keep; the frame's buffer goes back
           // to this thread's pool for the next frame a source builds.
-          net::PacketPool& pool = net::default_packet_pool();
-          if (pool.free_buffers() < kPacketInRecycleLimit) pool.recycle(std::move(msg.packet));
+          net::default_packet_pool().recycle(std::move(msg.packet));
         } else if constexpr (std::is_same_v<T, openflow::FlowRemoved>) {
           for (auto& app : apps_) app->on_flow_removed(conn, msg);
         } else if constexpr (std::is_same_v<T, openflow::PortStatus>) {

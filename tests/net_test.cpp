@@ -445,6 +445,19 @@ TEST(PacketPool, MaxFreeBoundsTheFreeList) {
   for (auto& p : live) pool.recycle(std::move(p));
   EXPECT_EQ(pool.free_buffers(), 2u);  // excess buffers freed normally
   EXPECT_EQ(pool.recycled(), 2u);
+
+  // The per-thread pool every sink recycles into (Host::deliver, Discard,
+  // the controller's packet-ins) keeps the default bound.
+  PacketPool& shared = default_packet_pool();
+  shared.clear();
+  std::vector<Packet> burst;
+  for (std::size_t i = 0; i < PacketPool::kDefaultMaxFree + 50; ++i) {
+    burst.push_back(Packet(std::vector<std::uint8_t>(64)));
+  }
+  for (auto& p : burst) shared.recycle(std::move(p));
+  EXPECT_EQ(shared.free_buffers(), PacketPool::kDefaultMaxFree);
+  EXPECT_EQ(shared.recycled(), PacketPool::kDefaultMaxFree);
+  shared.clear();
 }
 
 }  // namespace
