@@ -852,11 +852,9 @@ struct ScaleJob {
   ReservationLedger ledger;  // the new generation's CPU shares
   pox::ChainPath new_path;
   bool steering_installed = false;
-  // The NETCONF bring-up; its steps name the new instance they act on.
+  // The NETCONF bring-up. The unwind tears down the new instances it
+  // reached.
   std::shared_ptr<orchestrator::RpcChain> bring_up;
-  /// New instances the bring-up has sent a step to: what the unwind
-  /// tears down.
-  std::size_t touched() const { return bring_up ? bring_up->reached : 0; }
 
   // Old generation snapshot (swapped out on commit).
   std::vector<orchestrator::VnfDeployment> old_vnfs;
@@ -1260,7 +1258,7 @@ void Environment::scale_unwind(const std::shared_ptr<ScaleJob>& job) {
   auto finish = [this, alive, job] {
     if (alive.expired()) return;
     if (job->steering_installed) steering_->remove_chain(job->steering_id);
-    if (job->touched() == 0) return;
+    if (job->bring_up->reached == 0) return;
     // Packets already steered at the new generation are still in flight
     // (and the removal flow-mods have not landed yet): keep the
     // instances serving one settle window before tearing them down.
@@ -1269,8 +1267,9 @@ void Environment::scale_unwind(const std::shared_ptr<ScaleJob>& job) {
       orchestrator::DeploymentRecord remnants;
       remnants.chain_id = job->steering_id;
       remnants.chain_path.chain_id = job->steering_id;  // already removed; benign
-      remnants.vnfs.assign(job->new_vnfs.begin(),
-                           job->new_vnfs.begin() + static_cast<std::ptrdiff_t>(job->touched()));
+      remnants.vnfs.assign(
+          job->new_vnfs.begin(),
+          job->new_vnfs.begin() + static_cast<std::ptrdiff_t>(job->bring_up->reached));
       engine_->teardown_best_effort(remnants, [](Status) {});
     });
   };
@@ -1279,7 +1278,7 @@ void Environment::scale_unwind(const std::shared_ptr<ScaleJob>& job) {
   // replicas (fresh state, but delivered) before the rules come out --
   // an aborted migration must not strand buffered packets.
   const bool entry_holds =
-      job->steering_installed && (job->target > 1 || job->stateful) && job->touched() > 0;
+      job->steering_installed && (job->target > 1 || job->stateful) && job->bring_up->reached > 0;
   netconf::VnfAgentClient* entry_agent =
       entry_holds ? agent_client(job->new_vnfs.front().container) : nullptr;
   if (entry_agent != nullptr) {
