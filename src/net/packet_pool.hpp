@@ -7,8 +7,9 @@
 // bytes, and the vector's capacity is reused without touching the
 // allocator.
 //
-// Sinks (Discard, Host::deliver) recycle each packet as it dies and
-// sources (the Click PacketTemplate, host UDP flows) rebuild frames with
+// Sinks (Discard, Host::deliver, the controller once its apps have
+// seen a packet-in) recycle each packet as it dies and sources (the
+// Click PacketTemplate, host UDP flows) rebuild frames with
 // acquire_copy; packets travel one at a time, so buffers do too.
 // Recycled packets are handed out with all annotations reset (paint,
 // in_port, timestamp, seq, chain_tag), so a reused buffer is
