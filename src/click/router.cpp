@@ -14,23 +14,21 @@ Router::~Router() {
 
 void Router::export_metrics(obs::MetricsRegistry& registry, obs::Labels base_labels) {
   metrics_registry_ = &registry;
-  for (const Element* e : order_) {
-    for (const auto& handler : e->read_handler_names()) {
-      obs::Labels labels = base_labels;
-      labels.emplace_back("element", e->name());
-      labels.emplace_back("handler", handler);
-      registry.expose_gauge(
-          "escape_click_handler_value", std::move(labels), this,
-          [e, handler]() -> std::optional<double> {
-            auto value = e->call_read(handler);
-            if (!value.ok()) return std::nullopt;
-            char* end = nullptr;
-            const double parsed = std::strtod(value->c_str(), &end);
-            if (end == value->c_str() || (end && *end != '\0')) return std::nullopt;
-            return parsed;
-          });
+  registry.collect(this, [this, base_labels = std::move(base_labels)](obs::SampleSink& sink) {
+    for (const Element* e : order_) {
+      for (const auto& handler : e->read_handler_names()) {
+        auto value = e->call_read(handler);
+        if (!value.ok()) continue;
+        char* end = nullptr;
+        const double parsed = std::strtod(value->c_str(), &end);
+        if (end == value->c_str() || (end && *end != '\0')) continue;
+        obs::Labels labels = base_labels;
+        labels.emplace_back("element", e->name());
+        labels.emplace_back("handler", handler);
+        sink.gauge("escape_click_handler_value", std::move(labels), parsed);
+      }
     }
-  }
+  });
 }
 
 void Router::set_cpu_share(double share) {

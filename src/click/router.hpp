@@ -70,13 +70,13 @@ class Router {
   /// All "element.handler" read handler names, for discovery.
   std::vector<std::string> list_read_handlers() const;
 
-  /// Exports every numeric read handler into `registry` as an
-  /// owner-held gauge escape_click_handler_value{<base_labels>,element=...,
-  /// handler=...} -- the Clicky monitoring surface made scrapeable.
-  /// Handlers whose value does not parse as a number are skipped at
-  /// exposition time. The registration is keyed to this router and
-  /// removed automatically on destruction (a stopped VNF disappears
-  /// from the registry). Call after initialize().
+  /// Registers one collector in `registry` that emits every numeric
+  /// read handler as a gauge escape_click_handler_value{<base_labels>,
+  /// element=...,handler=...} -- the Clicky monitoring surface made
+  /// scrapeable. Handlers are read at render time; one whose value does
+  /// not parse as a number is skipped and is no series. The collector
+  /// is removed on destruction (a stopped VNF disappears from the
+  /// registry). Call after initialize().
   void export_metrics(obs::MetricsRegistry& registry, obs::Labels base_labels);
 
  private:

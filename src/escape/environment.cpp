@@ -60,22 +60,22 @@ Environment::Environment(EnvironmentOptions options)
     l2_ = std::make_shared<pox::L2Learning>();
     controller_->add_app(l2_);
   }
-  obs::MetricsRegistry::global().expose_gauge("escape_chains_degraded", {}, this, [this] {
-    std::size_t n = 0;
-    for (const auto& [_, dep] : deployments_) {
+  obs::MetricsRegistry::global().collect(this, [this](obs::SampleSink& sink) {
+    std::size_t degraded = 0;
+    for (const auto& [id, dep] : deployments_) {
       // A migrating (kScaling) chain is healthy, not degraded.
-      n += dep.state == ChainState::kDegraded || dep.state == ChainState::kRecovering ||
-           dep.state == ChainState::kFailed;
+      degraded += dep.state == ChainState::kDegraded || dep.state == ChainState::kRecovering ||
+                  dep.state == ChainState::kFailed;
+      if (!dep.return_path) {
+        sink.gauge("escape_chain_instances", {{"chain", std::to_string(id)}},
+                   static_cast<double>(dep.scale_instances));
+      }
     }
-    return static_cast<double>(n);
+    sink.gauge("escape_chains_degraded", {}, static_cast<double>(degraded));
   });
 }
 
-Environment::~Environment() {
-  auto& registry = obs::MetricsRegistry::global();
-  for (const auto& [_, dep] : deployments_) registry.remove_owner(&dep);
-  registry.remove_owner(this);
-}
+Environment::~Environment() { obs::MetricsRegistry::global().remove_owner(this); }
 
 Status Environment::load_topology(const service::TopologySpec& spec) {
   return spec.build(network_);
@@ -281,9 +281,6 @@ Result<std::uint32_t> Environment::deploy(const sg::ServiceGraph& graph,
   dep.graph = graph;
   dep.record = std::move(*outcome);
   dep.reservations = std::move(embedding->ledger);
-  obs::MetricsRegistry::global().expose_gauge(
-      "escape_chain_instances", {{"chain", std::to_string(chain_id)}}, &dep,
-      [&dep] { return static_cast<double>(dep.scale_instances); });
   log_.info("chain ", chain_id, " deployed in ",
             static_cast<double>(dep.record.setup_latency()) / timeunit::kMillisecond,
             " ms (virtual)");
@@ -340,6 +337,7 @@ Result<std::uint32_t> Environment::install_return_path(std::uint32_t chain_id) {
   record.graph = sg::ServiceGraph("return-of-" + std::to_string(chain_id));
   record.record.chain_id = reverse.chain_id;
   record.record.chain_path = reverse;
+  record.return_path = true;
   deployments_[reverse.chain_id] = std::move(record);
   return reverse.chain_id;
 }
@@ -370,7 +368,6 @@ Status Environment::undeploy(std::uint32_t chain_id) {
   if (!outcome.ok()) return outcome;
   release(it->second.reservations);
   if (autoscaler_) autoscaler_->unwatch_chain(chain_id);
-  obs::MetricsRegistry::global().remove_owner(&it->second);
   deployments_.erase(it);
   return ok_status();
 }

@@ -138,6 +138,8 @@ struct ChainDeployment {
   std::uint32_t scale_generation = 0;
   std::uint64_t scale_epoch = 0;
   std::optional<ScaleAnchor> scale_anchor;
+  /// Installed by install_return_path: steering only, no instances.
+  bool return_path = false;
 };
 
 struct ScaleJob;  // internal migration state machine (environment.cpp)

@@ -7,14 +7,13 @@ namespace escape::netemu {
 
 Host::Host(std::string name, EventScheduler& scheduler, net::MacAddr mac, net::Ipv4Addr ip)
     : Node(std::move(name), scheduler), mac_(mac), ip_(ip) {
-  auto& registry = obs::MetricsRegistry::global();
-  const obs::Labels labels{{"host", this->name()}};
-  registry.expose_counter("escape_host_rx_packets_total", labels, this,
-                          [this] { return rx_packets_; });
-  registry.expose_counter("escape_host_rx_bytes_total", labels, this, [this] { return rx_bytes_; });
-  registry.expose_counter("escape_host_tx_packets_total", labels, this,
-                          [this] { return tx_packets_; });
-  registry.expose_histogram("escape_host_latency_us", labels, this, latency_us_);
+  obs::MetricsRegistry::global().collect(this, [this](obs::SampleSink& sink) {
+    const obs::Labels labels{{"host", this->name()}};
+    sink.counter("escape_host_rx_packets_total", labels, rx_packets_);
+    sink.counter("escape_host_rx_bytes_total", labels, rx_bytes_);
+    sink.counter("escape_host_tx_packets_total", labels, tx_packets_);
+    sink.histogram("escape_host_latency_us", labels, latency_us_);
+  });
 }
 
 Host::~Host() { obs::MetricsRegistry::global().remove_owner(this); }

@@ -19,22 +19,19 @@ Link::Link(Node* node_a, std::uint16_t port_a, Node* node_b, std::uint16_t port_
   dir_[0].sched = scheduler_;
   dir_[1].sched = scheduler_;
   bind_shards();
-  auto& registry = obs::MetricsRegistry::global();
-  const std::string id = strings::format("%s:%u-%s:%u", node_a_->name().c_str(), port_a_,
-                                         node_b_->name().c_str(), port_b_);
-  const char* dir_name[2] = {"ab", "ba"};
-  for (int d = 0; d < 2; ++d) {
-    const Direction* dir = &dir_[d];
-    obs::Labels labels{{"link", id}, {"dir", dir_name[d]}};
-    registry.expose_counter("escape_link_delivered_total", labels, this,
-                            [dir] { return dir->delivered; });
-    registry.expose_counter("escape_link_delivered_bytes_total", labels, this,
-                            [dir] { return dir->delivered_bytes; });
-    registry.expose_counter("escape_link_dropped_total", labels, this,
-                            [dir] { return dir->dropped; });
-    registry.expose_gauge("escape_link_queue_depth", labels, this,
-                          [dir] { return static_cast<double>(dir->pending.size); });
-  }
+  obs::MetricsRegistry::global().collect(this, [this](obs::SampleSink& sink) {
+    const std::string id = strings::format("%s:%u-%s:%u", node_a_->name().c_str(), port_a_,
+                                           node_b_->name().c_str(), port_b_);
+    const char* dir_name[2] = {"ab", "ba"};
+    for (int d = 0; d < 2; ++d) {
+      const Direction& dir = dir_[d];
+      const obs::Labels labels{{"link", id}, {"dir", dir_name[d]}};
+      sink.counter("escape_link_delivered_total", labels, dir.delivered);
+      sink.counter("escape_link_delivered_bytes_total", labels, dir.delivered_bytes);
+      sink.counter("escape_link_dropped_total", labels, dir.dropped);
+      sink.gauge("escape_link_queue_depth", labels, static_cast<double>(dir.pending.size));
+    }
+  });
 }
 
 Link::~Link() {

@@ -27,6 +27,20 @@ void sort_labels(Labels& labels) {
             [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
+std::string format_sorted_labels(const Labels& sorted) {
+  if (sorted.empty()) return "";
+  std::string out = "{";
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    if (i) out += ",";
+    out += sorted[i].first;
+    out += "=\"";
+    append_escaped(out, sorted[i].second);
+    out += "\"";
+  }
+  out += "}";
+  return out;
+}
+
 Logger& obs_log() {
   static Logger log{"obs.metrics"};
   return log;
@@ -44,19 +58,9 @@ std::string format_value(double v) {
 }  // namespace
 
 std::string format_labels(const Labels& labels) {
-  if (labels.empty()) return "";
   Labels sorted = labels;
   sort_labels(sorted);
-  std::string out = "{";
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    if (i) out += ",";
-    out += sorted[i].first;
-    out += "=\"";
-    append_escaped(out, sorted[i].second);
-    out += "\"";
-  }
-  out += "}";
-  return out;
+  return format_sorted_labels(sorted);
 }
 
 // --- BoundedHistogram ---------------------------------------------------------
@@ -155,148 +159,121 @@ MetricsRegistry& MetricsRegistry::global() {
   return registry;
 }
 
-std::string MetricsRegistry::key_of(std::string_view name, const Labels& labels) {
-  return std::string(name) + format_labels(labels);
-}
-
-MetricsRegistry::Entry* MetricsRegistry::find_or_create(std::string_view name,
-                                                        Labels&& labels, MetricKind kind,
-                                                        const void* owner) {
+void SampleSink::add(std::string_view name, Labels&& labels, Sample::Value value) {
   sort_labels(labels);
-  const std::string key = key_of(name, labels);
+  out_->push_back({std::string(name) + format_sorted_labels(labels), std::string(name),
+                   std::move(labels), value});
+}
+
+template <typename T, typename... Args>
+T& MetricsRegistry::get_or_create(std::string_view name, Labels&& labels, Args&&... args) {
+  sort_labels(labels);
+  std::string key = std::string(name) + format_sorted_labels(labels);
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = metrics_.find(key);
-  if (it != metrics_.end()) {
-    Entry& live = it->second;
-    // An identity keeps its kind and its holder: registry-owned series
-    // are shared through get-or-create, owner-held ones are re-exposable
-    // (a restarted VNF re-exports its handlers) and move on takeover.
-    if (live.kind == kind && (live.owner == nullptr) == (owner == nullptr)) {
-      if (live.owner != owner) {
-        auto held = by_owner_.find(live.owner);
-        auto& list = held->second;
-        *std::find(list.begin(), list.end(), it) = list.back();
-        list.pop_back();
-        if (list.empty()) by_owner_.erase(held);
-        by_owner_[owner].push_back(it);
-        live.owner = owner;
-      }
-      return &live;
-    }
-    obs_log().warn("metric '", key, "' registered as ", owner ? "owner-held " : "",
-                   metric_kind_name(kind), " but exists as ", live.owner ? "owner-held " : "",
-                   metric_kind_name(live.kind), "; returning detached metric");
-    detached_.push_back(std::make_unique<Entry>());
-    Entry* orphan = detached_.back().get();
-    orphan->name = std::string(name);
-    orphan->labels = std::move(labels);
-    orphan->kind = kind;
-    return orphan;  // unindexed: remove_owner never sees it
+  if (it == metrics_.end()) {
+    it = metrics_
+             .emplace(std::move(key), Entry{std::string(name), std::move(labels),
+                                            std::make_unique<T>(std::forward<Args>(args)...)})
+             .first;
   }
-  Entry entry;
-  entry.name = std::string(name);
-  entry.labels = std::move(labels);
-  entry.kind = kind;
-  entry.owner = owner;
-  it = metrics_.emplace(key, std::move(entry)).first;
-  if (owner) by_owner_[owner].push_back(it);
-  return &it->second;
+  if (auto* live = std::get_if<std::unique_ptr<T>>(&it->second.instrument)) return **live;
+  Instrument& orphan = detached_.emplace_back(std::make_unique<T>(std::forward<Args>(args)...));
+  auto kind_name = [](const Instrument& i) {
+    return metric_kind_name(static_cast<MetricKind>(i.index()));
+  };
+  obs_log().warn("metric '", it->first, "' registered as ", kind_name(orphan), " but exists as ",
+                 kind_name(it->second.instrument), "; returning detached metric");
+  return *std::get<std::unique_ptr<T>>(orphan);
 }
-
-namespace {
-
-/// The registry-owned instrument of type T an entry holds, created on
-/// first use.
-template <typename T, typename Instrument, typename... Args>
-T& owned(Instrument& instrument, Args&&... args) {
-  if (!std::holds_alternative<std::unique_ptr<T>>(instrument)) {
-    instrument = std::make_unique<T>(std::forward<Args>(args)...);
-  }
-  return *std::get<std::unique_ptr<T>>(instrument);
-}
-
-}  // namespace
 
 Counter& MetricsRegistry::counter(std::string_view name, Labels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return owned<Counter>(find_or_create(name, std::move(labels), MetricKind::kCounter)->instrument);
+  return get_or_create<Counter>(name, std::move(labels));
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, Labels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return owned<Gauge>(find_or_create(name, std::move(labels), MetricKind::kGauge)->instrument);
+  return get_or_create<Gauge>(name, std::move(labels));
 }
 
 BoundedHistogram& MetricsRegistry::histogram(std::string_view name, Labels labels,
                                              HistogramOptions options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return owned<BoundedHistogram>(
-      find_or_create(name, std::move(labels), MetricKind::kHistogram)->instrument, options);
+  return get_or_create<BoundedHistogram>(name, std::move(labels), options);
 }
 
-void MetricsRegistry::expose_counter(std::string_view name, Labels labels, const void* owner,
-                                     CounterFn fn) {
+void MetricsRegistry::collect(const void* owner, Collector collector) {
   std::lock_guard<std::mutex> lock(mu_);
-  find_or_create(name, std::move(labels), MetricKind::kCounter, owner)->instrument =
-      std::move(fn);
-}
-
-void MetricsRegistry::expose_gauge(std::string_view name, Labels labels, const void* owner,
-                                   GaugeFn fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  find_or_create(name, std::move(labels), MetricKind::kGauge, owner)->instrument = std::move(fn);
-}
-
-void MetricsRegistry::expose_histogram(std::string_view name, Labels labels, const void* owner,
-                                       const BoundedHistogram& histogram) {
-  std::lock_guard<std::mutex> lock(mu_);
-  find_or_create(name, std::move(labels), MetricKind::kHistogram, owner)->instrument =
-      &histogram;
+  collectors_[owner] = {next_seq_++, std::move(collector)};
 }
 
 void MetricsRegistry::remove_owner(const void* owner) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto held = by_owner_.find(owner);
-  if (held == by_owner_.end()) return;
-  for (Map::iterator it : held->second) metrics_.erase(it);
-  by_owner_.erase(held);
+  collectors_.erase(owner);
+}
+
+// Collectors run under mu_, so remove_owner waits for a render in
+// progress: an owner never dies while its collector reads it.
+std::vector<Sample> MetricsRegistry::samples() const {
+  std::vector<const Collection*> newest_first;
+  newest_first.reserve(collectors_.size());
+  for (const auto& [owner, c] : collectors_) newest_first.push_back(&c);
+  std::sort(newest_first.begin(), newest_first.end(),
+            [](const Collection* a, const Collection* b) { return a->seq > b->seq; });
+  std::vector<Sample> out;
+  SampleSink sink(out);
+  for (const Collection* c : newest_first) c->collector(sink);
+  for (const auto& [key, e] : metrics_) {
+    Sample::Value value;
+    if (auto* c = std::get_if<std::unique_ptr<Counter>>(&e.instrument)) value = (*c)->value();
+    if (auto* g = std::get_if<std::unique_ptr<Gauge>>(&e.instrument)) value = (*g)->value();
+    if (auto* h = std::get_if<std::unique_ptr<BoundedHistogram>>(&e.instrument)) value = h->get();
+    out.push_back({key, e.name, e.labels, value});
+  }
+  // Stable, so the first sample of an identity -- the newest collector's,
+  // else the registry-owned one -- is the one kept.
+  auto by_key = [](const Sample& a, const Sample& b) { return a.key < b.key; };
+  std::stable_sort(out.begin(), out.end(), by_key);
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const Sample& a, const Sample& b) { return a.key == b.key; }),
+            out.end());
+  return out;
 }
 
 std::size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return metrics_.size();
+  return samples().size();
 }
 
 bool MetricsRegistry::has(std::string_view name, const Labels& labels) const {
-  Labels sorted = labels;
-  sort_labels(sorted);
+  const std::string key = std::string(name) + format_labels(labels);
   std::lock_guard<std::mutex> lock(mu_);
-  return metrics_.count(key_of(name, sorted)) > 0;
+  const std::vector<Sample> all = samples();
+  return std::any_of(all.begin(), all.end(), [&key](const Sample& s) { return s.key == key; });
 }
 
 std::string MetricsRegistry::render_text() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   std::set<std::string> typed;
-  for (const auto& [key, e] : metrics_) {
-    const std::string labels = format_labels(e.labels);
-    if (typed.insert(e.name).second) {
-      out += "# TYPE " + e.name + " " + std::string(metric_kind_name(e.kind)) + "\n";
+  for (const Sample& s : samples()) {
+    if (typed.insert(s.name).second) {
+      out += "# TYPE " + s.name + " " + std::string(metric_kind_name(s.kind())) + "\n";
     }
-    switch (e.kind) {
+    switch (s.kind()) {
       case MetricKind::kCounter:
-        out += e.name + labels + " " + std::to_string(e.counter_value()) + "\n";
+        out += s.key + " " + std::to_string(std::get<std::uint64_t>(s.value)) + "\n";
         break;
       case MetricKind::kGauge:
-        if (auto v = e.gauge_value()) out += e.name + labels + " " + format_value(*v) + "\n";
+        out += s.key + " " + format_value(std::get<double>(s.value)) + "\n";
         break;
       case MetricKind::kHistogram: {
-        const BoundedHistogram& h = e.histogram_value();
-        out += e.name + "_count" + labels + " " + std::to_string(h.count()) + "\n";
-        out += e.name + "_sum" + labels + " " + format_value(h.sum()) + "\n";
+        const BoundedHistogram& h = *std::get<const BoundedHistogram*>(s.value);
+        const std::string labels = s.key.substr(s.name.size());
+        out += s.name + "_count" + labels + " " + std::to_string(h.count()) + "\n";
+        out += s.name + "_sum" + labels + " " + format_value(h.sum()) + "\n";
         for (double q : {50.0, 95.0, 99.0}) {
-          Labels ql = e.labels;
+          Labels ql = s.labels;
           ql.emplace_back("quantile", strings::format("%.2f", q / 100.0));
-          out += e.name + format_labels(ql) + " " + format_value(h.percentile(q)) + "\n";
+          out += s.name + format_labels(ql) + " " + format_value(h.percentile(q)) + "\n";
         }
         break;
       }
@@ -308,25 +285,22 @@ std::string MetricsRegistry::render_text() const {
 json::Value MetricsRegistry::snapshot_json() const {
   std::lock_guard<std::mutex> lock(mu_);
   json::Array metrics;
-  for (const auto& [key, e] : metrics_) {
+  for (const Sample& s : samples()) {
     json::Object m;
-    m["name"] = e.name;
-    m["kind"] = std::string(metric_kind_name(e.kind));
+    m["name"] = s.name;
+    m["kind"] = std::string(metric_kind_name(s.kind()));
     json::Object labels;
-    for (const auto& [k, v] : e.labels) labels[k] = v;
+    for (const auto& [k, v] : s.labels) labels[k] = v;
     m["labels"] = std::move(labels);
-    switch (e.kind) {
+    switch (s.kind()) {
       case MetricKind::kCounter:
-        m["value"] = e.counter_value();
+        m["value"] = std::get<std::uint64_t>(s.value);
         break;
-      case MetricKind::kGauge: {
-        auto v = e.gauge_value();
-        if (!v) continue;
-        m["value"] = *v;
+      case MetricKind::kGauge:
+        m["value"] = std::get<double>(s.value);
         break;
-      }
       case MetricKind::kHistogram: {
-        const BoundedHistogram& h = e.histogram_value();
+        const BoundedHistogram& h = *std::get<const BoundedHistogram*>(s.value);
         m["count"] = static_cast<std::uint64_t>(h.count());
         m["sum"] = h.sum();
         m["min"] = h.min();

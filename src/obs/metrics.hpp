@@ -5,9 +5,13 @@
 // Design rules:
 //   * one instrument per fact: a series is registry-owned (allocated
 //     once, never moving or dying, so callers cache the reference) or
-//     owner-held (a component exposes a count or histogram it keeps
-//     anyway and removes its series before it dies). Both render alike;
-//   * exposition reads owner-held values unsynchronised, so it runs
+//     collected (a component registers one collector that emits the
+//     counts and histograms it keeps anyway, and removes it before it
+//     dies). Both kinds merge into one sample list and render alike;
+//   * a collector registration builds no key: keys are built, sorted
+//     and merged only when something renders (render_text,
+//     snapshot_json, size, has), each of which costs one collection;
+//   * exposition reads collected values unsynchronised, so it runs
 //     outside parallel scheduler windows, as Click handlers require;
 //   * Counter::add is a relaxed atomic fetch-add, so registry-owned
 //     process-wide totals stay exact under concurrent shard writers;
@@ -16,8 +20,11 @@
 //     a bounded relative error, and memory does not grow with samples --
 //     unlike util/stats Histogram, which keeps every sample and is only
 //     suitable for test/bench scale;
-//   * identity is (name, labels); registration is get-or-create, so two
-//     components asking for the same metric share one instance.
+//   * identity is (name, labels). Registry-owned registration is
+//     get-or-create, so two components asking for the same metric share
+//     one instance. At render, collectors are asked newest registration
+//     first, then the registry-owned series follow, and the first sample
+//     of an identity wins.
 #pragma once
 
 #include <atomic>
@@ -27,7 +34,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -139,12 +145,50 @@ enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
 std::string_view metric_kind_name(MetricKind kind);
 
-/// The process-wide metric registry. Registration is get-or-create on
-/// (name, labels); returned references stay valid for the registry's
-/// lifetime. Registering an existing (name, labels) under a *different*
-/// kind, or asking get-or-create for an owner-held series, is a
-/// programming error: it is logged once and a detached metric (never
-/// exported) is returned so the caller's reference is still safe to use.
+/// One series as a render sees it: identity, and the value read at
+/// render time.
+struct Sample {
+  /// The value by kind; the alternative's index is the MetricKind.
+  using Value = std::variant<std::uint64_t, double, const BoundedHistogram*>;
+
+  std::string key;  // name + format_labels(labels): identity and render order
+  std::string name;
+  Labels labels;  // sorted by key
+  Value value;
+
+  MetricKind kind() const { return static_cast<MetricKind>(value.index()); }
+};
+
+/// What a collector emits its owner's samples into. Leaving a value out
+/// (a Click handler that does not parse as a number) leaves the series
+/// out of that render.
+class SampleSink {
+ public:
+  explicit SampleSink(std::vector<Sample>& out) : out_(&out) {}
+
+  void counter(std::string_view name, Labels labels, std::uint64_t value) {
+    add(name, std::move(labels), value);
+  }
+  void gauge(std::string_view name, Labels labels, double value) {
+    add(name, std::move(labels), value);
+  }
+  /// `histogram` is read within the render that collects it.
+  void histogram(std::string_view name, Labels labels, const BoundedHistogram& histogram) {
+    add(name, std::move(labels), &histogram);
+  }
+
+ private:
+  void add(std::string_view name, Labels&& labels, Sample::Value value);
+
+  std::vector<Sample>* out_;
+};
+
+/// The process-wide metric registry. Registry-owned registration is
+/// get-or-create on (name, labels); returned references stay valid for
+/// the registry's lifetime. Registering an existing (name, labels) under
+/// a *different* kind is a programming error: it is logged once and a
+/// detached metric (never exported) is returned so the caller's
+/// reference is still safe to use.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -159,27 +203,20 @@ class MetricsRegistry {
   BoundedHistogram& histogram(std::string_view name, Labels labels = {},
                               HistogramOptions options = {});
 
-  /// Owner-held series: `owner` keeps the value and the registry reads
-  /// it at exposition time, rendered exactly like a registry-owned
-  /// series of the same kind. A component that exposed series MUST call
-  /// remove_owner(owner) before it (or anything a reader touches) is
-  /// destroyed. Takeover rule, for every kind: exposing a series another
-  /// owner holds moves it to the new owner and its reader. Exposing an
-  /// identity that is registry-owned or of another kind leaves the live
-  /// entry intact and exports nothing.
-  using CounterFn = std::function<std::uint64_t()>;
-  /// Returning nullopt skips the sample (a non-numeric Click handler).
-  using GaugeFn = std::function<std::optional<double>()>;
-  void expose_counter(std::string_view name, Labels labels, const void* owner, CounterFn fn);
-  void expose_gauge(std::string_view name, Labels labels, const void* owner, GaugeFn fn);
-  /// `histogram` must outlive the series.
-  void expose_histogram(std::string_view name, Labels labels, const void* owner,
-                        const BoundedHistogram& histogram);
+  /// Registers `owner`'s one collector, called at every render to emit
+  /// the counts it keeps; a second call replaces it. A collected sample
+  /// renders exactly like a registry-owned series of the same kind and
+  /// shadows a registry-owned series of its identity. The owner MUST
+  /// call remove_owner(owner) before it (or anything the collector
+  /// reads) is destroyed.
+  using Collector = std::function<void(SampleSink&)>;
+  void collect(const void* owner, Collector collector);
 
-  /// Removes every series `owner` currently holds. Costs O(k log n) for
-  /// the owner's k series, not a walk of the registry.
+  /// Drops `owner`'s collector, if any.
   void remove_owner(const void* owner);
 
+  /// The number of rendered series, and whether one renders. Each call
+  /// costs one collection, O(series).
   std::size_t size() const;
   bool has(std::string_view name, const Labels& labels = {}) const;
 
@@ -193,51 +230,38 @@ class MetricsRegistry {
   json::Value snapshot_json() const;
 
   /// Zeroes registry-owned counters/gauges and clears their histograms;
-  /// owner-held values and the metric set itself are untouched. For
+  /// collected values and the metric set itself are untouched. For
   /// tests and bench isolation.
   void reset_values();
 
  private:
+  /// A registry-owned instrument; the alternative's index is the
+  /// MetricKind.
+  using Instrument = std::variant<std::unique_ptr<Counter>, std::unique_ptr<Gauge>,
+                                  std::unique_ptr<BoundedHistogram>>;
   struct Entry {
     std::string name;
     Labels labels;
-    MetricKind kind;
-    const void* owner = nullptr;  // non-null for owner-held series
-    // The one instrument: registry-owned (a unique_ptr) or the owner's
-    // reader, of the entry's kind. Empty until registration fills it.
-    std::variant<std::monostate, std::unique_ptr<Counter>, std::unique_ptr<Gauge>,
-                 std::unique_ptr<BoundedHistogram>, CounterFn, GaugeFn, const BoundedHistogram*>
-        instrument;
-
-    std::uint64_t counter_value() const {
-      const auto* owned = std::get_if<std::unique_ptr<Counter>>(&instrument);
-      return owned ? (*owned)->value() : std::get<CounterFn>(instrument)();
-    }
-    std::optional<double> gauge_value() const {
-      const auto* owned = std::get_if<std::unique_ptr<Gauge>>(&instrument);
-      return owned ? (*owned)->value() : std::get<GaugeFn>(instrument)();
-    }
-    const BoundedHistogram& histogram_value() const {
-      const auto* owned = std::get_if<std::unique_ptr<BoundedHistogram>>(&instrument);
-      return owned ? **owned : *std::get<const BoundedHistogram*>(instrument);
-    }
+    Instrument instrument;
+  };
+  struct Collection {
+    std::uint64_t seq;  // registration order: the newest wins an identity
+    Collector collector;
   };
 
-  using Map = std::map<std::string, Entry>;
-
-  /// `owner` is null for get-or-create and non-null for owner-held
-  /// series, which are indexed under it. An identity that exists with
-  /// another kind or the other holder yields a detached entry.
-  Entry* find_or_create(std::string_view name, Labels&& labels, MetricKind kind,
-                        const void* owner = nullptr);
-  static std::string key_of(std::string_view name, const Labels& labels);
+  /// Get-or-create of a registry-owned T; an identity that exists with
+  /// another kind yields a detached T.
+  template <typename T, typename... Args>
+  T& get_or_create(std::string_view name, Labels&& labels, Args&&... args);
+  /// Every rendered series, sorted by key, one per identity. mu_ held.
+  std::vector<Sample> samples() const;
 
   mutable std::mutex mu_;
-  Map metrics_;
-  // Every live owner-held series, listed once under the owner it is held by.
-  std::unordered_map<const void*, std::vector<Map::iterator>> by_owner_;
+  std::map<std::string, Entry> metrics_;
+  std::unordered_map<const void*, Collection> collectors_;
+  std::uint64_t next_seq_ = 0;
   // Mismatched registrations park here: alive forever, never exported.
-  std::vector<std::unique_ptr<Entry>> detached_;
+  std::vector<Instrument> detached_;
 };
 
 }  // namespace escape::obs

@@ -44,12 +44,12 @@ OpenFlowSwitch::OpenFlowSwitch(DatapathId dpid, EventScheduler& scheduler)
     : dpid_(dpid), scheduler_(&scheduler) {
   auto& registry = obs::MetricsRegistry::global();
   const obs::Labels labels{{"dpid", std::to_string(dpid)}};
-  registry.expose_counter("escape_of_table_hits_total", labels, this,
-                          [this] { return table_.matches(); });
-  registry.expose_counter("escape_of_table_misses_total", labels, this,
-                          [this] { return table_.lookups() - table_.matches(); });
-  registry.expose_counter("escape_of_packet_ins_total", labels, this,
-                          [this] { return packet_ins_; });
+  registry.collect(this, [this](obs::SampleSink& sink) {
+    const obs::Labels labels{{"dpid", std::to_string(dpid_)}};
+    sink.counter("escape_of_table_hits_total", labels, table_.matches());
+    sink.counter("escape_of_table_misses_total", labels, table_.lookups() - table_.matches());
+    sink.counter("escape_of_packet_ins_total", labels, packet_ins_);
+  });
   m_packet_in_rtt_us_ = &registry.histogram("escape_of_packet_in_rtt_us", labels);
   obs::Labels side_labels = labels;
   side_labels.emplace_back("side", "switch");

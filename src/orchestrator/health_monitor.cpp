@@ -7,10 +7,10 @@ HealthMonitor::HealthMonitor(EventScheduler& scheduler, HealthMonitorOptions opt
   auto& registry = obs::MetricsRegistry::global();
   m_probe_ok_ = &registry.counter("escape_health_probes_total", {{"result", "ok"}});
   m_probe_fail_ = &registry.counter("escape_health_probes_total", {{"result", "fail"}});
-  registry.expose_gauge("escape_health_agents_down", {}, this,
-                        [this] { return static_cast<double>(agents_down()); });
-  registry.expose_gauge("escape_health_dpids_diverged", {}, this,
-                        [this] { return static_cast<double>(diverged_.size()); });
+  registry.collect(this, [this](obs::SampleSink& sink) {
+    sink.gauge("escape_health_agents_down", {}, static_cast<double>(agents_down()));
+    sink.gauge("escape_health_dpids_diverged", {}, static_cast<double>(diverged_.size()));
+  });
 }
 
 HealthMonitor::~HealthMonitor() {

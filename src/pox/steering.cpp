@@ -27,8 +27,9 @@ void TrafficSteering::on_startup(Controller& controller) {
   auto& registry = obs::MetricsRegistry::global();
   m_flowmods_ = &registry.counter("escape_steering_flowmods_total");
   m_reactive_installs_ = &registry.counter("escape_steering_reactive_installs_total");
-  registry.expose_gauge("escape_steering_chains_installed", {}, this,
-                        [this] { return static_cast<double>(installed_.size()); });
+  registry.collect(this, [this](obs::SampleSink& sink) {
+    sink.gauge("escape_steering_chains_installed", {}, static_cast<double>(installed_.size()));
+  });
   m_install_latency_us_ = &registry.histogram("escape_steering_install_latency_us");
   m_resyncs_ = &registry.counter("escape_of_resync_total");
   m_rules_purged_ = &registry.counter("escape_of_rules_purged_total");

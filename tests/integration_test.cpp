@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
@@ -570,6 +571,27 @@ TEST(MetricsOwnership, SeriesAreComponentCountsAndDieWithThem) {
   for (const auto& [series, _] : want) EXPECT_EQ(left.count(series), 0u) << series;
 }
 
+// enable_self_healing() builds its new HealthMonitor before the old one
+// dies: the newer collector wins the shared identity, and the old one's
+// removal leaves it.
+TEST(MetricsOwnership, SelfHealingTwiceLeavesOneLiveHealthGauge) {
+  Environment env;
+  build_demo_topology(env);
+  ASSERT_TRUE(env.start().ok());
+  ASSERT_TRUE(env.enable_self_healing().ok());
+  ASSERT_TRUE(env.enable_self_healing().ok());
+  ASSERT_TRUE(env.kill_container("c1").ok());
+  env.run_for(seconds(1));
+  ASSERT_EQ(env.health_monitor()->agents_down(), 1u);
+
+  std::vector<std::string> lines;
+  std::istringstream text(obs::MetricsRegistry::global().render_text());
+  for (std::string line; std::getline(text, line);) {
+    if (line.rfind("escape_health_agents_down", 0) == 0) lines.push_back(line);
+  }
+  EXPECT_EQ(lines, std::vector<std::string>{"escape_health_agents_down 1"});
+}
+
 // --- port allocation and chain lifecycles --------------------------------------
 
 /// What a failed or finished chain operation must leave as it found it:
@@ -753,22 +775,36 @@ LifecycleRun run_lifecycles(EnvironmentOptions options) {
     run.delivered.push_back(sap2->rx_packets() - rx0);
     EXPECT_EQ(run.delivered.back(), kProbe) << "cycle " << cycle;
 
-    // Every instance the chain ran, with the registry identity of each
-    // handler series its router exported while alive.
-    std::vector<obs::Labels> series;
+    // Every instance the chain ran, with the series of each numeric
+    // handler its router's collector emitted while alive.
+    auto handler_series = [&registry] {
+      std::set<std::string> out;
+      std::istringstream lines(registry.render_text());
+      for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("escape_click_handler_value{", 0) == 0) {
+          out.insert(line.substr(0, line.rfind(' ')));
+        }
+      }
+      return out;
+    };
+    std::vector<std::string> series;
     auto monitor_all = [&] {
+      const std::set<std::string> rendered = handler_series();
       for (const auto& vnf : env.deployment(*chain)->record.vnfs) {
         auto info = env.monitor_vnf(vnf.container, vnf.instance_id);
         ASSERT_TRUE(info.ok()) << info.error().to_string();
         ASSERT_FALSE(info->handlers.empty());
-        for (const auto& [spec, _] : info->handlers) {
+        for (const auto& [spec, value] : info->handlers) {
+          char* end = nullptr;
+          std::strtod(value.c_str(), &end);
+          if (end == value.c_str() || *end != '\0') continue;  // not a number: no series
           const auto dot = spec.find('.');
-          obs::Labels labels{{"container", vnf.container},
-                             {"vnf", vnf.instance_id},
-                             {"element", spec.substr(0, dot)},
-                             {"handler", spec.substr(dot + 1)}};
-          EXPECT_TRUE(registry.has("escape_click_handler_value", labels)) << spec;
-          series.push_back(std::move(labels));
+          const obs::Labels labels{{"container", vnf.container},
+                                   {"vnf", vnf.instance_id},
+                                   {"element", spec.substr(0, dot)},
+                                   {"handler", spec.substr(dot + 1)}};
+          series.push_back("escape_click_handler_value" + obs::format_labels(labels));
+          EXPECT_EQ(rendered.count(series.back()), 1u) << spec;
         }
       }
     };
@@ -784,9 +820,9 @@ LifecycleRun run_lifecycles(EnvironmentOptions options) {
     }
 
     EXPECT_TRUE(env.undeploy(*chain).ok()) << "cycle " << cycle;
-    for (const auto& labels : series) {
-      EXPECT_FALSE(registry.has("escape_click_handler_value", labels))
-          << "cycle " << cycle << ": " << obs::format_labels(labels);
+    const std::set<std::string> rendered = handler_series();
+    for (const auto& s : series) {
+      EXPECT_EQ(rendered.count(s), 0u) << "cycle " << cycle << ": " << s;
     }
   }
   EXPECT_EQ(footprint(env), start);

@@ -1,11 +1,12 @@
 // Unit tests for the observability layer: metric registry semantics
-// (get-or-create identity, kind mismatch, label formatting, owner-held
-// series and their removal), the bounded histogram's accuracy against
-// the exact util/stats Histogram, the text/JSON exposition formats, and
-// the trace ring.
+// (get-or-create identity, kind mismatch, label formatting, collectors,
+// their identity rule and their removal), the bounded histogram's
+// accuracy against the exact util/stats Histogram, the text/JSON
+// exposition formats, and the trace ring.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <random>
 #include <thread>
 
@@ -82,50 +83,61 @@ TEST(Registry, HasAndSize) {
   EXPECT_EQ(registry.size(), 2u);
 }
 
+// A collector's samples render as series; one it leaves out (a Click
+// handler whose value is not a number) is no series at all.
 TEST(Registry, CallbackGaugeExportsAndRemoves) {
   MetricsRegistry registry;
   int owner = 0;
-  registry.expose_gauge("escape_test_cb", {{"id", "a"}}, &owner,
-                        [] { return std::optional<double>(42.0); });
-  registry.expose_gauge("escape_test_cb", {{"id", "b"}}, &owner,
-                        [] { return std::optional<double>(std::nullopt); });
-  std::string text = registry.render_text();
+  registry.collect(&owner, [](SampleSink& sink) {
+    const std::pair<const char*, std::optional<double>> values[] = {{"a", 42.0},
+                                                                    {"b", std::nullopt}};
+    for (const auto& [id, value] : values) {
+      if (value) sink.gauge("escape_test_cb", {{"id", id}}, *value);
+    }
+  });
+  const std::string text = registry.render_text();
   EXPECT_NE(text.find("escape_test_cb{id=\"a\"} 42"), std::string::npos);
-  // nullopt callbacks are skipped, not rendered as zero.
   EXPECT_EQ(text.find("id=\"b\""), std::string::npos);
+  EXPECT_TRUE(registry.has("escape_test_cb", {{"id", "a"}}));
+  EXPECT_FALSE(registry.has("escape_test_cb", {{"id", "b"}}));
+  EXPECT_EQ(registry.size(), 1u);
 
   registry.remove_owner(&owner);
   EXPECT_EQ(registry.render_text().find("escape_test_cb"), std::string::npos);
+  EXPECT_EQ(registry.size(), 0u);
 }
 
-// Owner-indexed removal: 20k series of other owners and kinds around
-// one owner's handful; removing that owner takes exactly its own.
+// 20k series of other owners and kinds around one owner's handful;
+// removing that owner takes exactly its own.
 TEST(Registry, RemoveCallbacksTakesOnlyTheOwnersSeries) {
   MetricsRegistry registry;
   std::vector<int> others(100);
   for (int i = 0; i < 10'000; ++i) {
     registry.counter("escape_test_total", {{"i", std::to_string(i)}});
-    registry.expose_gauge("escape_test_cb", {{"i", std::to_string(i)}}, &others[i % 100],
-                          [] { return std::optional<double>(1.0); });
+  }
+  for (int o = 0; o < 100; ++o) {
+    registry.collect(&others[o], [o](SampleSink& sink) {
+      for (int i = o; i < 10'000; i += 100) {
+        sink.gauge("escape_test_cb", {{"i", std::to_string(i)}}, 1.0);
+      }
+    });
   }
   const std::size_t start = registry.size();
   ASSERT_EQ(start, 20'000u);
+  const std::string before = registry.render_text();
 
   int owner = 0;
-  for (int h = 0; h < 8; ++h) {
-    registry.expose_gauge("escape_test_cb", {{"owner", "a"}, {"h", std::to_string(h)}},
-                          &owner, [] { return std::optional<double>(2.0); });
-  }
+  registry.collect(&owner, [](SampleSink& sink) {
+    for (int h = 0; h < 8; ++h) {
+      sink.gauge("escape_test_cb", {{"owner", "a"}, {"h", std::to_string(h)}}, 2.0);
+    }
+  });
   EXPECT_EQ(registry.size(), start + 8);
+  EXPECT_TRUE(registry.has("escape_test_cb", {{"owner", "a"}, {"h", "7"}}));
   registry.remove_owner(&owner);
   EXPECT_EQ(registry.size(), start);
-  for (int h = 0; h < 8; ++h) {
-    EXPECT_FALSE(registry.has("escape_test_cb", {{"owner", "a"}, {"h", std::to_string(h)}}));
-  }
-  for (int i = 0; i < 10'000; ++i) {
-    ASSERT_TRUE(registry.has("escape_test_total", {{"i", std::to_string(i)}}));
-    ASSERT_TRUE(registry.has("escape_test_cb", {{"i", std::to_string(i)}}));
-  }
+  EXPECT_FALSE(registry.has("escape_test_cb", {{"owner", "a"}, {"h", "7"}}));
+  EXPECT_EQ(registry.render_text(), before);
 }
 
 TEST(Registry, ReRegisteredCallbackMovesToNewOwner) {
@@ -134,13 +146,14 @@ TEST(Registry, ReRegisteredCallbackMovesToNewOwner) {
   const std::size_t start = registry.size();
   int a = 0;
   int b = 0;
-  registry.expose_gauge("escape_test_cb", {{"id", "shared"}}, &a,
-                        [] { return std::optional<double>(1.0); });
-  registry.expose_gauge("escape_test_cb", {{"id", "a-only"}}, &a,
-                        [] { return std::optional<double>(1.0); });
-  registry.expose_gauge("escape_test_cb", {{"id", "shared"}}, &b,
-                        [] { return std::optional<double>(7.0); });
+  registry.collect(&a, [](SampleSink& sink) {
+    sink.gauge("escape_test_cb", {{"id", "shared"}}, 1.0);
+    sink.gauge("escape_test_cb", {{"id", "a-only"}}, 1.0);
+  });
+  registry.collect(&b,
+                   [](SampleSink& sink) { sink.gauge("escape_test_cb", {{"id", "shared"}}, 7.0); });
   EXPECT_EQ(registry.size(), start + 2);
+  EXPECT_NE(registry.render_text().find("escape_test_cb{id=\"shared\"} 7"), std::string::npos);
 
   registry.remove_owner(&a);
   EXPECT_FALSE(registry.has("escape_test_cb", {{"id", "a-only"}}));
@@ -157,15 +170,17 @@ TEST(Registry, RemoveCallbacksOfUnknownOrRemovedOwnerIsNoOp) {
   int a = 0;
   int b = 0;
   int stranger = 0;
-  registry.expose_gauge("escape_test_cb", {{"id", "a"}}, &a,
-                        [] { return std::optional<double>(1.0); });
-  // Same owner, same key: still one series, removed once.
-  registry.expose_gauge("escape_test_cb", {{"id", "a"}}, &a,
-                        [] { return std::optional<double>(2.0); });
-  registry.expose_gauge("escape_test_cb", {{"id", "b"}}, &b,
-                        [] { return std::optional<double>(3.0); });
+  registry.collect(&a, [](SampleSink& sink) {
+    sink.gauge("escape_test_cb", {{"id", "a"}}, 1.0);
+    sink.gauge("escape_test_cb", {{"id", "a-first"}}, 1.0);
+  });
+  // A second collect by the same owner replaces its collector.
+  registry.collect(&a, [](SampleSink& sink) { sink.gauge("escape_test_cb", {{"id", "a"}}, 2.0); });
+  registry.collect(&b, [](SampleSink& sink) { sink.gauge("escape_test_cb", {{"id", "b"}}, 3.0); });
   const std::size_t start = registry.size();
   EXPECT_EQ(start, 2u);
+  EXPECT_FALSE(registry.has("escape_test_cb", {{"id", "a-first"}}));
+  EXPECT_NE(registry.render_text().find("escape_test_cb{id=\"a\"} 2\n"), std::string::npos);
 
   registry.remove_owner(&stranger);
   EXPECT_EQ(registry.size(), start);
@@ -176,24 +191,32 @@ TEST(Registry, RemoveCallbacksOfUnknownOrRemovedOwnerIsNoOp) {
   EXPECT_TRUE(registry.has("escape_test_cb", {{"id", "b"}}));
 }
 
+// A collected sample shadows the registry-owned series of its identity,
+// whatever its kind, while its owner lives; the registry-owned entry
+// stays intact and renders again once the owner is gone.
 TEST(Registry, CallbackOnKindMismatchLeavesLiveEntryIntact) {
   MetricsRegistry registry;
   Counter& c = registry.counter("escape_test_metric");
   c.add(5);
   const std::size_t start = registry.size();
   int owner = 0;
-  registry.expose_gauge("escape_test_metric", {}, &owner,
-                        [] { return std::optional<double>(99.0); });
+  registry.collect(&owner, [](SampleSink& sink) { sink.gauge("escape_test_metric", {}, 99.0); });
+  EXPECT_EQ(registry.size(), start);
+  std::string text = registry.render_text();
+  EXPECT_NE(text.find("# TYPE escape_test_metric gauge\nescape_test_metric 99\n"),
+            std::string::npos);
+  EXPECT_EQ(text.find("escape_test_metric 5"), std::string::npos);
+
   registry.remove_owner(&owner);
   EXPECT_EQ(registry.size(), start);
   EXPECT_EQ(&registry.counter("escape_test_metric"), &c);
-  const std::string text = registry.render_text();
-  EXPECT_NE(text.find("# TYPE escape_test_metric counter"), std::string::npos);
-  EXPECT_NE(text.find("escape_test_metric 5"), std::string::npos);
+  text = registry.render_text();
+  EXPECT_NE(text.find("# TYPE escape_test_metric counter\nescape_test_metric 5\n"),
+            std::string::npos);
   EXPECT_EQ(text.find("99"), std::string::npos);
 }
 
-// --- owner-held series -----------------------------------------------------------
+// --- collected series -------------------------------------------------------------
 
 TEST(OwnerHeld, RendersLikeRegistryOwned) {
   MetricsRegistry owned;
@@ -202,8 +225,6 @@ TEST(OwnerHeld, RendersLikeRegistryOwned) {
   BoundedHistogram& recorded = owned.histogram("escape_test_us", {{"id", "x"}});
 
   // A component's own count, level and histogram, holding the same facts.
-  std::uint64_t count = 9;
-  double level = 2.5;
   BoundedHistogram histogram;
   for (int i = 1; i <= 100; ++i) {
     recorded.record(i * 1.5);
@@ -211,40 +232,89 @@ TEST(OwnerHeld, RendersLikeRegistryOwned) {
   }
   MetricsRegistry held;
   int owner = 0;
-  held.expose_counter("escape_test_total", {{"id", "x"}}, &owner, [&count] { return count; });
-  held.expose_gauge("escape_test_level", {{"id", "x"}}, &owner, [&level] { return level; });
-  held.expose_histogram("escape_test_us", {{"id", "x"}}, &owner, histogram);
+  held.collect(&owner, [&histogram](SampleSink& sink) {
+    sink.counter("escape_test_total", {{"id", "x"}}, 9);
+    sink.gauge("escape_test_level", {{"id", "x"}}, 2.5);
+    sink.histogram("escape_test_us", {{"id", "x"}}, histogram);
+  });
 
   EXPECT_EQ(held.render_text(), owned.render_text());
   EXPECT_EQ(held.snapshot_json().dump(2), owned.snapshot_json().dump(2));
-  // Values are read at exposition time.
-  count = 10;
-  EXPECT_NE(held.render_text().find("escape_test_total{id=\"x\"} 10"), std::string::npos);
 }
 
-TEST(OwnerHeld, GetOrCreateOnOwnerHeldIdentityIsDetached) {
+TEST(OwnerHeld, ValuesAreReadAtRenderTime) {
+  MetricsRegistry registry;
+  std::uint64_t count = 9;
+  double level = 2.5;
+  BoundedHistogram histogram;
+  int owner = 0;
+  registry.collect(&owner, [&](SampleSink& sink) {
+    sink.counter("escape_test_total", {}, count);
+    sink.gauge("escape_test_level", {}, level);
+    sink.histogram("escape_test_us", {}, histogram);
+  });
+  EXPECT_NE(registry.render_text().find("escape_test_total 9\n"), std::string::npos);
+  count = 10;
+  level = 0.5;
+  histogram.record(3);
+  const std::string text = registry.render_text();
+  EXPECT_NE(text.find("escape_test_total 10\n"), std::string::npos);
+  EXPECT_NE(text.find("escape_test_level 0.5\n"), std::string::npos);
+  EXPECT_NE(text.find("escape_test_us_count 1\n"), std::string::npos);
+}
+
+TEST(OwnerHeld, GetOrCreateOnCollectedIdentityIsOneInstrument) {
   MetricsRegistry registry;
   BoundedHistogram histogram;
   histogram.record(3);
   int owner = 0;
-  registry.expose_counter("escape_test_total", {}, &owner, [] { return std::uint64_t{4}; });
-  registry.expose_gauge("escape_test_level", {}, &owner, [] { return 1.0; });
-  registry.expose_histogram("escape_test_us", {}, &owner, histogram);
+  registry.collect(&owner, [&histogram](SampleSink& sink) {
+    sink.counter("escape_test_total", {}, 4);
+    sink.gauge("escape_test_level", {}, 1.0);
+    sink.histogram("escape_test_us", {}, histogram);
+  });
   const std::string before = registry.render_text();
 
-  // Every kind hands back a safe, working instrument...
+  // Every kind hands back one working registry-owned instrument, the
+  // same on every call...
   Counter& c = registry.counter("escape_test_total");
   c.add(100);
+  EXPECT_EQ(&registry.counter("escape_test_total"), &c);
   EXPECT_EQ(c.value(), 100u);
-  registry.gauge("escape_test_level").set(50);
-  registry.histogram("escape_test_us").record(1000);
-  // ...that is never exported; the owner's series are untouched.
+  Gauge& g = registry.gauge("escape_test_level");
+  g.set(50);
+  EXPECT_EQ(&registry.gauge("escape_test_level"), &g);
+  BoundedHistogram& h = registry.histogram("escape_test_us");
+  h.record(1000);
+  EXPECT_EQ(&registry.histogram("escape_test_us"), &h);
+  // ...that the owner's series shadow while it lives.
   EXPECT_EQ(registry.size(), 3u);
   EXPECT_EQ(registry.render_text(), before);
   EXPECT_EQ(histogram.count(), 1u);
-  // reset_values leaves owner-held values to their owners.
+
+  registry.remove_owner(&owner);
+  const std::string after = registry.render_text();
+  EXPECT_NE(after.find("escape_test_total 100\n"), std::string::npos);
+  EXPECT_NE(after.find("escape_test_level 50\n"), std::string::npos);
+  EXPECT_NE(after.find("escape_test_us_sum 1000\n"), std::string::npos);
+}
+
+TEST(OwnerHeld, ResetValuesLeavesCollectedValuesAlone) {
+  MetricsRegistry registry;
+  registry.counter("escape_test_owned_total").add(5);
+  BoundedHistogram histogram;
+  histogram.record(3);
+  int owner = 0;
+  registry.collect(&owner, [&histogram](SampleSink& sink) {
+    sink.counter("escape_test_total", {}, 4);
+    sink.histogram("escape_test_us", {}, histogram);
+  });
   registry.reset_values();
-  EXPECT_EQ(registry.render_text(), before);
+  const std::string text = registry.render_text();
+  EXPECT_NE(text.find("escape_test_owned_total 0\n"), std::string::npos);
+  EXPECT_NE(text.find("escape_test_total 4\n"), std::string::npos);
+  EXPECT_EQ(histogram.count(), 1u);
+  EXPECT_NE(text.find("escape_test_us_count 1\n"), std::string::npos);
 }
 
 TEST(OwnerHeld, RemovalAndTakeoverCoverEveryKind) {
@@ -259,42 +329,34 @@ TEST(OwnerHeld, RemovalAndTakeoverCoverEveryKind) {
   int a = 0;
   int b = 0;
   const Labels shared{{"id", "shared"}};
-  registry.expose_counter("escape_test_total", shared, &a, [] { return std::uint64_t{1}; });
-  registry.expose_gauge("escape_test_level", shared, &a, [] { return 1.0; });
-  registry.expose_histogram("escape_test_us", shared, &a, hist_a);
-  registry.expose_counter("escape_test_total", {{"id", "a-only"}}, &a,
-                          [] { return std::uint64_t{1}; });
-  // b takes over every shared series, reader and all.
-  registry.expose_counter("escape_test_total", shared, &b, [] { return std::uint64_t{7}; });
-  registry.expose_gauge("escape_test_level", shared, &b, [] { return 7.0; });
-  registry.expose_histogram("escape_test_us", shared, &b, hist_b);
+  registry.collect(&a, [&](SampleSink& sink) {
+    sink.counter("escape_test_total", shared, 1);
+    sink.gauge("escape_test_level", shared, 1.0);
+    sink.histogram("escape_test_us", shared, hist_a);
+    sink.counter("escape_test_total", {{"id", "a-only"}}, 1);
+  });
+  // b, the newer collector, wins every shared series.
+  registry.collect(&b, [&](SampleSink& sink) {
+    sink.counter("escape_test_total", shared, 7);
+    sink.gauge("escape_test_level", shared, 7.0);
+    sink.histogram("escape_test_us", shared, hist_b);
+  });
   EXPECT_EQ(registry.size(), start + 4);
+  auto expect_b = [&registry] {
+    const std::string text = registry.render_text();
+    EXPECT_NE(text.find("escape_test_total{id=\"shared\"} 7"), std::string::npos);
+    EXPECT_NE(text.find("escape_test_level{id=\"shared\"} 7"), std::string::npos);
+    EXPECT_NE(text.find("escape_test_us_count{id=\"shared\"} 2"), std::string::npos);
+  };
+  expect_b();
 
   registry.remove_owner(&a);
   EXPECT_EQ(registry.size(), start + 3);
   EXPECT_FALSE(registry.has("escape_test_total", {{"id", "a-only"}}));
-  std::string text = registry.render_text();
-  EXPECT_NE(text.find("escape_test_total{id=\"shared\"} 7"), std::string::npos);
-  EXPECT_NE(text.find("escape_test_level{id=\"shared\"} 7"), std::string::npos);
-  EXPECT_NE(text.find("escape_test_us_count{id=\"shared\"} 2"), std::string::npos);
+  expect_b();
   registry.remove_owner(&b);
   EXPECT_EQ(registry.size(), start);
-
-  // Exposing over a registry-owned series, or over an owner-held one of
-  // another kind, exports nothing and leaves the live entry alone.
-  int c = 0;
-  registry.expose_counter("escape_test_other_total", {}, &c, [] { return std::uint64_t{99}; });
-  registry.expose_histogram("escape_test_other_total", {}, &c, hist_a);
-  registry.expose_gauge("escape_test_level", {}, &c, [] { return 3.0; });
-  registry.expose_counter("escape_test_level", {}, &a, [] { return std::uint64_t{99}; });
-  registry.remove_owner(&a);
-  EXPECT_EQ(registry.size(), start + 1);
-  text = registry.render_text();
-  EXPECT_NE(text.find("escape_test_other_total 1\n"), std::string::npos);
-  EXPECT_NE(text.find("escape_test_level 3\n"), std::string::npos);
-  EXPECT_EQ(text.find("99"), std::string::npos);
-  registry.remove_owner(&c);
-  EXPECT_EQ(registry.size(), start);
+  EXPECT_FALSE(registry.has("escape_test_total", shared));
 }
 
 TEST(Registry, CounterIsThreadSafe) {
