@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
+#include "pox/l2_learning.hpp"
 
 using namespace escape;
 using benchutil::build_linear;

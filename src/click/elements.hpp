@@ -2,12 +2,12 @@
 // composes into VNFs. Names and semantics follow the Click distribution
 // where an equivalent exists (Queue, Unqueue, Counter, Classifier, Tee,
 // Paint, CheckIPHeader, DecIPTTL, BandwidthShaper, ...); the VNF-level
-// elements (Firewall, NAPT, LoadBalancer, DpiCounter) are ESCAPE catalog
-// additions expressed in the same model.
+// elements (Firewall, DpiCounter) are ESCAPE catalog additions expressed
+// in the same model. The stateful VNFs (FlowNAT, FlowLB, StreamIDS) sit
+// on the FlowManager substrate in click/flow.hpp.
 #pragma once
 
 #include <deque>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -261,8 +261,6 @@ class IPClassifier : public Element {
   void push(int port, Packet&& p) override;
 
  private:
-  int classify(const ClassifyCtx& ctx) const;
-
   struct Rule {
     bool catch_all = false;
     FilterExpr expr;
@@ -517,7 +515,6 @@ class Firewall : public Element {
     FilterExpr expr;
   };
   Status add_rule_line(std::string_view line);
-  bool allows(const Packet& p) const;
   void recompile_tree();
 
   std::vector<Rule> rules_;
@@ -525,51 +522,6 @@ class Firewall : public Element {
   bool default_allow_ = true;
   std::uint64_t accepted_ = 0;
   std::uint64_t denied_ = 0;
-};
-
-/// Stateful NAPT. Input/output 0: internal -> external direction (source
-/// rewritten to EXTERNAL_IP:allocated-port); input/output 1: external ->
-/// internal (destination translated back). Unknown inbound flows are
-/// dropped. NAPT(EXTERNAL_IP 192.0.2.1, PORT_BASE 20000).
-class NAPT : public Element {
- public:
-  NAPT();
-  std::string_view class_name() const override { return "NAPT"; }
-  Status configure(const ConfigArgs& args) override;
-  void push(int port, Packet&& p) override;
-
-  std::size_t active_mappings() const { return by_internal_.size(); }
-
- private:
-  struct InternalKey {
-    std::uint32_t ip;
-    std::uint16_t port;
-    std::uint8_t proto;
-    bool operator<(const InternalKey& o) const {
-      return std::tie(ip, port, proto) < std::tie(o.ip, o.port, o.proto);
-    }
-  };
-  net::Ipv4Addr external_ip_{192, 0, 2, 1};
-  std::uint16_t next_port_ = 20000;
-  std::map<InternalKey, std::uint16_t> by_internal_;          // -> external port
-  std::map<std::uint16_t, InternalKey> by_external_;          // external port -> internal
-  std::uint64_t translated_ = 0;
-  std::uint64_t dropped_ = 0;
-};
-
-/// Distributes flows over N outputs. MODE flow (default; FlowKey hash,
-/// connection affinity) or MODE packet (round robin).
-class LoadBalancer : public Element {
- public:
-  LoadBalancer();
-  std::string_view class_name() const override { return "LoadBalancer"; }
-  Status configure(const ConfigArgs& args) override;
-  void push(int port, Packet&& p) override;
-
- private:
-  bool per_flow_ = true;
-  std::size_t rr_next_ = 0;
-  std::vector<std::uint64_t> out_counts_;
 };
 
 /// Payload substring inspector: counts packets whose payload contains

@@ -434,8 +434,9 @@ Status IPClassifier::configure(const ConfigArgs& args) {
 }
 
 Status IPClassifier::initialize(Router&) {
-  // Compile the rule list into the per-protocol-leaf dispatch; the
-  // linear walk remains only as the pre-initialize fallback.
+  // Compile the rule list into the per-protocol-leaf dispatch, the only
+  // path packets take: build_router() hands out a router only after
+  // every element initialized.
   std::vector<ClassifierTree::RuleSpec> specs;
   specs.reserve(rules_.size());
   for (std::size_t i = 0; i < rules_.size(); ++i) {
@@ -447,16 +448,8 @@ Status IPClassifier::initialize(Router&) {
   return ok_status();
 }
 
-int IPClassifier::classify(const ClassifyCtx& ctx) const {
-  if (tree_.compiled()) return tree_.classify(ctx);
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
-    if (rules_[i].catch_all || rules_[i].expr.matches(ctx)) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 void IPClassifier::push(int, Packet&& p) {
-  const int port = classify(ClassifyCtx::from_packet(p));
+  const int port = tree_.classify(ClassifyCtx::from_packet(p));
   if (port >= 0) {
     output_push(port, std::move(p));
     return;

@@ -605,9 +605,17 @@ Status FlowNAT::configure(const ConfigArgs& args) {
     if (!ip) return make_error("click.flownat.config", "bad EXTERNAL_IP '" + *v + "'");
     external_ip_ = *ip;
   }
-  if (auto v = args.keyword_u64("PORT_BASE")) port_base_ = static_cast<std::uint16_t>(*v);
+  if (auto v = args.keyword_u64("PORT_BASE")) {
+    // Checked before the narrowing cast: 70000 would wrap to 4464, and
+    // port 0 is no port.
+    if (*v == 0 || *v > 65535) {
+      return make_error("click.flownat.config", "PORT_BASE must be 1..65535");
+    }
+    port_base_ = static_cast<std::uint16_t>(*v);
+  }
   if (auto v = args.keyword_u64("PORT_COUNT")) port_count_ = *v;
-  if (port_count_ == 0 || port_base_ + port_count_ > 65536) {
+  // Subtracted, not added: base + count can wrap for a huge count.
+  if (port_count_ == 0 || port_count_ > 65536 - std::size_t{port_base_}) {
     return make_error("click.flownat.config", "port range out of bounds");
   }
   if (auto v = args.keyword("FM")) fm_name_ = *v;
@@ -1218,11 +1226,12 @@ std::size_t StreamIDS::scan(const std::uint8_t* tail, std::size_t tail_len,
 
 SimpleElement::Verdict StreamIDS::process(Packet& p) {
   FlowCtx* ctx = current_flow();
-  bool have_ctx = ctx != nullptr && fm_ != nullptr && ctx->manager == fm_;
-  bool is_tcp = false;
-  if (auto t = FlowTuple::from_packet(p)) is_tcp = t->proto == net::ipproto::kTcp;
+  // The manager parsed this packet's tuple into the block header, and
+  // no rewrite changes the protocol, so the header says whether it is TCP.
+  const bool tcp_ctx = ctx != nullptr && fm_ != nullptr && ctx->manager == fm_ &&
+                       ctx->header()->tuple.proto == net::ipproto::kTcp;
 
-  if (have_ctx && reasm_ != nullptr && is_tcp) {
+  if (tcp_ctx && reasm_ != nullptr) {
     auto* slot = reinterpret_cast<IdsSlotHeader*>(ctx->block + slot_off_);
     std::uint8_t* tail = ctx->block + slot_off_ + sizeof(IdsSlotHeader);
     if (slot->alerted != 0 && drop_mode_) {

@@ -41,8 +41,6 @@ void register_standard_elements(ElementRegistry& registry) {
   reg<RandomSample>(registry, "RandomSample");
   reg<Meter>(registry, "Meter");
   reg<Firewall>(registry, "Firewall");
-  reg<NAPT>(registry, "NAPT");
-  reg<LoadBalancer>(registry, "LoadBalancer");
   reg<DpiCounter>(registry, "DpiCounter");
   reg<FromDevice>(registry, "FromDevice");
   reg<ToDevice>(registry, "ToDevice");

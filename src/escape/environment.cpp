@@ -56,10 +56,6 @@ Environment::Environment(EnvironmentOptions options)
   controller_->set_liveness(options_.controller_liveness);
   steering_ = std::make_shared<pox::TrafficSteering>();
   controller_->add_app(steering_);
-  if (options_.enable_l2_learning) {
-    l2_ = std::make_shared<pox::L2Learning>();
-    controller_->add_app(l2_);
-  }
   obs::MetricsRegistry::global().collect(this, [this](obs::SampleSink& sink) {
     std::size_t degraded = 0;
     for (const auto& [id, dep] : deployments_) {
@@ -167,16 +163,6 @@ Status Environment::start() {
   log_.info("environment up: ", network_.switch_count(), " switches, ",
             network_.container_count(), " containers, ", network_.host_count(), " hosts");
   return ok_status();
-}
-
-void Environment::on_shard_of(netemu::Node* node, std::function<void()> fn) {
-  EventScheduler& target = node->scheduler();
-  EventScheduler* cur = ShardedScheduler::current_shard();
-  if (cur == nullptr || target.owner() == nullptr || cur == &target) {
-    fn();
-  } else {
-    target.owner()->post_admin(target.shard_id(), std::move(fn));
-  }
 }
 
 Status Environment::pump_until(const bool& flag, std::string_view what) {
@@ -420,7 +406,7 @@ Status Environment::kill_container(const std::string& name) {
   // The agent dies with its container: close the transport first so the
   // client (and the health monitor) learn within one control delay. Both
   // operations belong to the container's shard.
-  on_shard_of(c, [server = it->second.server_end, c] {
+  run_on_shard(c->scheduler(), [server = it->second.server_end, c] {
     server->close();
     c->crash();
   });
@@ -435,7 +421,7 @@ Status Environment::restore_container(const std::string& name) {
   if (!c || !mgmt_.count(name)) {
     return make_error("escape.unknown-container", "no managed container named " + name);
   }
-  on_shard_of(c, [c] { c->restore(); });
+  run_on_shard(c->scheduler(), [c] { c->restore(); });
   dead_containers_.erase(name);
   return respawn_agent(name);
 }
@@ -447,7 +433,7 @@ Status Environment::crash_agent(const std::string& name) {
   }
   log_.warn("fault: crashing NETCONF agent of ", name);
   netemu::VnfContainer* c = network_.container(name);
-  on_shard_of(c, [server = it->second.server_end] { server->close(); });
+  run_on_shard(c->scheduler(), [server = it->second.server_end] { server->close(); });
   // Unmanageable == unusable for new placements until the agent returns.
   unavailable_containers_.insert(name);
   if (view_) view_->set_node_available(name, false);
@@ -470,7 +456,7 @@ Status Environment::respawn_agent(const std::string& name) {
   // the new agent's construction touch container-shard state; the slot
   // keeps the handover ordered on that shard. Posted before the client
   // rebind below so the fresh hello finds the new agent listening.
-  on_shard_of(c, [slot = m.slot, old_server, server_end, c] {
+  run_on_shard(c->scheduler(), [slot = m.slot, old_server, server_end, c] {
     if (old_server && !old_server->closed()) old_server->close();
     slot->agent.reset();
     slot->agent = std::make_unique<netconf::VnfAgent>(server_end, *c);
@@ -500,7 +486,7 @@ Status Environment::set_netconf_faults(const std::string& name,
   netconf::TransportFaults f = faults;
   it->second.client_end->set_faults(f);
   f.seed = faults.seed + 1;  // decorrelate the two directions
-  on_shard_of(network_.container(name), [server = it->second.server_end, f] {
+  run_on_shard(network_.container(name)->scheduler(), [server = it->second.server_end, f] {
     server->set_faults(f);
   });
   return ok_status();
@@ -512,8 +498,8 @@ Status Environment::clear_netconf_faults(const std::string& name) {
     return make_error("escape.unknown-container", "no managed container named " + name);
   }
   it->second.client_end->clear_faults();
-  on_shard_of(network_.container(name),
-              [server = it->second.server_end] { server->clear_faults(); });
+  run_on_shard(network_.container(name)->scheduler(),
+               [server = it->second.server_end] { server->clear_faults(); });
   return ok_status();
 }
 
@@ -551,7 +537,7 @@ Status Environment::clear_of_channel_faults(const std::string& switch_name) {
 Status Environment::restart_switch(const std::string& switch_name) {
   auto* sw = network_.switch_node(switch_name);
   if (!sw) return make_error("escape.unknown-switch", "no switch named " + switch_name);
-  on_shard_of(sw, [sw] { sw->datapath().restart(); });
+  run_on_shard(sw->scheduler(), [sw] { sw->datapath().restart(); });
   return ok_status();
 }
 

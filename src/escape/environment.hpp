@@ -29,7 +29,6 @@
 #include "orchestrator/health_monitor.hpp"
 #include "orchestrator/mapping.hpp"
 #include "orchestrator/view.hpp"
-#include "pox/l2_learning.hpp"
 #include "pox/steering.hpp"
 #include "service/formats.hpp"
 #include "service/layer.hpp"
@@ -43,8 +42,6 @@ struct EnvironmentOptions {
   SimDuration netconf_delay = 200 * timeunit::kMicrosecond;
   /// Mapping algorithm name (see orchestrator::MappingRegistry).
   std::string mapping_algorithm = "greedy";
-  /// Also run POX's l2_learning for non-chain traffic.
-  bool enable_l2_learning = false;
   /// Run the OpenFlow control channel through the real ofp10 wire codec
   /// (encode -> bytes -> decode) instead of moving typed structs.
   bool serialize_control_channel = false;
@@ -346,13 +343,6 @@ class Environment {
   /// Runs the scheduler until `flag` is set; errors on quiescence.
   Status pump_until(const bool& flag, std::string_view what);
 
-  /// Runs `fn` against state owned by `node`'s shard: synchronously when
-  /// the calling context may touch it (main thread, or already executing
-  /// on that shard), else deferred through the owner's mailbox -- the
-  /// fault lands one lookahead later, like a command crossing the
-  /// management network.
-  void on_shard_of(netemu::Node* node, std::function<void()> fn);
-
   /// A graph rendered by the service layer and mapped against the live
   /// view; map() has committed what `ledger` lists.
   struct Embedding {
@@ -431,7 +421,6 @@ class Environment {
   netemu::Network network_;
   std::unique_ptr<pox::Controller> controller_;
   std::shared_ptr<pox::TrafficSteering> steering_;
-  std::shared_ptr<pox::L2Learning> l2_;
   service::ServiceLayer service_layer_;
 
   /// The agent lives on its container's shard: its lifecycle (creation,

@@ -95,12 +95,8 @@ std::pair<std::shared_ptr<TransportEndpoint>, std::shared_ptr<TransportEndpoint>
   b->delay_ = delay;
   a->peer_ = b;
   b->peer_ = a;
-  if (&a_scheduler != &b_scheduler && a_scheduler.owner() != nullptr &&
-      a_scheduler.owner() == b_scheduler.owner()) {
-    auto* owner = a_scheduler.owner();
-    owner->add_lookahead_edge(a_scheduler.shard_id(), b_scheduler.shard_id(), delay);
-    owner->add_lookahead_edge(b_scheduler.shard_id(), a_scheduler.shard_id(), delay);
-  }
+  add_cross_shard_edge(a_scheduler, b_scheduler, delay);
+  add_cross_shard_edge(b_scheduler, a_scheduler, delay);
   return {a, b};
 }
 

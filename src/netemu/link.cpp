@@ -78,21 +78,13 @@ void Link::bind_shards() {
     Direction& dir = dir_[d];
     dir.sched = sender[d] ? &sender[d]->scheduler() : scheduler_;
     EventScheduler& peer = receiver[d] ? receiver[d]->scheduler() : *scheduler_;
-    dir.cross = &peer != dir.sched && dir.sched->owner() != nullptr &&
-                dir.sched->owner() == peer.owner();
+    dir.cross = add_cross_shard_edge(*dir.sched, peer, config_.delay);
     if (dir.cross) {
       // An independent deterministic loss stream per cross direction
       // (two shards cannot share the link-wide RNG).
       dir.rng = Rng(loss_seed_ ^ (0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(d)));
-      dir.sched->owner()->add_lookahead_edge(dir.sched->shard_id(), peer.shard_id(),
-                                             config_.delay);
     }
   }
-}
-
-bool Link::can_touch(const Direction& dir) const {
-  EventScheduler* cur = ShardedScheduler::current_shard();
-  return cur == nullptr || dir.sched->owner() == nullptr || cur == dir.sched;
 }
 
 void Link::apply_set_up(int direction, bool up) {
@@ -112,14 +104,9 @@ void Link::set_up(bool up) {
   if (up == up_) return;
   up_ = up;
   for (int d = 0; d < 2; ++d) {
-    if (can_touch(dir_[d])) {
-      apply_set_up(d, up);
-    } else {
-      // Another shard owns this direction: the command propagates like a
-      // management-network hop and lands one lookahead later.
-      dir_[d].sched->owner()->post_admin(dir_[d].sched->shard_id(),
-                                         [this, d, up] { apply_set_up(d, up); });
-    }
+    // When another shard owns this direction, the command propagates
+    // like a management-network hop and lands one lookahead later.
+    run_on_shard(*dir_[d].sched, [this, d, up] { apply_set_up(d, up); });
   }
   for (auto& [_, fn] : listeners_) fn(*this, up_);
 }

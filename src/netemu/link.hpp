@@ -119,10 +119,6 @@ class Link {
 
   SimDuration tx_time(std::size_t bytes) const;
 
-  /// Whether the calling context may mutate `dir` synchronously (owns
-  /// its shard, or no sharded run is in progress).
-  bool can_touch(const Direction& dir) const;
-
   /// Applies an administrative up/down transition to one direction, on
   /// that direction's shard.
   void apply_set_up(int direction, bool up);

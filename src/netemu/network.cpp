@@ -29,13 +29,6 @@ void uf_union(std::vector<std::size_t>& parent, std::size_t a, std::size_t b) {
   parent[b] = a;
 }
 
-// Whether the calling context may mutate state on `target`'s shard
-// synchronously (main thread, unsharded, or already executing there).
-bool may_touch(EventScheduler& target) {
-  EventScheduler* cur = ShardedScheduler::current_shard();
-  return cur == nullptr || target.owner() == nullptr || cur == &target;
-}
-
 }  // namespace
 
 Host& Network::add_host(const std::string& name, net::MacAddr mac, net::Ipv4Addr ip) {
@@ -117,11 +110,7 @@ Status Network::add_link(const std::string& a, std::uint16_t port_a, const std::
         }
         if (auto* sw = dynamic_cast<SwitchNode*>(n)) sw->ensure_port(port);
       };
-      if (may_touch(n->scheduler())) {
-        attach();
-      } else {
-        n->scheduler().owner()->post_admin(n->scheduler().shard_id(), std::move(attach));
-      }
+      run_on_shard(n->scheduler(), std::move(attach));
     }
   }
   for (auto [n, port] : {std::pair{node_a, port_a}, std::pair{node_b, port_b}}) {

@@ -1,6 +1,6 @@
 // FlowKeyIndex: the flow table's hash index, an open-addressing map
-// from net::FlowKey to a value. It holds each tuple space's buckets and
-// the miss memo (src/openflow/flow_table.hpp).
+// from net::FlowKey to a value. It holds each tuple space's buckets
+// (src/openflow/flow_table.hpp).
 //
 // Nodes (key, hash tag, value) sit densely in one vector. A slim
 // power-of-two array of 8-byte slots holds each node's 32-bit tag and
@@ -41,17 +41,6 @@ class FlowKeyIndex {
 
   /// The value stored under `key`, or nullptr.
   V* find(const net::FlowKey& key) { return find(key, hash(key)); }
-  /// find() with `Hash{}(key)` already computed, so one hash serves
-  /// several indexes keyed by the same key.
-  V* find(const net::FlowKey& key, std::size_t key_hash) {
-    if (nodes_.empty()) return nullptr;
-    const std::uint32_t tag = tag_of(key_hash);
-    for (std::size_t i = home(tag);; i = (i + 1) & mask_) {
-      const Slot s = slots_[i];
-      if (s.node == kEmpty) return nullptr;
-      if (s.tag == tag && nodes_[s.node].key == key) return &nodes_[s.node].value;
-    }
-  }
 
   /// The value under `key`, value-initialized and inserted if absent.
   /// Inserting invalidates pointers to other values.
@@ -116,6 +105,16 @@ class FlowKeyIndex {
   };
 
   static std::size_t hash(const net::FlowKey& key) { return Hash{}(key); }
+  /// find() with `hash(key)` already computed (operator[] hashes once).
+  V* find(const net::FlowKey& key, std::size_t key_hash) {
+    if (nodes_.empty()) return nullptr;
+    const std::uint32_t tag = tag_of(key_hash);
+    for (std::size_t i = home(tag);; i = (i + 1) & mask_) {
+      const Slot s = slots_[i];
+      if (s.node == kEmpty) return nullptr;
+      if (s.tag == tag && nodes_[s.node].key == key) return &nodes_[s.node].value;
+    }
+  }
   static std::uint32_t tag_of(std::size_t key_hash) {
     return static_cast<std::uint32_t>((std::uint64_t{key_hash} * 0x9e3779b97f4a7c15ull) >> 32);
   }

@@ -103,18 +103,11 @@ const std::vector<FlowTable::MaskGroup*>& FlowTable::probe_order() const {
   return probe_order_;
 }
 
-void FlowTable::apply(const FlowMod& mod, SimTime now) {
-  ++version_;  // any flow-mod may add/remove/rewrite entries
-  apply_one(mod, now);
-}
-
 void FlowTable::apply_batch(const std::vector<FlowMod>& mods, SimTime now) {
-  if (mods.empty()) return;
-  ++version_;
-  for (const auto& mod : mods) apply_one(mod, now);
+  for (const auto& mod : mods) apply(mod, now);
 }
 
-void FlowTable::apply_one(const FlowMod& mod, SimTime now) {
+void FlowTable::apply(const FlowMod& mod, SimTime now) {
   switch (mod.command) {
     case FlowModCommand::kAdd: {
       // OF 1.0: identical match+priority overwrites (counters reset).
@@ -164,7 +157,7 @@ void FlowTable::apply_one(const FlowMod& mod, SimTime now) {
       if (!any) {
         FlowMod add = mod;
         add.command = FlowModCommand::kAdd;
-        apply_one(add, now);
+        apply(add, now);
       }
       break;
     }
@@ -236,24 +229,12 @@ FlowEntry* FlowTable::lookup(const net::FlowKey& key, std::size_t packet_bytes, 
   ++lookups_;
   const std::vector<MaskGroup*>& order = probe_order();
 
-  // The unmasked key's hash serves both the miss memo and the exact
-  // group, so it is computed once, and only when one of them can answer.
-  const bool memo_live = miss_memo_version_ == version_ && !miss_memo_.empty();
-  const std::size_t hash = memo_live || exact_group_ ? std::hash<net::FlowKey>{}(key) : 0;
-
-  // Miss memo fast path: this key already probed every eligible group
-  // under the current version and matched nothing.
-  if (memo_live && miss_memo_.find(key, hash)) {
-    ++miss_short_circuits_;
-    return nullptr;
-  }
-
   FlowEntry* best = nullptr;
   bool best_exact = false;
 
   // Exact-match fast path: one hash probe against the exact tuple space.
   if (exact_group_) {
-    if (const auto* bucket = exact_group_->buckets.find(key, hash)) {
+    if (const auto* bucket = exact_group_->buckets.find(key)) {
       for (EntryIt it : *bucket) {
         if (expired(*it, now)) continue;
         best = &*it;
@@ -292,15 +273,8 @@ FlowEntry* FlowTable::lookup(const net::FlowKey& key, std::size_t packet_bytes, 
     best->byte_count += packet_bytes;
     best->last_hit = now;
     ++matched_;
-    return best;
   }
-
-  if (miss_memo_version_ != version_ || miss_memo_.size() >= kMissMemoCap) {
-    miss_memo_.clear();
-    miss_memo_version_ = version_;
-  }
-  miss_memo_[key] = true;
-  return nullptr;
+  return best;
 }
 
 std::size_t FlowTable::expire(SimTime now) {
@@ -315,7 +289,6 @@ std::size_t FlowTable::expire(SimTime now) {
       ++it;
     }
   }
-  if (evicted) ++version_;
   return evicted;
 }
 
@@ -359,7 +332,6 @@ void FlowTable::clear() {
   probe_order_.clear();
   exact_group_ = nullptr;
   probe_order_dirty_ = true;
-  ++version_;
 }
 
 }  // namespace escape::openflow

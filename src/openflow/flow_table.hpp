@@ -1,7 +1,10 @@
 // The flow table: priority-ordered wildcard entries behind a
 // tuple-space-search index (one hash table per distinct wildcard mask,
 // probed in descending max-priority order with priority early exit),
-// per-entry counters and idle/hard timeout expiry.
+// per-entry counters and idle/hard timeout expiry. Every lookup, hit or
+// miss, probes the tuple spaces; nothing caches misses beside them (on
+// the one workload that misses, a miss memo cost throughput and memory,
+// DESIGN §11).
 //
 // Lookup semantics (shared with tests/support/linear_flow_oracle.hpp,
 // the linear reference implementation the property tests diff against):
@@ -60,10 +63,9 @@ class FlowTable {
   /// Applies a flow-mod at virtual time `now`.
   void apply(const FlowMod& mod, SimTime now);
 
-  /// Applies a burst of flow-mods as one table transaction: identical
-  /// end state to N sequential apply() calls, but a single version bump
-  /// and one miss-memo invalidation for the whole batch. This is the
-  /// resync / chain-install fast path past ~100k rules per switch.
+  /// Applies a burst of flow-mods in order: the same end state as N
+  /// sequential apply() calls. The switch's FlowModBatch (resync, chain
+  /// install) enters here.
   void apply_batch(const std::vector<FlowMod>& mods, SimTime now);
 
   /// Looks up the highest-priority matching entry, updating its
@@ -79,12 +81,11 @@ class FlowTable {
   std::uint64_t lookups() const { return lookups_; }
   std::uint64_t matches() const { return matched_; }
 
-  /// Misses answered from the miss memo without re-probing the mask
-  /// groups (see the memo comment in the private section).
-  std::uint64_t miss_short_circuits() const { return miss_short_circuits_; }
-
-  /// Distinct missed keys the memo holds before it starts over.
-  static constexpr std::size_t kMissMemoCap = 4096;
+  /// Always 0: every miss probes the tuple spaces, and nothing answers
+  /// one without them. Kept only because the end-to-end benchmark still
+  /// reads it for its `openflow.memo_hit_ratio` row; it goes with that
+  /// row.
+  std::uint64_t miss_short_circuits() const { return 0; }
 
   /// Number of distinct wildcard masks currently indexed (tuple-space
   /// hash tables; the per-lookup probe bound).
@@ -132,7 +133,6 @@ class FlowTable {
   void link_entry(EntryIt it);
   /// Unlinks + erases one entry, firing `reason` first when set.
   void erase_entry(EntryIt it, std::optional<FlowRemovedReason> reason);
-  void apply_one(const FlowMod& mod, SimTime now);
   void delete_matching(const Match& match, bool strict, std::optional<std::uint16_t> priority);
   /// The wildcard groups in probe order; also refreshes exact_group_.
   const std::vector<MaskGroup*>& probe_order() const;
@@ -156,21 +156,7 @@ class FlowTable {
   std::uint64_t next_seq_ = 0;
   std::uint64_t lookups_ = 0;
   std::uint64_t matched_ = 0;
-  std::uint64_t version_ = 0;
   std::size_t last_delete_examined_ = 0;
-
-  // Miss memo: keys that probed every eligible mask group and matched
-  // nothing. Sound because a miss can only become a hit through a
-  // flow-mod, and every table mutation (add/modify/delete/expiry sweep)
-  // bumps version_, which invalidates the memo; timeout expiry only
-  // creates new misses. Without it, every packet of an unmatched flow
-  // re-probes all mask groups before taking the packet-in path.
-  // Bounded: the memo resets when it reaches kMissMemoCap (and on every
-  // version bump). It grows on demand, so a switch that never misses
-  // holds no memo slots.
-  FlowKeyIndex<bool> miss_memo_;
-  std::uint64_t miss_memo_version_ = 0;
-  std::uint64_t miss_short_circuits_ = 0;
 
   RemovedCallback removed_cb_;
 };

@@ -79,7 +79,7 @@ class Channel : public openflow::ControlChannel {
   bool connected() const override { return true; }
 
   /// Fault-plane mirror setters; must run on the switch's shard (the
-  /// controller routes them through Controller::on_switch_shard).
+  /// controller routes them through run_on_shard).
   void set_admin(bool up) { admin_up_ = up; }
   void set_faults(double drop_prob, SimDuration extra_delay, std::uint64_t seed) {
     drop_prob_ = drop_prob;
@@ -130,13 +130,8 @@ void Controller::attach_switch(openflow::OpenFlowSwitch& sw) {
   raw->channel_ = channel.get();
   // A switch on another shard turns the control channel into a pair of
   // cross-shard edges with the base one-way delay as lookahead.
-  EventScheduler& ss = sw.scheduler();
-  if (&ss != scheduler_ && scheduler_->owner() != nullptr &&
-      scheduler_->owner() == ss.owner()) {
-    auto* owner = scheduler_->owner();
-    owner->add_lookahead_edge(scheduler_->shard_id(), ss.shard_id(), channel_delay_);
-    owner->add_lookahead_edge(ss.shard_id(), scheduler_->shard_id(), channel_delay_);
-  }
+  add_cross_shard_edge(*scheduler_, sw.scheduler(), channel_delay_);
+  add_cross_shard_edge(sw.scheduler(), *scheduler_, channel_delay_);
   sw.connect(std::move(channel));
   // Controller side of the handshake: Hello prompts the switch to
   // announce its features, which flips the connection up.
@@ -166,17 +161,11 @@ void SwitchConnection::send(Message message) {
   if (!wired) return;
   // Deliver through the scheduler to model the channel delay; capture the
   // delivery function by value so a torn-down connection cannot dangle.
+  // A switch on another shard gets the message through the mailbox, and
+  // the delivery function runs on the switch's shard.
   auto deliver = deliver_to_switch_;
-  EventScheduler* sw_sched = sw_ ? &sw_->scheduler() : c->scheduler_;
-  if (sw_sched == c->scheduler_) {
-    c->scheduler_->schedule(*delay, [deliver, msg = std::move(*wired)]() mutable {
-      if (deliver) deliver(std::move(msg));
-    });
-    return;
-  }
-  // The switch lives on another shard: the message crosses through the
-  // mailbox and executes the delivery function on the switch's shard.
-  cross_schedule(*c->scheduler_, *sw_sched, *delay,
+  EventScheduler& sw_sched = sw_ ? sw_->scheduler() : *c->scheduler_;
+  cross_schedule(*c->scheduler_, sw_sched, *delay,
                  [deliver, msg = std::move(*wired)]() mutable {
                    if (deliver) deliver(std::move(msg));
                  });
@@ -188,16 +177,6 @@ std::optional<SimDuration> Controller::channel_hop_delay(SwitchConnection& conn)
   return channel_delay_ + conn.extra_delay_;
 }
 
-void Controller::on_switch_shard(SwitchConnection& conn, std::function<void()> fn) {
-  EventScheduler* ss = conn.sw_ ? &conn.sw_->scheduler() : scheduler_;
-  EventScheduler* cur = ShardedScheduler::current_shard();
-  if (cur == nullptr || ss->owner() == nullptr || cur == ss) {
-    fn();
-  } else {
-    ss->owner()->post_admin(ss->shard_id(), std::move(fn));
-  }
-}
-
 Status Controller::set_channel_admin(DatapathId dpid, bool up) {
   auto it = connections_.find(dpid);
   if (it == connections_.end()) {
@@ -205,7 +184,7 @@ Status Controller::set_channel_admin(DatapathId dpid, bool up) {
   }
   it->second->admin_up_ = up;
   if (Channel* ch = it->second->channel_) {
-    on_switch_shard(*it->second, [ch, up] { ch->set_admin(up); });
+    run_on_shard(it->second->sw_->scheduler(), [ch, up] { ch->set_admin(up); });
   }
   log_.warn("control channel to dpid=", dpid, " administratively ", up ? "restored" : "severed");
   return ok_status();
@@ -221,8 +200,9 @@ Status Controller::set_channel_faults(DatapathId dpid, double drop_prob, SimDura
   it->second->extra_delay_ = extra_delay;
   it->second->fault_rng_ = Rng{seed};
   if (Channel* ch = it->second->channel_) {
-    on_switch_shard(*it->second,
-                    [ch, drop_prob, extra_delay, seed] { ch->set_faults(drop_prob, extra_delay, seed); });
+    run_on_shard(it->second->sw_->scheduler(), [ch, drop_prob, extra_delay, seed] {
+      ch->set_faults(drop_prob, extra_delay, seed);
+    });
   }
   return ok_status();
 }

@@ -187,11 +187,6 @@ class Controller {
   /// the delivery delay, or nullopt when the hop drops the message.
   std::optional<SimDuration> channel_hop_delay(SwitchConnection& conn);
 
-  /// Runs `fn` against switch-shard state: synchronously when the
-  /// caller may touch that shard, else through the owner's mailbox (the
-  /// command lands one lookahead later, like a management-network hop).
-  void on_switch_shard(SwitchConnection& conn, std::function<void()> fn);
-
   /// Round-trips a message through the OF 1.0 codec when serialization
   /// is on; returns it untouched otherwise. Codec failures are logged
   /// and the message dropped (returns nullopt), like a real parser

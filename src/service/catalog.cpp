@@ -160,37 +160,6 @@ VnfCatalog VnfCatalog::with_builtins() {
       {{"spec", "SRC_IP 10.0.0.1"}},
       /*rewrites_source=*/true});
 
-  catalog.add(VnfTemplate{
-      "napt",
-      "stateful NAPT: in0/out0 internal->external, in1/out1 return path",
-      "fin :: FromDevice(DEVNAME in0);\n"
-      "fext :: FromDevice(DEVNAME in1);\n"
-      "napt :: NAPT(EXTERNAL_IP $external_ip, PORT_BASE $port_base);\n"
-      "tout :: ToDevice(DEVNAME out0);\n"
-      "tin :: ToDevice(DEVNAME out1);\n"
-      "fin -> [0]napt;\n"
-      "fext -> [1]napt;\n"
-      "napt[0] -> tout;\n"
-      "napt[1] -> tin;\n",
-      0.15,
-      2,
-      {{"external_ip", "192.0.2.1"}, {"port_base", "20000"}},
-      /*rewrites_source=*/true});
-
-  catalog.add(VnfTemplate{
-      "loadbalancer",
-      "per-flow 2-way splitter with counters",
-      "from :: FromDevice(DEVNAME in0);\n"
-      "lb :: LoadBalancer(N 2, MODE $mode);\n"
-      "a :: ToDevice(DEVNAME out0);\n"
-      "b :: ToDevice(DEVNAME out1);\n"
-      "from -> lb;\n"
-      "lb[0] -> a;\n"
-      "lb[1] -> b;\n",
-      0.1,
-      2,
-      {{"mode", "flow"}}});
-
   // --- flow-aware stateful middleboxes (the FlowManager substrate) ---------
   // capacity/timeout_ms default to the literal "default", which the
   // FlowManager resolves against the process-wide settings so the

@@ -27,8 +27,8 @@ struct VnfTemplate {
 
 class VnfCatalog {
  public:
-  /// The built-in catalog (monitor, firewall, ratelimiter, dpi, delay,
-  /// headerrewriter, napt, loadbalancer).
+  /// The built-in catalog (monitor, firewall, ratelimiter, worker, dpi,
+  /// delay, headerrewriter, flow_nat, flow_lb, tcp_ids).
   static VnfCatalog with_builtins();
 
   void add(VnfTemplate tmpl);

@@ -18,13 +18,16 @@ SimTime saturating_add(SimTime a, SimDuration b) {
   SimTime r = a + b;
   return r < a ? ~SimTime{0} : r;
 }
+
+/// Whether `a` and `b` are distinct shards of one ShardedScheduler.
+bool crosses_shards(const EventScheduler& a, const EventScheduler& b) {
+  return &a != &b && a.owner() != nullptr && a.owner() == b.owner();
+}
 }  // namespace
 
 std::size_t current_shard_id() {
   return t_current_shard ? t_current_shard->shard_id() : 0;
 }
-
-EventScheduler* ShardedScheduler::current_shard() { return t_current_shard; }
 
 ShardedScheduler::ShardedScheduler(std::size_t shards, std::size_t threads) {
   if (shards == 0) shards = 1;
@@ -400,11 +403,26 @@ EventHandle ShardedScheduler::post_admin(std::size_t dst, Callback cb) {
 EventHandle cross_schedule(EventScheduler& src, EventScheduler& dst, SimDuration delay,
                            EventScheduler::Callback cb) {
   SimTime when = src.now() + delay;
-  ShardedScheduler* owner = dst.owner();
-  if (owner != nullptr && owner == src.owner() && &src != &dst) {
-    return owner->post_at(dst.shard_id(), when, std::move(cb));
-  }
+  if (crosses_shards(src, dst)) return dst.owner()->post_at(dst.shard_id(), when, std::move(cb));
   return dst.schedule_at(when, std::move(cb));
+}
+
+bool add_cross_shard_edge(EventScheduler& from, EventScheduler& to, SimDuration min_delay) {
+  if (!crosses_shards(from, to)) return false;
+  from.owner()->add_lookahead_edge(from.shard_id(), to.shard_id(), min_delay);
+  return true;
+}
+
+bool may_touch(const EventScheduler& target) {
+  return t_current_shard == nullptr || target.owner() == nullptr || t_current_shard == &target;
+}
+
+void run_on_shard(EventScheduler& target, EventScheduler::Callback fn) {
+  if (may_touch(target)) {
+    fn();
+  } else {
+    target.owner()->post_admin(target.shard_id(), std::move(fn));
+  }
 }
 
 }  // namespace escape

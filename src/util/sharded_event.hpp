@@ -157,10 +157,6 @@ class ShardedScheduler {
   /// one lookahead to propagate, like a management-network hop.
   EventHandle post_admin(std::size_t dst, Callback cb);
 
-  /// The shard queue executing on this thread (nullptr when no sharded
-  /// run is in progress on it).
-  static EventScheduler* current_shard();
-
  private:
   /// A cross-shard event in transit. The callback waits in `slot`, a
   /// slot of the posting shard's core, armed, so pending_events() counts
@@ -227,11 +223,26 @@ class ShardedScheduler {
 /// Schedules `cb` to run `delay` after src.now() on dst's shard. When
 /// src and dst are the same scheduler, different standalone schedulers,
 /// or shards of different owners, this is dst.schedule_at(src.now() +
-/// delay, cb) -- today's behaviour. When they are distinct shards of
-/// one ShardedScheduler the event goes through the cross-shard mailbox.
-/// Every caller crossing shards must have registered the edge's minimum
-/// delay with add_lookahead_edge().
+/// delay, cb). When they are distinct shards of one ShardedScheduler the
+/// event goes through the cross-shard mailbox. Every caller crossing
+/// shards must have registered the edge with add_cross_shard_edge().
 EventHandle cross_schedule(EventScheduler& src, EventScheduler& dst, SimDuration delay,
                            EventScheduler::Callback cb);
+
+/// Declares the edge from `from` to `to` with its minimum delay (the
+/// owner's add_lookahead_edge) when the two are distinct shards of one
+/// ShardedScheduler. Returns whether they are, i.e. whether events
+/// between them cross the mailbox.
+bool add_cross_shard_edge(EventScheduler& from, EventScheduler& to, SimDuration min_delay);
+
+/// Whether the calling context may touch state owned by `target` now:
+/// no sharded run is executing on this thread, `target` is not a shard
+/// of a multi-shard engine, or this thread is executing `target`.
+bool may_touch(const EventScheduler& target);
+
+/// Runs `fn` against `target`'s state: at once when may_touch(target),
+/// else through the owner's post_admin, so it runs on `target`'s shard
+/// at the current window bound, like a management-network hop.
+void run_on_shard(EventScheduler& target, EventScheduler::Callback fn);
 
 }  // namespace escape

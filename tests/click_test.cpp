@@ -86,7 +86,7 @@ TEST(ConfigParser, PortSpecifiers) {
 
 TEST(ConfigParser, InputPortSpecifier) {
   auto parsed = parse_config(R"(
-    n :: NAPT;
+    n :: FlowNAT;
     src :: InfiniteSource(LIMIT 1);
     src -> [1]n;
   )");
@@ -526,73 +526,6 @@ TEST(Elements, FirewallRulesFirstMatchAndHandlers) {
                     .build();
   fw->push(0, std::move(arp2));
   EXPECT_EQ((*router)->call_read("fw.accepted").value(), "2");
-}
-
-TEST(Elements, NaptTranslatesAndReverses) {
-  EventScheduler sched;
-  auto router = build_router(R"(
-    n :: NAPT(EXTERNAL_IP 203.0.113.1, PORT_BASE 40000);
-    oext :: ToDevice(DEVNAME out0);
-    oint :: ToDevice(DEVNAME out1);
-    n[0] -> oext; n[1] -> oint;
-  )", sched);
-  ASSERT_TRUE(router.ok()) << router.error().to_string();
-  Collector ext, internal;
-  ext.attach(**router, "oext");
-  internal.attach(**router, "oint");
-  Element* n = (*router)->element("n");
-
-  // Outbound: 10.0.0.1:1000 -> rewritten to 203.0.113.1:40000.
-  n->push(0, test_packet());
-  ASSERT_EQ(ext.packets.size(), 1u);
-  auto out_key = net::extract_flow_key(ext.packets[0], 0);
-  EXPECT_EQ(out_key->nw_src, Ipv4Addr(203, 0, 113, 1));
-  EXPECT_EQ(out_key->tp_src, 40000);
-
-  // Return traffic to the mapped port translates back.
-  Packet back = net::make_udp_packet(MacAddr::from_u64(2), MacAddr::from_u64(1),
-                                     Ipv4Addr(10, 0, 0, 2), Ipv4Addr(203, 0, 113, 1), 2000,
-                                     40000);
-  n->push(1, std::move(back));
-  ASSERT_EQ(internal.packets.size(), 1u);
-  auto in_key = net::extract_flow_key(internal.packets[0], 0);
-  EXPECT_EQ(in_key->nw_dst, Ipv4Addr(10, 0, 0, 1));
-  EXPECT_EQ(in_key->tp_dst, 1000);
-
-  // Unknown inbound flow dropped.
-  Packet stray = net::make_udp_packet(MacAddr::from_u64(2), MacAddr::from_u64(1),
-                                      Ipv4Addr(10, 0, 0, 2), Ipv4Addr(203, 0, 113, 1), 2000,
-                                      49999);
-  n->push(1, std::move(stray));
-  EXPECT_EQ(internal.packets.size(), 1u);
-  EXPECT_EQ((*router)->call_read("n.dropped").value(), "1");
-  EXPECT_EQ((*router)->call_read("n.mappings").value(), "1");
-
-  // Same internal flow reuses its mapping.
-  n->push(0, test_packet());
-  EXPECT_EQ((*router)->call_read("n.mappings").value(), "1");
-}
-
-TEST(Elements, LoadBalancerFlowAffinity) {
-  EventScheduler sched;
-  auto router = build_router(R"(
-    lb :: LoadBalancer(N 2, MODE flow);
-    a :: Counter; b :: Counter;
-    lb[0] -> a -> Discard; lb[1] -> b -> Discard;
-  )", sched);
-  ASSERT_TRUE(router.ok()) << router.error().to_string();
-  Element* lb = (*router)->element("lb");
-  // Same flow -> same output every time.
-  for (int i = 0; i < 10; ++i) lb->push(0, test_packet(1111));
-  auto a = *strings::parse_u64((*router)->call_read("a.count").value());
-  auto b = *strings::parse_u64((*router)->call_read("b.count").value());
-  EXPECT_TRUE((a == 10 && b == 0) || (a == 0 && b == 10));
-  // Many flows spread across outputs.
-  for (std::uint16_t port = 1; port <= 200; ++port) lb->push(0, test_packet(port));
-  a = *strings::parse_u64((*router)->call_read("a.count").value());
-  b = *strings::parse_u64((*router)->call_read("b.count").value());
-  EXPECT_GT(a, 50u);
-  EXPECT_GT(b, 50u);
 }
 
 TEST(Elements, DpiCounterFindsPatterns) {

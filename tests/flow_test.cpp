@@ -1,8 +1,7 @@
 // The flow-aware middlebox substrate: FlowStateTable hashing/eviction,
 // FlowManager classification and context publication, the stateful VNFs
-// built on it (FlowNAT, FlowLB, TcpReassembler, StreamIDS), the OpenFlow
-// miss memo, and the bit-identical-across-thread-counts guarantee for a
-// stateful chain.
+// built on it (FlowNAT, FlowLB, TcpReassembler, StreamIDS), and the
+// bit-identical-across-thread-counts guarantee for a stateful chain.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -465,6 +464,31 @@ TEST(FlowNatElement, PortExhaustionThenIdleEvictionReclaimsPorts) {
   EXPECT_EQ((*router)->call_read("nat.ports_free").value(), "1");
 }
 
+TEST(FlowNatElement, PortRangeIsCheckedBeforeItNarrows) {
+  EventScheduler sched;
+  const std::string default_range = "PORT_BASE 20000, PORT_COUNT 2";
+  auto build = [&](std::string_view range) {
+    std::string config = kNatConfig;
+    config.replace(config.find(default_range), default_range.size(), range);
+    return build_router(config, sched);
+  };
+  // 70000 would narrow to 4464, and port 0 is no port.
+  for (const char* range : {"PORT_BASE 70000, PORT_COUNT 1", "PORT_BASE 0, PORT_COUNT 1"}) {
+    auto router = build(range);
+    ASSERT_FALSE(router.ok()) << range;
+    EXPECT_NE(router.error().to_string().find("PORT_BASE must be 1..65535"), std::string::npos)
+        << router.error().to_string();
+  }
+  // A count that would wrap base + count around to 0.
+  auto wrapped = build("PORT_BASE 1, PORT_COUNT 18446744073709551615");
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_NE(wrapped.error().to_string().find("port range out of bounds"), std::string::npos);
+  // The last port alone is a whole range.
+  auto last = build("PORT_BASE 65535, PORT_COUNT 1");
+  ASSERT_TRUE(last.ok()) << last.error().to_string();
+  EXPECT_EQ((*last)->call_read("nat.ports_total").value(), "1");
+}
+
 // --- FlowLB -----------------------------------------------------------------
 
 TEST(FlowLbElement, FlowsStickToTheirBackend) {
@@ -597,91 +621,6 @@ TEST(StreamIdsElement, UdpFallsBackToPerPacketScan) {
       .payload(std::string_view("xx attack yy"));
   from->inject(b.build());
   EXPECT_EQ((*router)->call_read("ids.alerts").value(), "1");
-}
-
-// --- OpenFlow miss memo -----------------------------------------------------
-
-net::FlowKey of_key(std::uint16_t tp_dst) {
-  Packet p = net::make_udp_packet(MacAddr::from_u64(1), MacAddr::from_u64(2),
-                                  Ipv4Addr(10, 0, 0, 1), Ipv4Addr(10, 0, 0, 2), 1000, tp_dst);
-  return *net::extract_flow_key(p, 1);
-}
-
-openflow::FlowMod of_add(openflow::Match match, std::uint16_t priority,
-                         SimDuration idle = 0) {
-  openflow::FlowMod mod;
-  mod.command = openflow::FlowModCommand::kAdd;
-  mod.match = match;
-  mod.priority = priority;
-  mod.actions = openflow::output_to(1);
-  mod.idle_timeout = idle;
-  return mod;
-}
-
-TEST(FlowTableMissMemo, RepeatMissesShortCircuitUntilTableChanges) {
-  openflow::FlowTable table;
-  table.apply(of_add(openflow::Match().tp_dst(81), 100), 0);
-
-  EXPECT_EQ(table.lookup(of_key(80), 100, 0), nullptr);  // full scan
-  EXPECT_EQ(table.lookup(of_key(80), 100, 0), nullptr);  // memoized
-  EXPECT_EQ(table.lookup(of_key(80), 100, 0), nullptr);
-  EXPECT_EQ(table.miss_short_circuits(), 2u);
-  EXPECT_EQ(table.lookups(), 3u);
-  EXPECT_EQ(table.matches(), 0u);
-
-  // A flow-mod that makes the key match must invalidate the memo.
-  table.apply(of_add(openflow::Match().tp_dst(80), 200), 0);
-  openflow::FlowEntry* hit = table.lookup(of_key(80), 100, 0);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(table.miss_short_circuits(), 2u);
-}
-
-TEST(FlowTableMissMemo, ResetsAtItsCapAndOnAnyVersionBump) {
-  openflow::FlowTable table;
-  table.apply(of_add(openflow::Match().tp_dst(1), 100), 0);
-  constexpr auto kCap = static_cast<std::uint16_t>(openflow::FlowTable::kMissMemoCap);
-  for (std::uint16_t port = 2; port < 2 + kCap; ++port) table.lookup(of_key(port), 100, 0);
-  EXPECT_EQ(table.miss_short_circuits(), 0u);
-  // The memo is full, and every key in it still short-circuits.
-  table.lookup(of_key(2), 100, 0);
-  table.lookup(of_key(1 + kCap), 100, 0);
-  EXPECT_EQ(table.miss_short_circuits(), 2u);
-
-  // One more distinct miss starts the memo over with that key alone.
-  table.lookup(of_key(2 + kCap), 100, 0);
-  table.lookup(of_key(2 + kCap), 100, 0);
-  EXPECT_EQ(table.miss_short_circuits(), 3u);
-  table.lookup(of_key(2), 100, 0);  // forgotten: probes again
-  EXPECT_EQ(table.miss_short_circuits(), 3u);
-  table.lookup(of_key(2), 100, 0);
-  EXPECT_EQ(table.miss_short_circuits(), 4u);
-
-  // A flow-mod that matches none of these keys still empties the memo.
-  table.apply(of_add(openflow::Match().tp_dst(3 + kCap), 100), 0);
-  table.lookup(of_key(2), 100, 0);
-  EXPECT_EQ(table.miss_short_circuits(), 4u);
-  table.lookup(of_key(2), 100, 0);
-  EXPECT_EQ(table.miss_short_circuits(), 5u);
-  EXPECT_EQ(table.matches(), 0u);
-}
-
-TEST(FlowTableMissMemo, ExpiryInvalidatesMemoizedMisses) {
-  openflow::FlowTable table;
-  table.apply(of_add(openflow::Match().tp_dst(80), 100, /*idle=*/seconds(1)), 0);
-
-  EXPECT_NE(table.lookup(of_key(80), 100, 0), nullptr);
-  EXPECT_EQ(table.lookup(of_key(99), 100, 0), nullptr);  // memoized miss
-  EXPECT_EQ(table.lookup(of_key(99), 100, 0), nullptr);
-  EXPECT_EQ(table.miss_short_circuits(), 1u);
-
-  // The idle entry expires: lookups skip it (a fresh miss, memoizable
-  // because expiry only ever creates new misses); the sweep evicts it
-  // and bumps the version, which clears the memo.
-  EXPECT_EQ(table.lookup(of_key(80), 100, seconds(3)), nullptr);
-  EXPECT_EQ(table.lookup(of_key(80), 100, seconds(3)), nullptr);
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.expire(seconds(3)), 1u);
-  EXPECT_EQ(table.size(), 0u);
 }
 
 // --- stateful chain determinism ---------------------------------------------

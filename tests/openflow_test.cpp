@@ -457,8 +457,7 @@ TEST(OpenFlowSwitch, SyncFlowModFromPacketInAppliesToNextFrame) {
   }
 
   // Frame 0 misses and its packet-in installs the flow before receive()
-  // returns; frames 1..5 hit the new entry (the miss memo is
-  // invalidated by the table change).
+  // returns; frames 1..5 hit the new entry.
   EXPECT_EQ(sw.packet_ins_sent(), 1u);
   EXPECT_EQ(tx[2].size(), 5u);
   const FlowTable& table = sw.flow_table();

@@ -83,6 +83,45 @@ TEST(ShardedScheduler, CrossSchedulePostsThroughMailbox) {
   EXPECT_EQ(delivered_on, 1u);
 }
 
+TEST(ShardedScheduler, RunOnShardRunsHereOrAtTheWindowBound) {
+  ShardedScheduler sched{2, 1};
+  sched.add_lookahead_edge(0, 1, kHop);
+  sched.add_lookahead_edge(1, 0, kHop);
+
+  // On the main thread every shard may be touched: it runs at once.
+  bool ran = false;
+  EXPECT_TRUE(may_touch(sched.shard(1)));
+  run_on_shard(sched.shard(1), [&] { ran = true; });
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sched.pending_events(), 0u);
+
+  // Inside an event on shard 1: shard 1's own state runs at once, while
+  // shard 0's is posted and runs there at the window bound, one
+  // lookahead after the only pending event.
+  SimTime own_at = 0;
+  SimTime other_at = 0;
+  std::size_t own_on = SIZE_MAX;
+  std::size_t other_on = SIZE_MAX;
+  sched.shard(1).schedule_at(5 * kHop, [&] {
+    EXPECT_TRUE(may_touch(sched.shard(1)));
+    EXPECT_FALSE(may_touch(sched.shard(0)));
+    run_on_shard(sched.shard(1), [&] {
+      own_at = sched.shard(1).now();
+      own_on = current_shard_id();
+    });
+    EXPECT_EQ(own_on, 1u);  // ran before run_on_shard returned
+    run_on_shard(sched.shard(0), [&] {
+      other_at = sched.shard(0).now();
+      other_on = current_shard_id();
+    });
+    EXPECT_EQ(other_on, SIZE_MAX);  // not yet
+  });
+  sched.run();
+  EXPECT_EQ(own_at, 5 * kHop);
+  EXPECT_EQ(other_on, 0u);
+  EXPECT_EQ(other_at, 6 * kHop);
+}
+
 // The synthetic ring workload: shard i executes an event, counts it, and
 // forwards to shard i+1 one lookahead later, until `stop`.
 void ring_hop(ShardedScheduler& sched, std::vector<std::uint64_t>* counts, std::size_t shard,

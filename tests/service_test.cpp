@@ -15,8 +15,8 @@ namespace {
 TEST(Catalog, BuiltinsPresent) {
   auto catalog = VnfCatalog::with_builtins();
   for (const char* type :
-       {"monitor", "firewall", "ratelimiter", "dpi", "delay", "headerrewriter", "napt",
-        "loadbalancer"}) {
+       {"monitor", "firewall", "ratelimiter", "dpi", "delay", "headerrewriter", "flow_nat",
+        "flow_lb"}) {
     EXPECT_TRUE(catalog.has(type)) << type;
   }
   EXPECT_FALSE(catalog.has("quantum-router"));

@@ -6,7 +6,7 @@
 // priority/exact/seq winner selection, skip-expired lookups, install-
 // order expiry sweeps and flow-removed callbacks -- with the dumbest
 // possible data structure: one install-ordered list scanned end to end.
-// No mask index, no probe order, no miss memo, no early exit. Anything
+// No mask index, no probe order, no early exit. Anything
 // the real table gets wrong shows up as a divergence from this file;
 // anything this file gets wrong is a plain linear scan that a reviewer
 // can check against the OpenFlow 1.0 spec in one sitting.
