@@ -4,6 +4,8 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "util/sharded_event.hpp"
+
 namespace escape {
 
 namespace {
@@ -143,6 +145,7 @@ void EventScheduler::push_key(Key key) {
     i = parent;
   }
   heap_[i] = key;
+  if (i == 0 && owner_ != nullptr) owner_->lower_front(shard_id_, key.when);
 }
 
 void EventScheduler::pop_key() {

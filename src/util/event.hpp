@@ -339,6 +339,9 @@ class EventScheduler {
   void discard_all();
 
   Slot* take_slot();
+  /// Queues `key`. When it becomes the heap root, this queue's front
+  /// moved earlier, and the owner is told, since it caches each shard's
+  /// front as a lower bound.
   void push_key(Key key);
   void pop_key();
 

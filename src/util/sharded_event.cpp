@@ -43,8 +43,13 @@ ShardedScheduler::ShardedScheduler(std::size_t shards, std::size_t threads) {
   }
   threads_ = (threads == 0) ? shards : std::min(threads, shards);
   if (threads_ == 0) threads_ = 1;
-  outbox_.assign(shards, std::vector<std::vector<Mail>>(shards));
+  outbox_.resize(shards);
+  for (auto& row : outbox_) {
+    row.box.resize(shards);
+    row.posted.reserve(shards);
+  }
   post_seq_.assign(shards, 0);
+  front_.assign(shards, EventScheduler::kNoEvent);
   budget_.assign(shards, SIZE_MAX);
   round_ran_.assign(shards, 0);
 }
@@ -58,11 +63,15 @@ ShardedScheduler::~ShardedScheduler() {
     cv_.notify_all();
     for (auto& w : workers_) w.join();
   }
+  // A dying callback may still schedule, also while the shards are
+  // destroyed after this body: detached, their push hook no longer
+  // reaches this scheduler's members.
+  for (auto& s : shards_) s->owner_ = nullptr;
   // Mail and drained cross-shard events sit in slots borrowed from the
   // posting shard's core: drop every callback before any shard goes, so
   // no slot is queued anywhere once its core returns to the pool.
   for (auto& row : outbox_) {
-    for (auto& box : row) {
+    for (auto& box : row.box) {
       for (auto& m : box) EventScheduler::abandon(m.slot);
     }
   }
@@ -82,8 +91,14 @@ void ShardedScheduler::resize(std::size_t shards, std::size_t threads) {
     }
     for (auto& s : shards_) s->owner_ = (shards_.size() > 1) ? this : nullptr;
     const std::size_t k = shards_.size();
-    outbox_.assign(k, std::vector<std::vector<Mail>>(k));
+    outbox_.assign(k, OutboxRow{});
+    for (auto& row : outbox_) {
+      row.box.resize(k);
+      row.posted.reserve(k);
+    }
     post_seq_.assign(k, 0);
+    front_.assign(k, EventScheduler::kNoEvent);
+    fronts_valid_ = false;
     budget_.assign(k, SIZE_MAX);
     round_ran_.assign(k, 0);
   }
@@ -134,7 +149,7 @@ std::size_t ShardedScheduler::pending_events() const {
   std::size_t n = 0;
   for (const auto& s : shards_) n += s->pending_events();
   for (const auto& row : outbox_) {
-    for (const auto& box : row) {
+    for (const auto& box : row.box) {
       for (const Mail& m : box) n += m.slot->word.load(std::memory_order_acquire) & 1;
     }
   }
@@ -154,9 +169,36 @@ std::uint64_t ShardedScheduler::order_digest() const {
 }
 
 SimTime ShardedScheduler::global_next() {
-  SimTime t = EventScheduler::kNoEvent;
-  for (auto& s : shards_) t = std::min(t, s->next_event_time());
-  return t;
+  const std::size_t s = pick(false);
+  return s < shards_.size() ? front_[s] : EventScheduler::kNoEvent;
+}
+
+SimTime ShardedScheduler::read_front(std::size_t s) {
+  ++front_reads_;
+  return front_[s] = shards_[s]->next_event_time();
+}
+
+std::size_t ShardedScheduler::pick(bool budgeted) {
+  const std::size_t k = shards_.size();
+  const bool rebuilt = !fronts_valid_;
+  if (rebuilt) {
+    for (std::size_t i = 0; i < k; ++i) read_front(i);
+    fronts_valid_ = true;
+  }
+  for (;;) {
+    std::size_t best = k;
+    SimTime best_t = EventScheduler::kNoEvent;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (front_[i] < best_t && !(budgeted && budget_[i] == 0)) {
+        best_t = front_[i];
+        best = i;
+      }
+    }
+    // Every other entry is a lower bound at least best_t, so the pick
+    // stands once its shard confirms its front; a cancelled head raised
+    // it otherwise, and the next scan sees the raised value.
+    if (best == k || rebuilt || read_front(best) == best_t) return best;
+  }
 }
 
 std::size_t ShardedScheduler::run(std::size_t max_events) {
@@ -214,17 +256,8 @@ std::size_t ShardedScheduler::run_sequential(SimTime deadline) {
   window_bound_ = 0;
   std::size_t total = 0;
   for (;;) {
-    std::size_t best = shards_.size();
-    SimTime best_t = EventScheduler::kNoEvent;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (budget_[i] == 0) continue;
-      SimTime t = shards_[i]->next_event_time();
-      if (t < best_t) {
-        best_t = t;
-        best = i;
-      }
-    }
-    if (best == shards_.size() || best_t > deadline) break;
+    const std::size_t best = pick(true);
+    if (best == shards_.size() || front_[best] > deadline) break;
     if (run_next_on(best)) {
       --budget_[best];
       ++total;
@@ -236,32 +269,24 @@ std::size_t ShardedScheduler::run_sequential(SimTime deadline) {
 bool ShardedScheduler::step() {
   if (shards_.size() == 1) return shards_[0]->step();
   window_bound_ = 0;
-  std::size_t best = shards_.size();
-  SimTime best_t = EventScheduler::kNoEvent;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    SimTime t = shards_[i]->next_event_time();
-    if (t < best_t) {
-      best_t = t;
-      best = i;
-    }
-  }
-  if (best == shards_.size()) return false;
-  return run_next_on(best);
+  const std::size_t best = pick(false);
+  return best < shards_.size() && run_next_on(best);
 }
 
 bool ShardedScheduler::run_next_on(std::size_t s) {
   t_current_shard = shards_[s].get();
   const bool ran = shards_[s]->pop_and_run();
   t_current_shard = nullptr;
-  for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
-    auto& box = outbox_[s][dst];
-    if (!box.empty()) deliver(dst, box);
-  }
-  outbox_visits_ += shards_.size();
+  OutboxRow& row = outbox_[s];
+  for (std::uint32_t dst : row.posted) deliver(dst, row.box[dst]);
+  outbox_visits_ += row.posted.size();
+  row.posted.clear();
+  if (fronts_valid_) read_front(s);
   return ran;
 }
 
 void ShardedScheduler::execute_round(SimTime bound) {
+  fronts_valid_ = false;
   window_bound_ = bound;
   for (auto& n : round_ran_) n = 0;
   if (threads_ == 1) {
@@ -321,12 +346,13 @@ void ShardedScheduler::worker_loop(std::size_t worker) {
 void ShardedScheduler::drain_mailboxes() {
   for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
     for (std::size_t src = 0; src < shards_.size(); ++src) {
-      auto& box = outbox_[src][dst];
+      auto& box = outbox_[src].box[dst];
       drain_scratch_.insert(drain_scratch_.end(), box.begin(), box.end());
       box.clear();
     }
     if (!drain_scratch_.empty()) deliver(dst, drain_scratch_);
   }
+  for (auto& row : outbox_) row.posted.clear();
   outbox_visits_ += shards_.size() * shards_.size();
 }
 
@@ -381,7 +407,10 @@ EventHandle ShardedScheduler::post_at(std::size_t dst, SimTime when, Callback cb
   // free list, while the destination's is busy running its own window.
   detail::EventSlot* slot = nullptr;
   EventHandle handle = cur->arm(std::move(cb), slot);
-  outbox_[src][dst].push_back(Mail{when, static_cast<std::uint32_t>(src), post_seq_[src]++, slot});
+  OutboxRow& row = outbox_[src];
+  std::vector<Mail>& box = row.box[dst];
+  if (box.empty()) row.posted.push_back(static_cast<std::uint32_t>(dst));
+  box.push_back(Mail{when, static_cast<std::uint32_t>(src), post_seq_[src]++, slot});
   return handle;
 }
 

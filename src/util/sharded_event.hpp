@@ -21,9 +21,16 @@
 // barrier the coordinator moves mail into the destination queues in a
 // canonical order -- sorted by (timestamp, source shard, source post
 // sequence) -- so insertion order (and therefore the FIFO tie-break)
-// does not depend on thread interleaving. step() and the sequential
-// fallback run one event at a time; only that event's shard can have
-// posted mail, so they drain just its outbox row (K boxes, not K*K).
+// does not depend on thread interleaving.
+//
+// step() and the sequential fallback run one event at a time, so they
+// cost O(1) in the shard count. They pick the shard from a flat array of
+// cached fronts, each a lower bound on its shard's earliest live event:
+// a push that becomes a heap root lowers its entry, a cancel can only
+// raise a front, and the picked shard's next_event_time() is re-read
+// before its event runs, so a stale entry is never run from. After the
+// event, the drain visits only the boxes that event posted into. A
+// window invalidates the cache; the next pick rebuilds it (K reads).
 //
 // Determinism: for a fixed partition, a run with N worker threads
 // executes, per shard, exactly the same events in exactly the same
@@ -137,9 +144,16 @@ class ShardedScheduler {
   std::uint64_t order_digest() const;
 
   /// Outbox boxes the mailbox drains have visited since construction:
-  /// K per event run by step() or the sequential fallback, K*K per
-  /// window barrier (K = shard count).
+  /// after an event run by step() or the sequential fallback, the boxes
+  /// it posted into; K*K per window barrier (K = shard count).
   std::uint64_t outbox_visits() const { return outbox_visits_; }
+
+  /// next_event_time() calls made to pick a shard since construction:
+  /// K to rebuild the front cache after a window; then per pick, one
+  /// re-read of the picked shard (none right after a rebuild) and one
+  /// more each time a cancelled head sends the pick on; and one refresh
+  /// of the stepped shard after each stepped event.
+  std::uint64_t front_reads() const { return front_reads_; }
 
   // --- cross-shard mailbox -------------------------------------------------
 
@@ -158,6 +172,8 @@ class ShardedScheduler {
   EventHandle post_admin(std::size_t dst, Callback cb);
 
  private:
+  friend class EventScheduler;
+
   /// A cross-shard event in transit. The callback waits in `slot`, a
   /// slot of the posting shard's core, armed, so pending_events() counts
   /// it here until the drain queues the slot itself on the destination;
@@ -169,14 +185,33 @@ class ShardedScheduler {
     detail::EventSlot* slot = nullptr;
   };
 
+  /// Shard `src`'s outboxes, one per destination, and the destinations
+  /// whose box went from empty to non-empty since the last drain.
+  struct OutboxRow {
+    std::vector<std::vector<Mail>> box;
+    std::vector<std::uint32_t> posted;
+  };
+
   EventHandle inject_now(std::size_t dst, SimTime when, Callback cb);
   /// Window barrier: merges every outbox into its destination queue.
   void drain_mailboxes();
   /// Queues `mail` (all bound for `dst`) in canonical order; clears it.
   void deliver(std::size_t dst, std::vector<Mail>& mail);
-  /// Runs shard `s`'s earliest event, then drains outbox row `s`: every
-  /// drain leaves all outboxes empty, and only the running shard posts.
+  /// Runs shard `s`'s earliest event, drains the boxes it posted into
+  /// (every drain leaves all outboxes empty, and only the running shard
+  /// posts), then refreshes its cached front.
   bool run_next_on(std::size_t s);
+  /// The shard holding the globally earliest live event, lowest id on
+  /// ties, skipping shards whose budget is spent when `budgeted`; K when
+  /// there is none. Rebuilds the front cache when a window invalidated
+  /// it, else confirms the cached minimum by re-reading its shard.
+  std::size_t pick(bool budgeted);
+  /// Reads shard `s`'s next_event_time() into its cached front.
+  SimTime read_front(std::size_t s);
+  /// EventScheduler::push_key's hook: a key became shard `s`'s heap root.
+  void lower_front(std::size_t s, SimTime when) {
+    if (fronts_valid_ && when < front_[s]) front_[s] = when;
+  }
   /// One synchronization window: every shard runs events < bound.
   void execute_round(SimTime bound);
   void run_shard_slice(std::size_t worker);
@@ -192,13 +227,21 @@ class ShardedScheduler {
   SimDuration lookahead_ = kNoLookahead;
   bool sequential_only_ = false;
 
-  // Mailbox: outbox_[src][dst] is written only by the worker executing
+  // Mailbox: row outbox_[src] is written only by the worker executing
   // shard src during a round, and drained only by the coordinator at
   // the barrier.
-  std::vector<std::vector<std::vector<Mail>>> outbox_;
+  std::vector<OutboxRow> outbox_;
   std::vector<std::uint64_t> post_seq_;
   std::vector<Mail> drain_scratch_;
   std::uint64_t outbox_visits_ = 0;
+
+  // Front cache: front_[s] is a lower bound on shard s's earliest live
+  // event while fronts_valid_. Only the thread driving step() or the
+  // sequential fallback reads or writes it; a window clears
+  // fronts_valid_ before its round starts, so workers only read that.
+  std::vector<SimTime> front_;
+  bool fronts_valid_ = false;
+  std::uint64_t front_reads_ = 0;
 
   // Per-shard budget/executed slots for the current run call; slot i is
   // only touched by the worker running shard i during a round.

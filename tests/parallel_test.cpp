@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -357,6 +358,32 @@ TEST(ShardedScheduler, StepExecutesGloballyEarliest) {
   EXPECT_FALSE(sched.step());
 }
 
+TEST(ShardedScheduler, StepNeverRunsFromAStaleFront) {
+  // step() caches each shard's front as a lower bound, and a cancelled
+  // head leaves shard 0's entry stale at 10: the pick must re-read it
+  // and run shard 1's 20 before shard 0's 30. The head is cancelled
+  // once from the main thread between steps, once by shard 1's event.
+  for (const bool from_event : {false, true}) {
+    SCOPED_TRACE(from_event ? "cancelled by the stepped event" : "cancelled between steps");
+    ShardedScheduler sched{2, 1};
+    sched.add_lookahead_edge(0, 1, kHop);
+    std::vector<SimTime> ran;
+    auto note = [&] { ran.push_back(sched.now() / kHop); };
+    EventHandle head = sched.shard(0).schedule_at(10 * kHop, note);
+    sched.shard(0).schedule_at(30 * kHop, note);
+    sched.shard(1).schedule_at(5 * kHop, [&] {
+      note();
+      if (from_event) head.cancel();
+    });
+    sched.shard(1).schedule_at(20 * kHop, note);
+    EXPECT_TRUE(sched.step());
+    if (!from_event) head.cancel();
+    while (sched.step()) {
+    }
+    EXPECT_EQ(ran, (std::vector<SimTime>{5, 20, 30}));
+  }
+}
+
 // --- step-mode determinism ------------------------------------------------------
 //
 // Environment::pump_until waits for a control call by driving the
@@ -394,9 +421,14 @@ struct StepWorkload {
   std::vector<EventHandle> timer;
   bool keep_log = false;
   std::vector<std::pair<SimTime, std::size_t>> log;  // (when, shard) executed, in order
+  std::vector<std::uint64_t> posts;  // per shard: hops that posted, each into one box
 
   StepWorkload(std::size_t threads, SimDuration delay)
-      : sched(kStepShards, threads), min_delay(delay), rng(kStepShards), timer(kStepShards) {
+      : sched(kStepShards, threads),
+        min_delay(delay),
+        rng(kStepShards),
+        timer(kStepShards),
+        posts(kStepShards) {
     for (std::size_t i = 0; i < kStepShards; ++i) {
       rng[i] = 0x5eed0000u + i;
       for (std::size_t j = 0; j < kStepShards; ++j) sched.add_lookahead_edge(i, j, min_delay);
@@ -410,6 +442,10 @@ struct StepWorkload {
     }
   }
 
+  std::uint64_t posting_hops() const {
+    return std::accumulate(posts.begin(), posts.end(), std::uint64_t{0});
+  }
+
   void note(std::size_t s) {
     if (keep_log) log.emplace_back(sched.shard(s).now(), s);
   }
@@ -418,6 +454,7 @@ struct StepWorkload {
     note(s);
     EventScheduler& self = sched.shard(s);
     if (self.now() >= stop) return;
+    ++posts[s];
     const std::uint64_t x = splitmix64(rng[s]);
     const std::size_t dst = (s + 1 + x % (kStepShards - 1)) % kStepShards;
     const std::size_t mails = 2 + (x >> 8) % 2;
@@ -495,16 +532,29 @@ TEST(StepDeterminism, StepsInterleavedWithRunUntilMatchPinnedConstants) {
 }
 
 TEST(StepDeterminism, StepDrainsOnlyTheSteppedShardsOutboxRow) {
-  // A step runs one shard's event, so only that shard's row of K boxes
-  // can hold mail; the zero-lookahead fallback steps the same way.
+  // A step runs one shard's event, so only the boxes that event posted
+  // into can hold mail: one per hop. It reads the front of the shard it
+  // picked and refreshes it after the event; no head here is cancelled
+  // from another shard, so no pick is redone, and the only rebuild of
+  // the cache is the first step's. The zero-lookahead fallback steps
+  // the same way.
   StepWorkload stepped(1, kHop);
   std::uint64_t steps = 0;
   while (stepped.sched.step()) ++steps;
-  EXPECT_EQ(stepped.sched.outbox_visits(), kStepShards * steps);
+  EXPECT_EQ(steps, 4465u);
+  EXPECT_EQ(stepped.sched.outbox_visits(), stepped.posting_hops());
+  EXPECT_EQ(stepped.posting_hops(), 1600u);
+  // 2 per step and K for the rebuild, less the re-read its pick skips.
+  EXPECT_EQ(stepped.sched.front_reads(), 8949u);
+  EXPECT_LE(stepped.sched.front_reads(), 2 * steps + kStepShards);
 
   StepWorkload sequential(1, 0);
   const std::size_t ran = sequential.sched.run();
-  EXPECT_EQ(sequential.sched.outbox_visits(), kStepShards * ran);
+  EXPECT_EQ(ran, 4465u);
+  EXPECT_EQ(sequential.sched.outbox_visits(), sequential.posting_hops());
+  EXPECT_EQ(sequential.posting_hops(), 1600u);
+  EXPECT_EQ(sequential.sched.front_reads(), 8949u);
+  EXPECT_LE(sequential.sched.front_reads(), 2 * ran + kStepShards);
 
   // A window barrier still merges all K*K boxes: one window here.
   ShardedScheduler windowed{kStepShards, 1};
@@ -516,6 +566,8 @@ TEST(StepDeterminism, StepDrainsOnlyTheSteppedShardsOutboxRow) {
   }
   EXPECT_EQ(windowed.run_until(kHop - 1), kStepShards);
   EXPECT_EQ(windowed.outbox_visits(), kStepShards * kStepShards);
+  // K per window, and K more to find the next event past the deadline.
+  EXPECT_EQ(windowed.front_reads(), 2 * kStepShards);
   EXPECT_EQ(windowed.pending_events(), kStepShards);
 }
 
