@@ -1,6 +1,7 @@
 #include "click/config.hpp"
 
 #include <cctype>
+#include <limits>
 #include <set>
 
 #include "util/strings.hpp"
@@ -315,9 +316,12 @@ class ConfigParser {
   Result<int> parse_port() {
     if (!match(Token::kLBracket)) return fail("expected '['");
     if (peek().kind != Token::kNumber) return fail("expected port number");
-    int port = static_cast<int>(*strings::parse_u64(advance().text));
+    // Checked before it narrows: 2^32 + 1 would read as port 1, and a
+    // number past 2^64 does not parse at all.
+    const auto port = strings::parse_u64(advance().text);
+    if (!port || *port > std::numeric_limits<int>::max()) return fail("port number out of range");
     if (!match(Token::kRBracket)) return fail("expected ']'");
-    return port;
+    return static_cast<int>(*port);
   }
 
   Status parse_statement() {

@@ -98,14 +98,41 @@ std::optional<std::string> ConfigArgs::keyword_or_positional(std::string_view ke
   return positional(index);
 }
 
-std::optional<std::uint64_t> ConfigArgs::keyword_u64(std::string_view key) const {
-  if (auto v = keyword(key)) return strings::parse_scaled_u64(*v);
-  return std::nullopt;
+namespace {
+std::string bound(std::uint64_t v) { return std::to_string(v); }
+std::string bound(std::int64_t v) { return std::to_string(v); }
+std::string bound(double v) { return strings::format("%g", v); }
+
+template <class W, class Parse>
+Status checked(std::string_view key, const std::optional<std::string>& raw, Parse parse, W lo,
+               W hi, W& value) {
+  if (!raw) return ok_status();
+  const std::optional<W> parsed = parse(*raw);
+  // Written so that a NaN fails too.
+  if (!(parsed && lo <= *parsed && *parsed <= hi)) {
+    return make_error("click.config.bad-arg", std::string(key) + " must be " + bound(lo) + ".." +
+                                                  bound(hi) + ", not '" + *raw + "'");
+  }
+  value = *parsed;
+  return ok_status();
+}
+}  // namespace
+
+// No positional argument has index kKeywordOnly, so the fallback finds
+// nothing and only the keyword is read.
+Status ConfigArgs::parse_number(std::string_view key, std::size_t index, std::uint64_t lo,
+                                std::uint64_t hi, std::uint64_t& value) const {
+  return checked(key, keyword_or_positional(key, index), strings::parse_scaled_u64, lo, hi, value);
 }
 
-std::optional<double> ConfigArgs::keyword_double(std::string_view key) const {
-  if (auto v = keyword(key)) return strings::parse_double(*v);
-  return std::nullopt;
+Status ConfigArgs::parse_number(std::string_view key, std::size_t index, std::int64_t lo,
+                                std::int64_t hi, std::int64_t& value) const {
+  return checked(key, keyword_or_positional(key, index), strings::parse_i64, lo, hi, value);
+}
+
+Status ConfigArgs::parse_number(std::string_view key, std::size_t index, double lo, double hi,
+                                double& value) const {
+  return checked(key, keyword_or_positional(key, index), strings::parse_double, lo, hi, value);
 }
 
 // --- Task --------------------------------------------------------------------

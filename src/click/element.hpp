@@ -16,9 +16,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -62,12 +64,52 @@ class ConfigArgs {
   std::optional<std::string> keyword_or_positional(std::string_view key,
                                                    std::size_t index) const;
 
-  std::optional<std::uint64_t> keyword_u64(std::string_view key) const;
-  std::optional<double> keyword_double(std::string_view key) const;
+  /// The one reader of numeric arguments. When `key` is given, parses
+  /// its value into `out`; when it is absent, `out` keeps its value.
+  /// Unsigned types take digits with an optional k/M/G suffix ("10k" is
+  /// 10000), signed types an optional sign, floating point a decimal. A
+  /// value that does not parse, or that lies outside [lo, hi], fails
+  /// with an error naming the key, the range and the value, so a 16-bit
+  /// port is range-checked before it is narrowed.
+  template <class T>
+  Status number(std::string_view key, T& out,
+                std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
+                std::type_identity_t<T> hi = std::numeric_limits<T>::max()) const {
+    return read_number(key, kKeywordOnly, out, lo, hi);
+  }
+
+  /// number(), falling back to the positional argument `index`.
+  template <class T>
+  Status number_or_positional(std::string_view key, std::size_t index, T& out,
+                              std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
+                              std::type_identity_t<T> hi = std::numeric_limits<T>::max()) const {
+    return read_number(key, index, out, lo, hi);
+  }
 
   const std::vector<std::pair<std::string, std::string>>& all() const { return args_; }
 
  private:
+  static constexpr std::size_t kKeywordOnly = ~std::size_t{0};
+
+  // Reads through the widest type of T's kind, out of line: an absent
+  // argument leaves `value`, and so `out`, as it was.
+  template <class T>
+  Status read_number(std::string_view key, std::size_t index, T& out, T lo, T hi) const {
+    using Wide = std::conditional_t<std::is_floating_point_v<T>, double,
+                                    std::conditional_t<std::is_signed_v<T>, std::int64_t,
+                                                       std::uint64_t>>;
+    Wide value = static_cast<Wide>(out);
+    Status st = parse_number(key, index, static_cast<Wide>(lo), static_cast<Wide>(hi), value);
+    if (st) out = static_cast<T>(value);
+    return st;
+  }
+  Status parse_number(std::string_view key, std::size_t index, std::uint64_t lo,
+                      std::uint64_t hi, std::uint64_t& value) const;
+  Status parse_number(std::string_view key, std::size_t index, std::int64_t lo,
+                      std::int64_t hi, std::int64_t& value) const;
+  Status parse_number(std::string_view key, std::size_t index, double lo, double hi,
+                      double& value) const;
+
   std::vector<std::pair<std::string, std::string>> args_;
 };
 

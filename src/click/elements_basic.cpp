@@ -26,8 +26,8 @@ Status PacketTemplate::load(const ConfigArgs& args) {
     if (!a) return make_error("click.config.bad-arg", "invalid DST_IP: " + *v);
     ip_dst = *a;
   }
-  if (auto v = args.keyword_u64("SPORT")) sport = static_cast<std::uint16_t>(*v);
-  if (auto v = args.keyword_u64("DPORT")) dport = static_cast<std::uint16_t>(*v);
+  if (auto st = args.number("SPORT", sport); !st) return st;
+  if (auto st = args.number("DPORT", dport); !st) return st;
   if (auto v = args.keyword("SRC_ETH")) {
     auto m = net::MacAddr::parse(*v);
     if (!m) return make_error("click.config.bad-arg", "invalid SRC_ETH: " + *v);
@@ -74,10 +74,10 @@ InfiniteSource::InfiniteSource() {
 }
 
 Status InfiniteSource::configure(const ConfigArgs& args) {
-  if (auto v = args.keyword_u64("LENGTH")) length_ = static_cast<std::size_t>(*v);
-  if (auto v = args.keyword_u64("LIMIT")) limit_ = *v;
-  if (auto v = args.keyword_u64("BURST")) burst_ = *v;
-  if (auto v = args.keyword_u64("INTERVAL")) interval_ = *v;
+  if (auto st = args.number("LENGTH", length_); !st) return st;
+  if (auto st = args.number("LIMIT", limit_); !st) return st;
+  if (auto st = args.number("BURST", burst_); !st) return st;
+  if (auto st = args.number("INTERVAL", interval_); !st) return st;
   return tmpl_.load(args);
 }
 
@@ -110,17 +110,9 @@ RatedSource::RatedSource() {
 }
 
 Status RatedSource::configure(const ConfigArgs& args) {
-  if (auto v = args.keyword("RATE")) {
-    auto r = strings::parse_scaled_u64(*v);
-    if (!r || *r == 0) return make_error("click.config.bad-arg", "invalid RATE: " + *v);
-    rate_ = *r;
-  } else if (auto p = args.positional(0)) {
-    auto r = strings::parse_scaled_u64(*p);
-    if (!r || *r == 0) return make_error("click.config.bad-arg", "invalid rate: " + *p);
-    rate_ = *r;
-  }
-  if (auto v = args.keyword_u64("LENGTH")) length_ = static_cast<std::size_t>(*v);
-  if (auto v = args.keyword_u64("LIMIT")) limit_ = *v;
+  if (auto st = args.number_or_positional("RATE", 0, rate_, 1); !st) return st;
+  if (auto st = args.number("LENGTH", length_); !st) return st;
+  if (auto st = args.number("LIMIT", limit_); !st) return st;
   return tmpl_.load(args);
 }
 
@@ -147,9 +139,9 @@ TimedSource::TimedSource() {
 }
 
 Status TimedSource::configure(const ConfigArgs& args) {
-  if (auto v = args.keyword_u64("INTERVAL")) interval_ = *v;
-  if (auto v = args.keyword_u64("LENGTH")) length_ = static_cast<std::size_t>(*v);
-  if (auto v = args.keyword_u64("LIMIT")) limit_ = *v;
+  if (auto st = args.number("INTERVAL", interval_); !st) return st;
+  if (auto st = args.number("LENGTH", length_); !st) return st;
+  if (auto st = args.number("LIMIT", limit_); !st) return st;
   return tmpl_.load(args);
 }
 
@@ -209,14 +201,8 @@ Print::Verdict Print::process(Packet& p) {
 Tee::Tee() { declare_ports({PortMode::kPush}, {PortMode::kPush, PortMode::kPush}); }
 
 Status Tee::configure(const ConfigArgs& args) {
-  std::uint64_t n = 2;
-  if (auto v = args.keyword_or_positional("N", 0)) {
-    auto parsed = strings::parse_u64(*v);
-    if (!parsed || *parsed == 0 || *parsed > 64) {
-      return make_error("click.config.bad-arg", "Tee output count must be 1..64");
-    }
-    n = *parsed;
-  }
+  std::size_t n = 2;
+  if (auto st = args.number_or_positional("N", 0, n, 1, 64); !st) return st;
   declare_ports({PortMode::kPush}, std::vector<PortMode>(n, PortMode::kPush));
   return ok_status();
 }
@@ -239,18 +225,10 @@ Switch::Switch() {
 }
 
 Status Switch::configure(const ConfigArgs& args) {
-  std::uint64_t n = 2;
-  if (auto v = args.keyword_u64("N")) n = *v;
-  if (n == 0 || n > 64) return make_error("click.config.bad-arg", "Switch N must be 1..64");
+  std::size_t n = 2;
+  if (auto st = args.number("N", n, 1, 64); !st) return st;
   declare_ports({PortMode::kPush}, std::vector<PortMode>(n, PortMode::kPush));
-  if (auto v = args.keyword_or_positional("PORT", 0)) {
-    auto p = strings::parse_i64(*v);
-    if (!p || *p < -1 || *p >= static_cast<std::int64_t>(n)) {
-      return make_error("click.config.bad-arg", "Switch initial port out of range");
-    }
-    current_ = static_cast<int>(*p);
-  }
-  return ok_status();
+  return args.number_or_positional("PORT", 0, current_, -1, static_cast<int>(n) - 1);
 }
 
 void Switch::push(int, Packet&& p) {
@@ -264,14 +242,8 @@ RoundRobinSwitch::RoundRobinSwitch() {
 }
 
 Status RoundRobinSwitch::configure(const ConfigArgs& args) {
-  std::uint64_t n = 2;
-  if (auto v = args.keyword_or_positional("N", 0)) {
-    auto parsed = strings::parse_u64(*v);
-    if (!parsed || *parsed == 0 || *parsed > 64) {
-      return make_error("click.config.bad-arg", "RoundRobinSwitch N must be 1..64");
-    }
-    n = *parsed;
-  }
+  std::size_t n = 2;
+  if (auto st = args.number_or_positional("N", 0, n, 1, 64); !st) return st;
   declare_ports({PortMode::kPush}, std::vector<PortMode>(n, PortMode::kPush));
   return ok_status();
 }
@@ -285,12 +257,7 @@ void RoundRobinSwitch::push(int, Packet&& p) {
 // --- Paint / PaintSwitch / CheckPaint -----------------------------------------------
 
 Status Paint::configure(const ConfigArgs& args) {
-  if (auto v = args.keyword_or_positional("COLOR", 0)) {
-    auto c = strings::parse_u64(*v);
-    if (!c || *c > 255) return make_error("click.config.bad-arg", "COLOR must be 0..255");
-    color_ = static_cast<std::uint8_t>(*c);
-  }
-  return ok_status();
+  return args.number_or_positional("COLOR", 0, color_);
 }
 
 Paint::Verdict Paint::process(Packet& p) {
@@ -303,14 +270,8 @@ PaintSwitch::PaintSwitch() {
 }
 
 Status PaintSwitch::configure(const ConfigArgs& args) {
-  std::uint64_t n = 2;
-  if (auto v = args.keyword_or_positional("N", 0)) {
-    auto parsed = strings::parse_u64(*v);
-    if (!parsed || *parsed == 0 || *parsed > 256) {
-      return make_error("click.config.bad-arg", "PaintSwitch N must be 1..256");
-    }
-    n = *parsed;
-  }
+  std::size_t n = 2;
+  if (auto st = args.number_or_positional("N", 0, n, 1, 256); !st) return st;
   declare_ports({PortMode::kPush}, std::vector<PortMode>(n, PortMode::kPush));
   return ok_status();
 }
@@ -326,12 +287,7 @@ CheckPaint::CheckPaint() {
 }
 
 Status CheckPaint::configure(const ConfigArgs& args) {
-  if (auto v = args.keyword_or_positional("COLOR", 0)) {
-    auto c = strings::parse_u64(*v);
-    if (!c || *c > 255) return make_error("click.config.bad-arg", "COLOR must be 0..255");
-    color_ = static_cast<std::uint8_t>(*c);
-  }
-  return ok_status();
+  return args.number_or_positional("COLOR", 0, color_);
 }
 
 void CheckPaint::push(int, Packet&& p) {

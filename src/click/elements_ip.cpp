@@ -2,7 +2,6 @@
 #include "click/elements.hpp"
 #include "click/router.hpp"
 #include "net/headers.hpp"
-#include "util/strings.hpp"
 
 namespace escape::click {
 
@@ -49,12 +48,7 @@ void DecIPTTL::push(int, Packet&& p) {
 // --- SetIPDSCP -------------------------------------------------------------------
 
 Status SetIPDSCP::configure(const ConfigArgs& args) {
-  if (auto v = args.keyword_or_positional("DSCP", 0)) {
-    auto d = strings::parse_u64(*v);
-    if (!d || *d > 63) return make_error("click.config.bad-arg", "DSCP must be 0..63");
-    dscp_ = static_cast<std::uint8_t>(*d);
-  }
-  return ok_status();
+  return args.number_or_positional("DSCP", 0, dscp_, 0, 63);
 }
 
 SetIPDSCP::Verdict SetIPDSCP::process(Packet& p) {
@@ -75,8 +69,12 @@ Status IPRewriter::configure(const ConfigArgs& args) {
     if (!a) return make_error("click.config.bad-arg", "invalid DST_IP: " + *v);
     dst_ip_ = *a;
   }
-  if (auto v = args.keyword_u64("SRC_PORT")) src_port_ = static_cast<std::uint16_t>(*v);
-  if (auto v = args.keyword_u64("DST_PORT")) dst_port_ = static_cast<std::uint16_t>(*v);
+  for (auto [key, port] : {std::pair{"SRC_PORT", &src_port_}, std::pair{"DST_PORT", &dst_port_}}) {
+    if (!args.keyword(key)) continue;
+    std::uint16_t value = 0;
+    if (auto st = args.number(key, value); !st) return st;
+    *port = value;
+  }
   if (auto v = args.keyword("SRC_ETH")) {
     auto m = net::MacAddr::parse(*v);
     if (!m) return make_error("click.config.bad-arg", "invalid SRC_ETH: " + *v);

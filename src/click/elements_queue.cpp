@@ -23,12 +23,7 @@ Queue::Queue() {
 }
 
 Status Queue::configure(const ConfigArgs& args) {
-  if (auto v = args.keyword_or_positional("CAPACITY", 0)) {
-    auto c = strings::parse_scaled_u64(*v);
-    if (!c || *c == 0) return make_error("click.config.bad-arg", "Queue capacity must be > 0");
-    capacity_ = static_cast<std::size_t>(*c);
-  }
-  return ok_status();
+  return args.number_or_positional("CAPACITY", 0, capacity_, 1);
 }
 
 void Queue::push(int, Packet&& p) {
@@ -79,13 +74,8 @@ Unqueue::Unqueue() {
 }
 
 Status Unqueue::configure(const ConfigArgs& args) {
-  if (auto v = args.keyword_or_positional("BURST", 0)) {
-    auto b = strings::parse_u64(*v);
-    if (!b || *b == 0) return make_error("click.config.bad-arg", "Unqueue BURST must be > 0");
-    burst_ = *b;
-  }
-  if (auto v = args.keyword_u64("INTERVAL")) interval_ = *v;
-  return ok_status();
+  if (auto st = args.number_or_positional("BURST", 0, burst_, 1); !st) return st;
+  return args.number("INTERVAL", interval_);
 }
 
 Status Unqueue::initialize(Router& router) {
@@ -118,12 +108,7 @@ std::optional<SimDuration> Unqueue::run_once() {
 RatedUnqueue::RatedUnqueue() { declare_ports({PortMode::kPull}, {PortMode::kPush}); }
 
 Status RatedUnqueue::configure(const ConfigArgs& args) {
-  if (auto v = args.keyword_or_positional("RATE", 0)) {
-    auto r = strings::parse_scaled_u64(*v);
-    if (!r || *r == 0) return make_error("click.config.bad-arg", "RatedUnqueue RATE must be > 0");
-    rate_ = *r;
-  }
-  return ok_status();
+  return args.number_or_positional("RATE", 0, rate_, 1);
 }
 
 Status RatedUnqueue::initialize(Router& router) {
@@ -161,14 +146,8 @@ RoundRobinSched::RoundRobinSched() {
 }
 
 Status RoundRobinSched::configure(const ConfigArgs& args) {
-  std::uint64_t n = 2;
-  if (auto v = args.keyword_or_positional("N", 0)) {
-    auto parsed = strings::parse_u64(*v);
-    if (!parsed || *parsed == 0 || *parsed > 64) {
-      return make_error("click.config.bad-arg", "RoundRobinSched N must be 1..64");
-    }
-    n = *parsed;
-  }
+  std::size_t n = 2;
+  if (auto st = args.number_or_positional("N", 0, n, 1, 64); !st) return st;
   declare_ports(std::vector<PortMode>(n, PortMode::kPull), {PortMode::kPull});
   return ok_status();
 }
@@ -195,14 +174,8 @@ PrioSched::PrioSched() {
 }
 
 Status PrioSched::configure(const ConfigArgs& args) {
-  std::uint64_t n = 2;
-  if (auto v = args.keyword_or_positional("N", 0)) {
-    auto parsed = strings::parse_u64(*v);
-    if (!parsed || *parsed == 0 || *parsed > 64) {
-      return make_error("click.config.bad-arg", "PrioSched N must be 1..64");
-    }
-    n = *parsed;
-  }
+  std::size_t n = 2;
+  if (auto st = args.number_or_positional("N", 0, n, 1, 64); !st) return st;
   declare_ports(std::vector<PortMode>(n, PortMode::kPull), {PortMode::kPull});
   served_.assign(n, 0);
   for (std::size_t i = 2; i < n; ++i) {

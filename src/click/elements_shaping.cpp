@@ -1,7 +1,6 @@
 // Traffic shaping and policing elements.
 #include "click/elements.hpp"
 #include "click/router.hpp"
-#include "util/strings.hpp"
 
 namespace escape::click {
 
@@ -10,12 +9,8 @@ namespace escape::click {
 BandwidthShaper::BandwidthShaper() { declare_ports({PortMode::kPull}, {PortMode::kPull}); }
 
 Status BandwidthShaper::configure(const ConfigArgs& args) {
-  if (auto v = args.keyword_or_positional("RATE", 0)) {
-    auto r = strings::parse_scaled_u64(*v);
-    if (!r || *r == 0) return make_error("click.config.bad-arg", "RATE must be > 0 bytes/s");
-    rate_ = *r;
-  }
-  if (auto v = args.keyword_u64("BURST")) burst_ = *v;
+  if (auto st = args.number_or_positional("RATE", 0, rate_, 1); !st) return st;
+  if (auto st = args.number("BURST", burst_); !st) return st;
   bucket_.emplace(rate_, burst_);
   return ok_status();
 }
@@ -48,12 +43,7 @@ Delay::~Delay() {
 }
 
 Status Delay::configure(const ConfigArgs& args) {
-  if (auto v = args.keyword_or_positional("DELAY", 0)) {
-    auto d = strings::parse_scaled_u64(*v);
-    if (!d) return make_error("click.config.bad-arg", "DELAY must be nanoseconds");
-    delay_ = *d;
-  }
-  return ok_status();
+  return args.number_or_positional("DELAY", 0, delay_);
 }
 
 Status Delay::initialize(Router&) { return ok_status(); }
@@ -76,14 +66,11 @@ RandomSample::RandomSample() {
 }
 
 Status RandomSample::configure(const ConfigArgs& args) {
-  if (auto v = args.keyword_or_positional("P", 0)) {
-    auto p = strings::parse_double(*v);
-    if (!p || *p < 0.0 || *p > 1.0) {
-      return make_error("click.config.bad-arg", "P must be in [0,1]");
-    }
-    p_ = *p;
-  }
-  if (auto v = args.keyword_u64("SEED")) rng_ = Rng(*v);
+  if (auto st = args.number_or_positional("P", 0, p_, 0.0, 1.0); !st) return st;
+  if (!args.keyword("SEED")) return ok_status();
+  std::uint64_t seed = 0;
+  if (auto st = args.number("SEED", seed); !st) return st;
+  rng_ = Rng(seed);
   return ok_status();
 }
 
@@ -106,11 +93,7 @@ Meter::Meter() {
 }
 
 Status Meter::configure(const ConfigArgs& args) {
-  if (auto v = args.keyword_or_positional("RATE", 0)) {
-    auto r = strings::parse_scaled_u64(*v);
-    if (!r || *r == 0) return make_error("click.config.bad-arg", "Meter RATE must be > 0");
-    rate_ = *r;
-  }
+  if (auto st = args.number_or_positional("RATE", 0, rate_, 1); !st) return st;
   bucket_.emplace(rate_, std::max<std::uint64_t>(rate_ / 10, 1));
   return ok_status();
 }

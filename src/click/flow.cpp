@@ -260,20 +260,8 @@ FlowScope::~FlowScope() { g_current_flow = prev_; }
 
 namespace {
 std::size_t g_default_capacity = 1 << 20;
+constexpr std::size_t kMaxInitialBuckets = std::size_t{1} << 20;
 SimDuration g_default_idle_timeout = 30000 * timeunit::kMillisecond;
-
-/// Parses a config value that may be absent or the literal "default".
-template <typename T>
-T value_or_default(const std::optional<std::string>& raw, T fallback,
-                   bool* parse_error = nullptr) {
-  if (!raw || *raw == "default") return fallback;
-  try {
-    return static_cast<T>(std::stoull(*raw));
-  } catch (...) {
-    if (parse_error) *parse_error = true;
-    return fallback;
-  }
-}
 
 // Byte-buffer encoding for the flow-state handoff format: hex digits,
 // or "-" for an empty buffer (every field must be a non-empty token).
@@ -353,16 +341,22 @@ FlowManager::FlowManager() : idle_timeout_(g_default_idle_timeout) {
 }
 
 Status FlowManager::configure(const ConfigArgs& args) {
-  bool bad = false;
-  std::size_t capacity =
-      value_or_default<std::size_t>(args.keyword("CAPACITY"), g_default_capacity, &bad);
-  std::size_t buckets = value_or_default<std::size_t>(args.keyword("BUCKETS"), 1024, &bad);
-  std::uint64_t timeout_ms = value_or_default<std::uint64_t>(
-      args.keyword("TIMEOUT_MS"), g_default_idle_timeout / timeunit::kMillisecond, &bad);
-  std::uint64_t sweep_ms = value_or_default<std::uint64_t>(args.keyword("SWEEP_MS"), 1000, &bad);
-  if (bad) return make_error("click.flowmanager.config", "non-numeric argument");
-  if (capacity == 0) return make_error("click.flowmanager.config", "CAPACITY must be > 0");
-  if (sweep_ms == 0) return make_error("click.flowmanager.config", "SWEEP_MS must be > 0");
+  std::size_t capacity = g_default_capacity;
+  std::size_t buckets = 1024;
+  std::uint64_t timeout_ms = g_default_idle_timeout / timeunit::kMillisecond;
+  std::uint64_t sweep_ms = 1000;
+  // The literal "default" keeps the default, as when the key is absent:
+  // render_flow_splitter writes "CAPACITY default".
+  auto number = [&args](std::string_view key, auto& out, std::uint64_t lo,
+                        std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) {
+    return args.keyword(key) == "default" ? ok_status() : args.number(key, out, lo, hi);
+  };
+  if (auto st = number("CAPACITY", capacity, 1); !st) return st;
+  // BUCKETS only sizes the table before it grows on demand. Bounded,
+  // because rounding a hint above 2^63 up to a power of two never ends.
+  if (auto st = number("BUCKETS", buckets, 0, kMaxInitialBuckets); !st) return st;
+  if (auto st = number("TIMEOUT_MS", timeout_ms, 0); !st) return st;
+  if (auto st = number("SWEEP_MS", sweep_ms, 1); !st) return st;
   if (auto v = args.keyword("HOLD")) {
     if (*v == "true" || *v == "1") {
       holding_ = true;
@@ -605,15 +599,9 @@ Status FlowNAT::configure(const ConfigArgs& args) {
     if (!ip) return make_error("click.flownat.config", "bad EXTERNAL_IP '" + *v + "'");
     external_ip_ = *ip;
   }
-  if (auto v = args.keyword_u64("PORT_BASE")) {
-    // Checked before the narrowing cast: 70000 would wrap to 4464, and
-    // port 0 is no port.
-    if (*v == 0 || *v > 65535) {
-      return make_error("click.flownat.config", "PORT_BASE must be 1..65535");
-    }
-    port_base_ = static_cast<std::uint16_t>(*v);
-  }
-  if (auto v = args.keyword_u64("PORT_COUNT")) port_count_ = *v;
+  // Port 0 is no port.
+  if (auto st = args.number("PORT_BASE", port_base_, 1); !st) return st;
+  if (auto st = args.number("PORT_COUNT", port_count_); !st) return st;
   // Subtracted, not added: base + count can wrap for a huge count.
   if (port_count_ == 0 || port_count_ > 65536 - std::size_t{port_base_}) {
     return make_error("click.flownat.config", "port range out of bounds");
@@ -741,15 +729,7 @@ FlowLB::FlowLB() {
 
 Status FlowLB::configure(const ConfigArgs& args) {
   std::size_t n = 2;
-  if (auto v = args.keyword_u64("N")) n = *v;
-  else if (auto v2 = args.positional(0)) {
-    try {
-      n = std::stoull(*v2);
-    } catch (...) {
-      return make_error("click.flowlb.config", "bad backend count '" + *v2 + "'");
-    }
-  }
-  if (n < 2 || n > 64) return make_error("click.flowlb.config", "N must be in [2, 64]");
+  if (auto st = args.number_or_positional("N", 0, n, 2, 64); !st) return st;
   if (auto v = args.keyword("MODE")) {
     if (*v == "rr") {
       round_robin_ = true;
@@ -861,9 +841,8 @@ TcpReassembler::TcpReassembler() {
 }
 
 Status TcpReassembler::configure(const ConfigArgs& args) {
-  if (auto v = args.keyword_u64("WINDOW")) window_cap_ = *v;
-  if (auto v = args.keyword_u64("OOO_CAP")) ooo_cap_ = *v;
-  if (window_cap_ == 0) return make_error("click.tcpreassembler.config", "WINDOW must be > 0");
+  if (auto st = args.number("WINDOW", window_cap_, 1); !st) return st;
+  if (auto st = args.number("OOO_CAP", ooo_cap_); !st) return st;
   if (auto v = args.keyword("FM")) fm_name_ = *v;
   return ok_status();
 }
@@ -1107,7 +1086,7 @@ Status StreamIDS::configure(const ConfigArgs& args) {
       return make_error("click.streamids.config", "MODE must be alert or drop");
     }
   }
-  if (auto v = args.keyword_u64("TAIL")) tail_cap_ = *v;
+  if (auto st = args.number("TAIL", tail_cap_); !st) return st;
   std::size_t longest = 1;
   for (const auto& p : patterns_) longest = std::max(longest, p.size());
   // The kept tail must cover the longest literal pattern minus one byte

@@ -39,8 +39,45 @@ TEST(ConfigArgs, NestedParensAndQuotesStayIntact) {
 
 TEST(ConfigArgs, NumericHelpers) {
   auto args = ConfigArgs::parse("RATE 10k, P 0.5");
-  EXPECT_EQ(args.keyword_u64("RATE"), 10'000u);
-  EXPECT_DOUBLE_EQ(*args.keyword_double("P"), 0.5);
+  std::uint64_t rate = 0;
+  double p = 0;
+  ASSERT_TRUE(args.number("RATE", rate).ok());
+  EXPECT_EQ(rate, 10'000u);
+  ASSERT_TRUE(args.number("P", p).ok());
+  EXPECT_DOUBLE_EQ(p, 0.5);
+}
+
+TEST(ConfigArgs, NumberFailsOnAPresentValueItCannotRead) {
+  auto args = ConfigArgs::parse("LIMIT 5x, PORT 70000, N -5, P nan, SHIFT -3, 7");
+  // Absent: the default stays.
+  std::uint64_t limit = 42;
+  EXPECT_TRUE(args.number("MISSING", limit).ok());
+  EXPECT_EQ(limit, 42u);
+  // Present and unreadable: an error naming the key and the value, and
+  // the default stays.
+  auto bad = args.number("LIMIT", limit);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.error().code, "click.config.bad-arg");
+  EXPECT_EQ(bad.error().message, "LIMIT must be 0..18446744073709551615, not '5x'");
+  EXPECT_EQ(limit, 42u);
+  // A 16-bit port is checked against its range before it narrows.
+  std::uint16_t port = 1000;
+  auto wide = args.number("PORT", port);
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.error().message, "PORT must be 0..65535, not '70000'");
+  EXPECT_EQ(port, 1000);
+  std::size_t n = 2;
+  EXPECT_FALSE(args.number("N", n).ok());  // no wrap to 2^64 - 5
+  double p = 1;
+  EXPECT_FALSE(args.number("P", p, 0.0, 1.0).ok());
+  // Signed types take a sign, and the positional fallback reads the same way.
+  int shift = 0;
+  EXPECT_TRUE(args.number("SHIFT", shift, -8, 8).ok());
+  EXPECT_EQ(shift, -3);
+  std::uint64_t count = 0;
+  EXPECT_TRUE(args.number_or_positional("COUNT", 0, count, 1, 9).ok());
+  EXPECT_EQ(count, 7u);
+  EXPECT_FALSE(args.number_or_positional("COUNT", 0, count, 1, 6).ok());
 }
 
 TEST(ConfigArgs, KeywordOrPositionalFallback) {
@@ -116,6 +153,10 @@ TEST(ConfigParser, Errors) {
   EXPECT_FALSE(parse_config("a :: Counter; a :: Queue;").ok());  // duplicate
   EXPECT_FALSE(parse_config("a :: Counter(").ok());        // unbalanced paren
   EXPECT_FALSE(parse_config("a :: ;").ok());               // missing class
+  // Port numbers narrow to int only once checked: 2^32 + 1 read as port
+  // 1, and 2^64 left nothing to read.
+  EXPECT_FALSE(parse_config("a :: Tee; b :: Discard; a [4294967297] -> b;").ok());
+  EXPECT_FALSE(parse_config("a :: Tee; b :: Discard; a [18446744073709551616] -> b;").ok());
 }
 
 TEST(BuildRouter, UnknownClassRejected) {
@@ -181,6 +222,15 @@ TEST(Elements, SourceQueueUnqueueSinkPipeline) {
   EXPECT_EQ(sink.packets.size(), 100u);
   EXPECT_EQ((*router)->call_read("cnt.count").value(), "100");
   EXPECT_EQ((*router)->call_read("src.count").value(), "100");
+}
+
+TEST(Elements, SourceRejectsAnUnreadableLimit) {
+  EventScheduler sched;
+  auto router = build_router("src :: InfiniteSource(LIMIT 5x); d :: Discard; src -> d;", sched);
+  ASSERT_FALSE(router.ok());
+  EXPECT_NE(router.error().message.find("LIMIT must be 0..18446744073709551615, not '5x'"),
+            std::string::npos)
+      << router.error().to_string();
 }
 
 TEST(Elements, QueueTailDropsAndHandlers) {
@@ -422,6 +472,16 @@ TEST(Elements, IPRewriterRewrites) {
   EXPECT_EQ(key->nw_src, Ipv4Addr(192, 168, 1, 1));
   EXPECT_EQ(key->tp_dst, 8080);
   EXPECT_EQ(key->tp_src, 1000);  // untouched
+}
+
+TEST(Elements, IPRewriterChecksPortsBeforeTheyNarrow) {
+  EventScheduler sched;
+  // 70000 would narrow to 4464.
+  auto router = build_router("rw :: IPRewriter(SRC_PORT 70000); d :: Discard; rw -> d;", sched);
+  ASSERT_FALSE(router.ok());
+  EXPECT_NE(router.error().message.find("SRC_PORT must be 0..65535, not '70000'"),
+            std::string::npos)
+      << router.error().to_string();
 }
 
 TEST(Elements, DelayDefersDelivery) {

@@ -253,6 +253,33 @@ TEST(FlowManagerElement, ClassifiesFlowsAndCounts) {
   EXPECT_GT(std::stoull((*router)->call_read("fm.memory_bytes").value()), 0u);
 }
 
+TEST(FlowManagerElement, RejectsUnreadableSizesAndKeepsTheDefaultLiteral) {
+  EventScheduler sched;
+  auto build = [&](const std::string& args) {
+    return build_router("from :: FromDevice(DEVNAME in0); fm :: FlowManager(" + args +
+                            "); out :: ToDevice(DEVNAME out0); from -> fm -> out;",
+                        sched);
+  };
+  // std::stoull read 20000x as 20000 and wrapped -5 to 2^64 - 5, and
+  // sizing a table for a hint above 2^63 never returned.
+  for (const char* args : {"CAPACITY 20000x", "CAPACITY -5", "BUCKETS 20000x",
+                           "BUCKETS 10000000000000000000"}) {
+    auto router = build(args);
+    ASSERT_FALSE(router.ok()) << args;
+    const std::string key = std::string(args).substr(0, std::string(args).find(' '));
+    const std::string value = std::string(args).substr(key.size() + 1);
+    EXPECT_NE(router.error().message.find(key + " must be"), std::string::npos)
+        << router.error().to_string();
+    EXPECT_NE(router.error().message.find("not '" + value + "'"), std::string::npos)
+        << router.error().to_string();
+  }
+  auto defaults = build("CAPACITY default, TIMEOUT_MS default, HOLD true");
+  ASSERT_TRUE(defaults.ok()) << defaults.error().to_string();
+  auto scaled = build("CAPACITY 20k");
+  ASSERT_TRUE(scaled.ok()) << scaled.error().to_string();
+  EXPECT_EQ((*scaled)->call_read("fm.capacity").value(), "20000");
+}
+
 TEST(FlowManagerElement, InterleavedFlowsCountPerPacketInArrivalOrder) {
   EventScheduler sched;
   auto router = build_router(R"(
@@ -472,8 +499,11 @@ TEST(FlowNatElement, PortRangeIsCheckedBeforeItNarrows) {
     config.replace(config.find(default_range), default_range.size(), range);
     return build_router(config, sched);
   };
-  // 70000 would narrow to 4464, and port 0 is no port.
-  for (const char* range : {"PORT_BASE 70000, PORT_COUNT 1", "PORT_BASE 0, PORT_COUNT 1"}) {
+  // 70000 would narrow to 4464, and port 0 is no port. The rest would
+  // keep the default base.
+  for (const char* range : {"PORT_BASE 70000, PORT_COUNT 1", "PORT_BASE 0, PORT_COUNT 1",
+                            "PORT_BASE abc, PORT_COUNT 1", "PORT_BASE -5, PORT_COUNT 1",
+                            "PORT_BASE 20000x, PORT_COUNT 1"}) {
     auto router = build(range);
     ASSERT_FALSE(router.ok()) << range;
     EXPECT_NE(router.error().to_string().find("PORT_BASE must be 1..65535"), std::string::npos)
