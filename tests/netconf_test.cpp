@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "netconf/vnf_agent.hpp"
+#include "support/netconf_wire_script.hpp"
 
 namespace escape::netconf {
 namespace {
@@ -466,6 +467,41 @@ TEST_F(AgentFixture, NoEventsWithoutSubscription) {
               }).ok());
   sched.run();
   EXPECT_EQ(client->session().notifications_received(), 0u);
+}
+
+// --- wire oracle ---------------------------------------------------------------------
+
+// The bytes a scripted agent session puts on the wire, pinned: frame
+// count, total size and a 64-bit FNV-1a digest over (sender, frame).
+// The encoding and the framing may be rewritten, the bytes may not move:
+// the corrupt fault mangles frames by position, so a changed byte would
+// also move chaos outcomes. A deliberate encoding change updates the
+// pins together with the reason.
+TEST(WireOracle, ScriptedAgentSessionIsByteIdentical) {
+  const testsupport::WireScript script = testsupport::record_wire_script();
+
+  // initiate+start x5, get, connect x10, getVNFInfo x5, two handler
+  // writes, export, import, get-config.
+  std::vector<std::string> want;
+  for (int i = 0; i < 10 + 1 + 10 + 5 + 2 + 2 + 1; ++i) want.emplace_back("ok");
+  want.emplace_back("operation-not-supported");
+  want.emplace_back("container.unknown-vnf");
+  for (int i = 0; i < 1 + 5 * 3; ++i) want.emplace_back("ok");
+  EXPECT_EQ(script.outcomes, want);
+  // getVNFInfo handler counts: monitor, firewall, dpi, flow_nat, tcp_ids.
+  EXPECT_EQ(script.handler_counts, (std::vector<std::size_t>{8, 13, 7, 33, 32}));
+
+  std::size_t bytes = 0;
+  std::size_t notifications = 0;
+  for (const auto& f : script.frames) {
+    bytes += f.bytes.size();
+    EXPECT_TRUE(f.bytes.ends_with(FrameReader::kDelimiter));
+    if (f.bytes.starts_with("<notification")) ++notifications;
+  }
+  EXPECT_EQ(notifications, 5u);
+  EXPECT_EQ(script.frames.size(), 105u);
+  EXPECT_EQ(bytes, 29'933u);
+  EXPECT_EQ(testsupport::wire_digest(script.frames), 0x579b5c24ebf72c84ULL);
 }
 
 }  // namespace
