@@ -185,6 +185,10 @@ class Element {
   using WriteHandler = std::function<Status(std::string_view)>;
 
   std::vector<std::string> read_handler_names() const;
+  /// The read handlers themselves, in declaration order.
+  const std::vector<std::pair<std::string, ReadHandler>>& read_handlers() const {
+    return read_handlers_;
+  }
   std::vector<std::string> write_handler_names() const;
 
   /// Calls a read handler; error if unknown.

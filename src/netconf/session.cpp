@@ -33,6 +33,36 @@ std::vector<std::string> parse_capabilities(const xml::Element& hello) {
   return out;
 }
 
+/// One framed <rpc> or <rpc-reply>, written straight into the outgoing
+/// frame around `body` (nullptr writes <ok/>). The bytes are those of an
+/// envelope element with its two attributes in key order, message-id
+/// before xmlns, and `body` as its only child.
+std::string write_envelope(std::string_view name, std::string_view message_id,
+                           const xml::Element* body) {
+  constexpr std::string_view kOk = "<ok/>";
+  constexpr std::size_t kMarkup = 28;  // <, message-id=", " xmlns=", ">, </ and >
+  std::string out;
+  out.reserve(kMarkup + 2 * name.size() + message_id.size() + kNetconfNs.size() +
+              (body != nullptr ? body->serialized_size() : kOk.size()) +
+              FrameReader::kDelimiter.size());
+  out += '<';
+  out += name;
+  out += " message-id=\"";
+  xml::append_escaped(out, message_id);
+  out += "\" xmlns=\"";
+  xml::append_escaped(out, kNetconfNs);
+  out += "\">";
+  if (body != nullptr) {
+    body->append_to(out);
+  } else {
+    out += kOk;
+  }
+  out += "</";
+  out += name;
+  out += '>';
+  return FrameReader::frame(std::move(out));
+}
+
 }  // namespace
 
 // --- NetconfServer -------------------------------------------------------------
@@ -52,7 +82,7 @@ void NetconfServer::register_rpc(const std::string& operation, RpcHandler handle
 }
 
 void NetconfServer::on_bytes(std::string bytes) {
-  for (auto& message : reader_.feed(bytes)) handle_message(message);
+  for (auto& message : reader_.feed(std::move(bytes))) handle_message(message);
 }
 
 void NetconfServer::send_notification(std::unique_ptr<xml::Element> event,
@@ -66,25 +96,18 @@ void NetconfServer::send_notification(std::unique_ptr<xml::Element> event,
 
 void NetconfServer::send_reply(const std::string& message_id,
                                Result<std::unique_ptr<xml::Element>> result) {
-  xml::Element reply("rpc-reply");
-  reply.set_attr("xmlns", std::string(kNetconfNs));
-  reply.set_attr("message-id", message_id);
   if (result.ok()) {
-    if (*result) {
-      reply.add_child(std::move(*result));
-    } else {
-      reply.add_child("ok");
-    }
-  } else {
-    ++rpc_errors_;
-    m_errors_->add();
-    auto& err = reply.add_child("rpc-error");
-    err.add_leaf("error-type", "application");
-    err.add_leaf("error-tag", result.error().code);
-    err.add_leaf("error-severity", "error");
-    err.add_leaf("error-message", result.error().message);
+    transport_->send(write_envelope("rpc-reply", message_id, result->get()));
+    return;
   }
-  transport_->send(FrameReader::frame(reply.to_string()));
+  ++rpc_errors_;
+  m_errors_->add();
+  xml::Element err("rpc-error");
+  err.add_leaf("error-type", "application");
+  err.add_leaf("error-tag", result.error().code);
+  err.add_leaf("error-severity", "error");
+  err.add_leaf("error-message", result.error().message);
+  transport_->send(write_envelope("rpc-reply", message_id, &err));
 }
 
 void NetconfServer::handle_message(const std::string& message) {
@@ -104,16 +127,17 @@ void NetconfServer::handle_message(const std::string& message) {
     log_.warn("unexpected message <", root.local_name(), ">");
     return;
   }
-  const std::string message_id = root.attr("message-id");
+  const std::string& message_id = root.attr("message-id");
   if (root.children().empty()) {
     send_reply(message_id, make_error("netconf.rpc.malformed", "empty <rpc>"));
     return;
   }
-  const xml::Element& operation = *root.children().front();
+  const xml::Element& operation = root.children().front();
   auto it = handlers_.find(operation.local_name());
   if (it == handlers_.end()) {
-    send_reply(message_id, make_error("operation-not-supported",
-                                      "unknown operation: " + operation.local_name()));
+    send_reply(message_id,
+               make_error("operation-not-supported",
+                          "unknown operation: " + std::string(operation.local_name())));
     return;
   }
   ++rpcs_handled_;
@@ -255,15 +279,11 @@ void NetconfClient::send_attempt(std::shared_ptr<RetryState> retry) {
     return;
   }
   const std::string id = std::to_string(next_message_id_++);
-  const std::string op_name = retry->operation->local_name();
-  xml::Element rpc("rpc");
-  rpc.set_attr("xmlns", std::string(kNetconfNs));
-  rpc.set_attr("message-id", id);
-  rpc.add_child(retry->operation->clone());
   const SimTime now = transport_->now();
   const std::uint64_t span = obs::tracer().begin_span(
       now, "netconf", "rpc",
-      op_name + " id=" + id + " attempt=" + std::to_string(retry->attempts_made));
+      std::string(retry->operation->local_name()) + " id=" + id +
+          " attempt=" + std::to_string(retry->attempts_made));
 
   PendingRpc pending;
   pending.retry = retry;
@@ -288,7 +308,7 @@ void NetconfClient::send_attempt(std::shared_ptr<RetryState> retry) {
   }
   pending_[id] = std::move(pending);
   m_rpcs_->add();
-  transport_->send(FrameReader::frame(rpc.to_string()));
+  transport_->send(write_envelope("rpc", id, retry->operation.get()));
 }
 
 SimDuration NetconfClient::backoff_for(const RetryState& retry) {
@@ -352,7 +372,7 @@ void NetconfClient::handle_transport_closed() {
 }
 
 void NetconfClient::on_bytes(std::string bytes) {
-  for (auto& message : reader_.feed(bytes)) handle_message(message);
+  for (auto& message : reader_.feed(std::move(bytes))) handle_message(message);
 }
 
 void NetconfClient::handle_message(const std::string& message) {
@@ -374,9 +394,9 @@ void NetconfClient::handle_message(const std::string& message) {
   if (root.local_name() == "notification") {
     ++notifications_;
     if (notification_cb_) {
-      for (const auto& child : root.children()) {
-        if (child->local_name() != "eventTime") {
-          notification_cb_(*child);
+      for (const xml::Element& child : root.children()) {
+        if (child.local_name() != "eventTime") {
+          notification_cb_(child);
           break;
         }
       }

@@ -72,7 +72,7 @@ class NetconfServer {
 
   std::shared_ptr<TransportEndpoint> transport_;
   FrameReader reader_;
-  std::map<std::string, RpcHandler> handlers_;
+  std::map<std::string, RpcHandler, std::less<>> handlers_;
   bool hello_received_ = false;
   std::vector<std::string> peer_capabilities_;
   std::uint64_t rpcs_handled_ = 0;
@@ -168,7 +168,7 @@ class NetconfClient {
  private:
   /// One logical RPC, shared across its send attempts.
   struct RetryState {
-    std::unique_ptr<xml::Element> operation;  // cloned per attempt
+    std::unique_ptr<xml::Element> operation;  // serialized per attempt
     RpcOptions options;
     int attempts_made = 0;
     ReplyCallback cb;

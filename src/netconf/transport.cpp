@@ -100,23 +100,28 @@ std::pair<std::shared_ptr<TransportEndpoint>, std::shared_ptr<TransportEndpoint>
   return {a, b};
 }
 
-std::vector<std::string> FrameReader::feed(std::string_view bytes) {
-  buffer_.append(bytes);
+std::vector<std::string> FrameReader::feed(std::string bytes) {
   std::vector<std::string> messages;
-  std::size_t pos;
-  while ((pos = buffer_.find(kDelimiter)) != std::string::npos) {
-    messages.push_back(buffer_.substr(0, pos));
-    buffer_.erase(0, pos + kDelimiter.size());
+  if (buffer_.empty() && bytes.size() >= kDelimiter.size() &&
+      bytes.find(kDelimiter) == bytes.size() - kDelimiter.size()) {
+    bytes.resize(bytes.size() - kDelimiter.size());
+    messages.push_back(std::move(bytes));
+    return messages;
   }
+  buffer_.append(bytes);
+  std::size_t start = 0;
+  std::size_t pos;
+  while ((pos = buffer_.find(kDelimiter, start)) != std::string::npos) {
+    messages.push_back(buffer_.substr(start, pos - start));
+    start = pos + kDelimiter.size();
+  }
+  buffer_.erase(0, start);
   return messages;
 }
 
-std::string FrameReader::frame(std::string_view message) {
-  std::string out;
-  out.reserve(message.size() + kDelimiter.size());
-  out.append(message);
-  out.append(kDelimiter);
-  return out;
+std::string FrameReader::frame(std::string message) {
+  message.append(kDelimiter);
+  return message;
 }
 
 }  // namespace escape::netconf

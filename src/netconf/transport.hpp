@@ -16,7 +16,9 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "util/event.hpp"
@@ -110,14 +112,16 @@ std::pair<std::shared_ptr<TransportEndpoint>, std::shared_ptr<TransportEndpoint>
 /// back into messages.
 class FrameReader {
  public:
-  /// Feeds bytes; returns every complete message extracted.
-  std::vector<std::string> feed(std::string_view bytes);
+  /// Feeds bytes; returns every complete message extracted. A chunk that
+  /// is exactly one frame, with nothing buffered before it, becomes the
+  /// message without being copied.
+  std::vector<std::string> feed(std::string bytes);
 
   /// Drops any buffered partial frame (session re-establishment).
   void reset() { buffer_.clear(); }
 
-  /// Frames one message for transmission.
-  static std::string frame(std::string_view message);
+  /// Frames one message for transmission: appends the delimiter to it.
+  static std::string frame(std::string message);
 
   static constexpr std::string_view kDelimiter = "]]>]]>";
 

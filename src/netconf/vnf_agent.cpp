@@ -62,7 +62,8 @@ Result<std::string> need_leaf(const xml::Element& op, std::string_view name) {
   const xml::Element* leaf = op.child(name);
   if (!leaf) {
     return make_error("missing-element",
-                      "<" + std::string(name) + "> is required by " + op.local_name());
+                      "<" + std::string(name) + "> is required by " +
+                          std::string(op.local_name()));
   }
   return leaf->text();
 }

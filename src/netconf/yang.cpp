@@ -95,8 +95,8 @@ Status validate_node(const xml::Element& element, const SchemaNode& schema,
 
   // Container or list entry: check children against the schema.
   std::set<std::string> seen;
-  for (const auto& child : element.children()) {
-    const std::string child_name = child->local_name();
+  for (const xml::Element& child : element.children()) {
+    const std::string child_name(child.local_name());
     const std::string child_path = path + "/" + child_name;
     const SchemaNode* child_schema = schema.child(child_name);
     if (!child_schema) {
@@ -106,7 +106,7 @@ Status validate_node(const xml::Element& element, const SchemaNode& schema,
       return make_error("yang.duplicate", child_path + ": may appear at most once");
     }
     seen.insert(child_name);
-    if (auto s = validate_node(*child, *child_schema, child_path); !s.ok()) return s;
+    if (auto s = validate_node(child, *child_schema, child_path); !s.ok()) return s;
   }
   // Mandatory children present?
   for (const auto& child_schema : schema.children) {
@@ -130,7 +130,7 @@ Status validate_node(const xml::Element& element, const SchemaNode& schema,
 Status validate(const xml::Element& element, const SchemaNode& schema) {
   if (element.local_name() != schema.name) {
     return make_error("yang.wrong-root", "expected <" + schema.name + ">, got <" +
-                                             element.local_name() + ">");
+                                             std::string(element.local_name()) + ">");
   }
   return validate_node(element, schema, "/" + schema.name);
 }

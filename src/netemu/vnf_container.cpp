@@ -133,9 +133,15 @@ Status VnfContainer::start_vnf(const std::string& vnf_id) {
 std::map<std::string, std::string> VnfContainer::snapshot_handlers(const Instance& inst) const {
   std::map<std::string, std::string> out;
   if (!inst.router) return out;
-  for (const auto& spec : inst.router->list_read_handlers()) {
-    auto value = inst.router->call_read(spec);
-    if (value.ok()) out[spec] = *value;
+  // Walks the handlers in place, as Router::list_read_handlers names
+  // them; a repeated name keeps its first handler, as call_read does.
+  for (const click::Element* e : inst.router->elements_in_order()) {
+    for (const auto& [handler, read] : e->read_handlers()) {
+      std::string spec;
+      spec.reserve(e->name().size() + 1 + handler.size());
+      spec.append(e->name()).append(1, '.').append(handler);
+      out.try_emplace(std::move(spec), read());
+    }
   }
   return out;
 }

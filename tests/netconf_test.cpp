@@ -41,6 +41,69 @@ TEST(FrameReader, FrameAppendsDelimiter) {
   EXPECT_EQ(FrameReader::frame("<x/>"), "<x/>]]>]]>");
 }
 
+/// FrameReader::feed as it was before a chunk of exactly one frame
+/// skipped the buffer: the framing oracle.
+struct ReferenceFrameReader {
+  std::string buffer;
+  std::vector<std::string> feed(std::string_view bytes) {
+    buffer.append(bytes);
+    std::vector<std::string> messages;
+    std::size_t pos;
+    while ((pos = buffer.find(FrameReader::kDelimiter)) != std::string::npos) {
+      messages.push_back(buffer.substr(0, pos));
+      buffer.erase(0, pos + FrameReader::kDelimiter.size());
+    }
+    return messages;
+  }
+};
+
+// Two frames of the scripted agent session, concatenated and cut at
+// every point, and each direction's whole stream fed one byte at a
+// time: the reader yields, feed by feed, what the reference reader does.
+TEST(FrameReader, MatchesTheReferenceReaderAtEverySplit) {
+  const auto frames = testsupport::record_wire_script().frames;
+  auto same_feeds = [](const std::vector<std::string_view>& chunks) {
+    FrameReader reader;
+    ReferenceFrameReader reference;
+    for (std::string_view chunk : chunks) {
+      if (reader.feed(std::string(chunk)) != reference.feed(chunk)) return false;
+    }
+    return true;
+  };
+  // Pairs: the hellos, the largest frame with its neighbour, and a
+  // notification with the reply after it.
+  std::size_t largest = 0;
+  std::size_t notification = 0;
+  for (std::size_t i = 0; i + 1 < frames.size(); ++i) {
+    if (frames[i].bytes.size() > frames[largest].bytes.size()) largest = i;
+    if (frames[i].bytes.starts_with("<notification")) notification = i;
+  }
+  ASSERT_GT(notification, 0u);
+  std::size_t splits = 0;
+  for (std::size_t first : {std::size_t{0}, largest, notification}) {
+    const std::string both = frames[first].bytes + frames[first + 1].bytes;
+    const std::string_view view = both;
+    for (std::size_t cut = 0; cut <= both.size(); ++cut) {
+      ASSERT_TRUE(same_feeds({view.substr(0, cut), view.substr(cut)})) << first << " @" << cut;
+      ++splits;
+    }
+    ASSERT_TRUE(same_feeds({view}));
+  }
+  EXPECT_GT(splits, 4000u);
+
+  for (char from : {'m', 'a'}) {
+    std::string stream;
+    for (const auto& f : frames) {
+      if (f.from == from) stream += f.bytes;
+    }
+    std::vector<std::string_view> bytes;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      bytes.push_back(std::string_view(stream).substr(i, 1));
+    }
+    EXPECT_TRUE(same_feeds(bytes)) << from;
+  }
+}
+
 // --- transport --------------------------------------------------------------------
 
 TEST(Transport, PipeDeliversWithDelay) {

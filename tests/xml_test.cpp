@@ -1,6 +1,9 @@
 // Unit tests for the XML document model, parser and serializer.
 #include <gtest/gtest.h>
 
+#include "support/netconf_wire_script.hpp"
+#include "support/reference_xml_parser.hpp"
+#include "util/random.hpp"
 #include "xml/xml.hpp"
 
 namespace escape::xml {
@@ -166,6 +169,108 @@ INSTANTIATE_TEST_SUITE_P(Payloads, XmlRoundTrip,
                          ::testing::Values("plain", "<tag>", "a&b", "quote\"inside",
                                            "apos'inside", "deny udp && dst port 53",
                                            "multi\nline"));
+
+// --- differential mutation test ------------------------------------------------------
+
+/// Element-by-element equality: name, text, attributes in order and
+/// children, recursively.
+bool same_tree(const Element& a, const Element& b) {
+  if (a.name() != b.name() || a.text() != b.text() || a.attributes() != b.attributes() ||
+      a.children().size() != b.children().size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.children().size(); ++i) {
+    if (!same_tree(a.children()[i], b.children()[i])) return false;
+  }
+  return true;
+}
+
+/// The corpus: every message of the scripted agent session (the wire
+/// oracle's frames, delimiter stripped) and a few hand-written documents
+/// for what the session does not send: a prolog, comments, prefixes,
+/// single quotes, entities split by a comment, pretty printing.
+std::vector<std::string> seed_corpus() {
+  std::vector<std::string> corpus;
+  for (const auto& frame : testsupport::record_wire_script().frames) {
+    corpus.push_back(
+        frame.bytes.substr(0, frame.bytes.size() - std::string_view("]]>]]>").size()));
+  }
+  corpus.insert(corpus.end(),
+                {"<?xml version=\"1.0\"?><!-- c --><nc:rpc a='1' b=\"&quot;x&apos;\">"
+                 "<nc:get/><!--in-->text &amp;<x>&lt;y&gt;</x> tail</nc:rpc><!-- after -->",
+                 "<t>a&am<!-- split -->p;b &bogus; &#38; &amp &;</t>",
+                 "<a>\n  <b k=\"v\" k=\"w\">  padded  </b>\n  <c/>\n</a>\n",
+                 "<d x = \"1\"y=\"2\" ><e></e ></d>"});
+  return corpus;
+}
+
+/// Derives `count` inputs from the corpus by seeded byte flips,
+/// truncations, splices and inserted markup fragments.
+std::vector<std::string> mutate(const std::vector<std::string>& corpus, std::size_t count) {
+  static constexpr std::string_view kFragments[] = {
+      "&", "&amp;", "&lt;", "&quot", ";", "<", ">", "</", "/>", "<!--", "-->", "<?", "?>",
+      "\"", "'", "=", " ", "\n", "]]>]]>", "nc:", "<x>", "</x>"};
+  static constexpr std::string_view kBytes = "<>/&;\"'=!-? \t\nax:_.0\x01\xff";
+  Rng rng(0x786d6cULL);
+  std::vector<std::string> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::string s = corpus[rng.next_below(corpus.size())];
+    auto at = [&](std::size_t size) { return static_cast<std::size_t>(rng.next_below(size + 1)); };
+    switch (i % 4) {
+      case 0:  // flips
+        for (std::uint64_t n = 1 + rng.next_below(3); n > 0 && !s.empty(); --n) {
+          s[rng.next_below(s.size())] = kBytes[rng.next_below(kBytes.size())];
+        }
+        break;
+      case 1:  // truncation
+        s.resize(at(s.size()));
+        break;
+      case 2: {  // splice: a prefix of one document, a suffix of another
+        const std::string& other = corpus[rng.next_below(corpus.size())];
+        s = s.substr(0, at(s.size())) + other.substr(at(other.size()));
+        break;
+      }
+      default:  // an inserted fragment of markup or an escape
+        s.insert(at(s.size()), kFragments[rng.next_below(std::size(kFragments))]);
+        break;
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+// The one-pass parser against the parser it replaced: on every input
+// they accept or reject alike, with the same error text (offsets
+// included), and build the same tree. An accepted tree also survives
+// serialize + parse.
+TEST(XmlDifferential, OnePassParserMatchesTheReferenceParser) {
+  const std::vector<std::string> corpus = seed_corpus();
+  std::vector<std::string> inputs = mutate(corpus, 4000);
+  inputs.insert(inputs.end(), corpus.begin(), corpus.end());
+  std::size_t accepted = 0;
+  std::size_t with_escapes = 0;
+  for (const std::string& input : inputs) {
+    auto got = parse(input);
+    auto want = testsupport::reference_parse(input);
+    ASSERT_EQ(got.ok(), want.ok()) << input;
+    if (!want.ok()) {
+      EXPECT_EQ(got.error().code, want.error().code) << input;
+      EXPECT_EQ(got.error().message, want.error().message) << input;
+      continue;
+    }
+    ++accepted;
+    if (input.find('&') != std::string::npos) ++with_escapes;
+    ASSERT_TRUE(same_tree(**got, **want)) << input;
+    auto again = parse((*got)->to_string());
+    ASSERT_TRUE(again.ok()) << (*got)->to_string();
+    EXPECT_TRUE(same_tree(**again, **got)) << input;
+  }
+  // Neither side of the comparison may be empty.
+  EXPECT_GT(accepted, inputs.size() / 10);
+  EXPECT_LT(accepted, inputs.size() - inputs.size() / 10);
+  EXPECT_GT(with_escapes, 100u);
+}
 
 }  // namespace
 }  // namespace escape::xml
