@@ -38,6 +38,12 @@ enum class PortMode : std::uint8_t { kPush, kPull, kAgnostic };
 
 std::string_view port_mode_name(PortMode m);
 
+/// The largest DELAY, INTERVAL or SWEEP_MS an element accepts, in
+/// nanoseconds: one virtual hour, far above any catalog value. Configs
+/// arrive over NETCONF; a larger time fails configure instead of
+/// scheduling past the end of the clock.
+inline constexpr SimDuration kMaxConfigTime = 3600 * timeunit::kSecond;
+
 /// Key/value (or positional) configuration arguments for one element.
 /// "RATE 1000, BURST 20" -> {("RATE","1000"), ("BURST","20")};
 /// "100" (positional)   -> {("", "100")}.

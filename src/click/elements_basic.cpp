@@ -77,7 +77,7 @@ Status InfiniteSource::configure(const ConfigArgs& args) {
   if (auto st = args.number("LENGTH", length_); !st) return st;
   if (auto st = args.number("LIMIT", limit_); !st) return st;
   if (auto st = args.number("BURST", burst_); !st) return st;
-  if (auto st = args.number("INTERVAL", interval_); !st) return st;
+  if (auto st = args.number("INTERVAL", interval_, 0, kMaxConfigTime); !st) return st;
   return tmpl_.load(args);
 }
 
@@ -139,7 +139,7 @@ TimedSource::TimedSource() {
 }
 
 Status TimedSource::configure(const ConfigArgs& args) {
-  if (auto st = args.number("INTERVAL", interval_); !st) return st;
+  if (auto st = args.number("INTERVAL", interval_, 0, kMaxConfigTime); !st) return st;
   if (auto st = args.number("LENGTH", length_); !st) return st;
   if (auto st = args.number("LIMIT", limit_); !st) return st;
   return tmpl_.load(args);

@@ -75,7 +75,7 @@ Unqueue::Unqueue() {
 
 Status Unqueue::configure(const ConfigArgs& args) {
   if (auto st = args.number_or_positional("BURST", 0, burst_, 1); !st) return st;
-  return args.number("INTERVAL", interval_);
+  return args.number("INTERVAL", interval_, 0, kMaxConfigTime);
 }
 
 Status Unqueue::initialize(Router& router) {

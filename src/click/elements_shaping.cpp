@@ -43,7 +43,7 @@ Delay::~Delay() {
 }
 
 Status Delay::configure(const ConfigArgs& args) {
-  return args.number_or_positional("DELAY", 0, delay_);
+  return args.number_or_positional("DELAY", 0, delay_, 0, kMaxConfigTime);
 }
 
 Status Delay::initialize(Router&) { return ok_status(); }

@@ -356,7 +356,9 @@ Status FlowManager::configure(const ConfigArgs& args) {
   // because rounding a hint above 2^63 up to a power of two never ends.
   if (auto st = number("BUCKETS", buckets, 0, kMaxInitialBuckets); !st) return st;
   if (auto st = number("TIMEOUT_MS", timeout_ms, 0); !st) return st;
-  if (auto st = number("SWEEP_MS", sweep_ms, 1); !st) return st;
+  if (auto st = number("SWEEP_MS", sweep_ms, 1, kMaxConfigTime / timeunit::kMillisecond); !st) {
+    return st;
+  }
   if (auto v = args.keyword("HOLD")) {
     if (*v == "true" || *v == "1") {
       holding_ = true;

@@ -484,6 +484,64 @@ TEST(Elements, IPRewriterChecksPortsBeforeTheyNarrow) {
       << router.error().to_string();
 }
 
+// --- time arguments ------------------------------------------------------------------
+
+/// Builds `config` on a clock at 2 ms and runs it for a while. A time
+/// argument past kMaxConfigTime must fail configure with
+/// click.config.bad-arg; unbounded, such a value built and then threw
+/// "cannot schedule into the past" out of the event loop (TimedSource
+/// and FlowManager already inside build_router).
+Status build_and_run(const std::string& config) {
+  EventScheduler sched;
+  sched.run_until(milliseconds(2));
+  auto router = build_router(config, sched);
+  if (!router.ok()) return router.error();
+  if (Element* d = (*router)->element("d")) d->push(0, test_packet());
+  sched.run_for(milliseconds(1));
+  return ok_status();
+}
+
+void expect_time_bound(const std::string& before, const std::string& after) {
+  const std::string too_long = "18446744073709551615";
+  const std::string one_hour = std::to_string(kMaxConfigTime);
+  Status s = build_and_run(before + too_long + after);
+  ASSERT_FALSE(s.ok()) << before + too_long + after;
+  EXPECT_EQ(s.error().code, "click.config.bad-arg");
+  EXPECT_NE(s.error().message.find("must be 0.." + one_hour + ", not '" + too_long + "'"),
+            std::string::npos)
+      << s.error().to_string();
+  EXPECT_TRUE(build_and_run(before + one_hour + after).ok()) << before + one_hour + after;
+}
+
+TEST(TimeArguments, InfiniteSourceIntervalIsBounded) {
+  expect_time_bound("s :: InfiniteSource(BURST 1, LIMIT 1, INTERVAL ", "); s -> Discard;");
+}
+
+TEST(TimeArguments, TimedSourceIntervalIsBounded) {
+  expect_time_bound("s :: TimedSource(LIMIT 1, INTERVAL ", "); s -> Discard;");
+}
+
+TEST(TimeArguments, UnqueueIntervalIsBounded) {
+  expect_time_bound("s :: InfiniteSource(BURST 1, LIMIT 2); q :: Queue(8); u :: Unqueue(INTERVAL ",
+                    "); s -> q -> u -> Discard;");
+}
+
+TEST(TimeArguments, DelayIsBounded) {
+  expect_time_bound("d :: Delay(", "); d -> Discard;");
+}
+
+TEST(TimeArguments, FlowManagerSweepIsBounded) {
+  // SWEEP_MS counts milliseconds: 18446744073709 ms is just under 2^64
+  // ns, so the first sweep lands past the end of the clock.
+  Status s = build_and_run("fm :: FlowManager(SWEEP_MS 18446744073709); fm -> Discard;");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().code, "click.config.bad-arg");
+  EXPECT_NE(s.error().message.find("SWEEP_MS must be 1..3600000, not '18446744073709'"),
+            std::string::npos)
+      << s.error().to_string();
+  EXPECT_TRUE(build_and_run("fm :: FlowManager(SWEEP_MS 3600000); fm -> Discard;").ok());
+}
+
 TEST(Elements, DelayDefersDelivery) {
   EventScheduler sched;
   auto router = build_router(R"(
