@@ -4,10 +4,13 @@
 // encode -> frame -> parse -> dispatch -> instrument -> reply, for each
 // RPC type, plus the ablations called out in DESIGN.md (schema
 // validation on the <get> path; raw XML parse/serialize baselines).
+// BENCH_netconf.json carries the wire size of a catalog flow_nat VNF's
+// getVNFInfo reply, which CI gates exactly: it pins the reply encoding.
 #include "bench_common.hpp"
 #include <benchmark/benchmark.h>
 
 #include "netconf/vnf_agent.hpp"
+#include "service/catalog.hpp"
 
 using namespace escape;
 using namespace escape::netconf;
@@ -23,11 +26,13 @@ constexpr const char* kMonitorConfig =
 struct Rig {
   EventScheduler sched;
   netemu::VnfContainer container{"c1", sched, 64.0, 256};
+  std::shared_ptr<TransportEndpoint> client_end;
   std::unique_ptr<VnfAgent> agent;
   std::unique_ptr<VnfAgentClient> client;
 
   explicit Rig(int preloaded_vnfs = 0) {
     auto [s, c] = make_pipe(sched, 0);  // zero delay: measure processing only
+    client_end = c;
     agent = std::make_unique<VnfAgent>(s, container);
     client = std::make_unique<VnfAgentClient>(c);
     sched.run();
@@ -77,6 +82,41 @@ static void BM_Netconf_GetVnfInfo(benchmark::State& state) {
   state.counters["vnfs_in_container"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_Netconf_GetVnfInfo)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
+
+/// getVNFInfo of one VNF rendered from the catalog; flow_nat reads 33
+/// Click handlers. Its flow manager sweeps on a timer, so each round
+/// trip runs the zero-delay pipe to the current instant only.
+static void BM_Netconf_GetVnfInfoCatalog(benchmark::State& state, const char* type) {
+  Rig rig;
+  const auto catalog = service::VnfCatalog::with_builtins();
+  if (!rig.container.init_vnf("v1", type, *catalog.render(type, {}), 0.5).ok() ||
+      !rig.container.start_vnf("v1").ok()) {
+    state.SkipWithError("VNF did not start");
+    return;
+  }
+  std::size_t handlers = 0;
+  auto round_trip = [&] {
+    rig.client->get_vnf_info("v1", [&](Result<netemu::VnfInfo> r) {
+      handlers = r.ok() ? r->handlers.size() : 0;
+    });
+    rig.sched.run_for(0);
+  };
+  // The first reply (message-id 1) on the wire, before the timed loop
+  // moves the id's width.
+  const std::uint64_t before = rig.client_end->bytes_received();
+  round_trip();
+  obs::MetricsRegistry::global()
+      .gauge("bench_netconf_getvnfinfo_reply_bytes", {{"vnf", type}})
+      .set(static_cast<double>(rig.client_end->bytes_received() - before));
+  for (auto _ : state) {
+    handlers = 0;
+    round_trip();
+    if (handlers == 0) state.SkipWithError("no reply");
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["handlers"] = static_cast<double>(handlers);
+}
+BENCHMARK_CAPTURE(BM_Netconf_GetVnfInfoCatalog, flow_nat, "flow_nat");
 
 /// <get>: full state tree including schema validation (the ablation pair
 /// with get-config below, which skips handlers; and with the raw XML
