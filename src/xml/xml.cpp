@@ -314,20 +314,18 @@ class Parser {
     // Content: text, children, comments until the matching end tag. The
     // text is every character-data run joined; most elements have one.
     const std::size_t first_child = stack_.size();
-    std::string_view text;
-    std::string joined;
-    bool several_runs = false;
+    std::string_view text;  // the first run
+    std::string joined;     // all runs, once there is a second
     while (true) {
       if (eof()) return fail("unterminated element <" + std::string(name) + ">");
       if (peek() != '<') {
         const std::size_t start = pos_;
         pos_ = std::min(in_.find('<', pos_), in_.size());
         const std::string_view run = in_.substr(start, pos_ - start);
-        if (text.empty() && !several_runs) {
+        if (text.empty()) {
           text = run;
         } else {
-          if (!several_runs) joined.assign(text);
-          several_runs = true;
+          if (joined.empty()) joined.assign(text);
           joined.append(run);
         }
         continue;
@@ -349,7 +347,7 @@ class Parser {
         }
         // Trimming first is the same as trimming the unescaped text: an
         // escape neither makes nor holds whitespace.
-        element.text_ = unescape(strings::trim(several_runs ? joined : text));
+        element.text_ = unescape(strings::trim(joined.empty() ? text : joined));
         element.children_.assign(std::make_move_iterator(stack_.begin() + first_child),
                                  std::make_move_iterator(stack_.end()));
         stack_.erase(stack_.begin() + first_child, stack_.end());
