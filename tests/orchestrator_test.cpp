@@ -1,11 +1,18 @@
 // Tests for the mapping algorithms and the resource view builder.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <functional>
+#include <optional>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "orchestrator/mapping.hpp"
 #include "orchestrator/view.hpp"
+#include "support/reference_shortest_path.hpp"
+#include "util/random.hpp"
+#include "util/workload.hpp"
 
 namespace escape::orchestrator {
 namespace {
@@ -304,6 +311,402 @@ TEST(ResourceView, BuiltFromLiveNetwork) {
   ASSERT_EQ(view.links().size(), 2u);
   EXPECT_EQ(view.links()[0].bandwidth_bps, 123'000'000u);
   EXPECT_EQ(view.links()[0].delay, milliseconds(3));
+}
+
+// --- same paths -----------------------------------------------------------------
+
+/// bench_mapping's substrate: `n_sw` switches in a ring with random
+/// chords, one container per switch, SAPs on switches 0 and n/2.
+sg::ResourceGraph ring_substrate(int n_sw, Rng& rng) {
+  sg::ResourceGraph g;
+  g.add_sap("sap1").add_sap("sap2");
+  for (int i = 0; i < n_sw; ++i) {
+    g.add_switch("s" + std::to_string(i));
+    g.add_container("c" + std::to_string(i), 1.0, 8);
+  }
+  for (int i = 0; i < n_sw; ++i) {
+    const int next = (i + 1) % n_sw;
+    g.add_link("s" + std::to_string(i), 10, "s" + std::to_string(next), 11, 1'000'000'000,
+               (500 + rng.next_below(1500)) * timeunit::kMicrosecond);
+    g.add_link("c" + std::to_string(i), 0, "s" + std::to_string(i), 3, 1'000'000'000,
+               100 * timeunit::kMicrosecond);
+  }
+  for (int i = 0; i < n_sw / 3; ++i) {
+    const auto a = rng.next_below(static_cast<std::uint64_t>(n_sw));
+    const auto b = rng.next_below(static_cast<std::uint64_t>(n_sw));
+    if (a == b) continue;
+    g.add_link("s" + std::to_string(a), static_cast<std::uint16_t>(20 + i),
+               "s" + std::to_string(b), static_cast<std::uint16_t>(30 + i), 1'000'000'000,
+               (500 + rng.next_below(1500)) * timeunit::kMicrosecond);
+  }
+  g.add_link("sap1", 0, "s0", 1, 1'000'000'000, 100 * timeunit::kMicrosecond);
+  g.add_link("sap2", 0, "s" + std::to_string(n_sw / 2), 1, 1'000'000'000,
+             100 * timeunit::kMicrosecond);
+  return g;
+}
+
+/// A workload plan's fat tree: hosts become SAPs, one container per pod.
+/// Nodes go in in plan order (cores, then each pod's switches), not in
+/// name order. `spread` 0 gives every link 100 us, as the emulated fat
+/// trees have, so equal-delay paths abound; otherwise delays are drawn
+/// from 1..spread x 100 us.
+sg::ResourceGraph fattree_substrate(std::uint64_t seed, std::uint64_t spread) {
+  workload::Options opts;
+  opts.seed = seed;
+  opts.fattree_k = 4;
+  opts.flows = 0;
+  opts.chains = 0;
+  const workload::Plan plan = workload::generate(opts);
+  Rng rng(seed);
+  sg::ResourceGraph g;
+  for (const auto& h : plan.hosts) g.add_sap(h);
+  for (const auto& s : plan.switches) g.add_switch(s);
+  for (const auto& c : plan.containers) g.add_container(c, 4.0, 16);
+  std::uint16_t port = 0;
+  for (const auto& l : plan.links) {
+    const std::uint64_t units = spread == 0 ? 1 : 1 + rng.next_below(spread);
+    g.add_link(l.a, port, l.b, static_cast<std::uint16_t>(port + 1), 1'000'000'000,
+               static_cast<SimDuration>(units) * 100 * timeunit::kMicrosecond);
+    port = static_cast<std::uint16_t>(port + 2);
+  }
+  return g;
+}
+
+/// build_linear's shape: sap1 - s1 - ... - sN - sap2, one container per
+/// switch. From ten switches on, "s10" sorts before "s2".
+sg::ResourceGraph linear_substrate(int n_sw) {
+  sg::ResourceGraph g;
+  g.add_sap("sap1").add_sap("sap2");
+  const SimDuration d = 100 * timeunit::kMicrosecond;
+  for (int i = 1; i <= n_sw; ++i) {
+    g.add_switch("s" + std::to_string(i));
+    g.add_container("c" + std::to_string(i), 4.0, 32);
+    g.add_link("c" + std::to_string(i), 0, "s" + std::to_string(i), 3, 1'000'000'000, d);
+    if (i > 1) {
+      g.add_link("s" + std::to_string(i - 1), 2, "s" + std::to_string(i), 1, 1'000'000'000, d);
+    }
+  }
+  g.add_link("sap1", 0, "s1", 10, 1'000'000'000, d);
+  g.add_link("sap2", 0, "s" + std::to_string(n_sw), 10, 1'000'000'000, d);
+  return g;
+}
+
+/// A random view whose nodes go in in shuffled order: delays of 0, 1 or
+/// 2 ms make equal-delay paths, zero-delay links and parallel links
+/// common, so the search's tie-breaking decides many of its paths.
+sg::ResourceGraph tangled_substrate(Rng& rng) {
+  const std::size_t n = 6 + rng.next_below(10);
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < n; ++i) {
+    names.push_back(std::string(1, static_cast<char>('a' + rng.next_below(26))) +
+                    std::to_string(i));
+  }
+  rng.shuffle(names);
+  sg::ResourceGraph g;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t kind = i < 2 ? 0 : rng.next_below(4);
+    if (kind == 0) {
+      g.add_sap(names[i]);
+    } else if (kind == 1) {
+      g.add_container(names[i], 1.0, 4);
+    } else {
+      g.add_switch(names[i]);
+    }
+  }
+  const std::size_t n_links = n + rng.next_below(2 * n);
+  for (std::size_t i = 0; i < n_links; ++i) {
+    const std::size_t a = rng.pick_index(n);
+    const std::size_t b = rng.pick_index(n);
+    if (a == b) continue;
+    g.add_link(names[a], static_cast<std::uint16_t>(i), names[b],
+               static_cast<std::uint16_t>(i + 100), rng.next_bool() ? 1'000'000'000 : 100'000'000,
+               static_cast<SimDuration>(rng.next_below(3)) * timeunit::kMillisecond);
+  }
+  return g;
+}
+
+/// Downs links, marks nodes unavailable and loads bandwidth, so the
+/// `available` and `min_bw` filters decide some of the paths.
+void perturb(sg::ResourceGraph& g, Rng& rng) {
+  const auto& links = g.links();
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    if (rng.next_bool(0.1)) {
+      g.set_link_available(links[i].a, links[i].b, false);
+    } else if (rng.next_bool(0.3)) {
+      sg::RoutedPath one;
+      one.link_indices.push_back(static_cast<int>(i));
+      g.reserve_path(one, rng.next_below(links[i].bandwidth_bps));
+    }
+  }
+  for (const auto& n : g.nodes()) {
+    if (rng.next_bool(0.1)) g.set_node_available(n.name, false);
+  }
+}
+
+std::string describe(const std::optional<sg::RoutedPath>& path) {
+  if (!path) return "unreachable";
+  std::string out;
+  for (std::size_t i = 0; i < path->nodes.size(); ++i) {
+    out += path->nodes[i];
+    if (i < path->link_indices.size()) out += " -" + std::to_string(path->link_indices[i]) + "- ";
+  }
+  return out + " (" + std::to_string(path->total_delay) + ")";
+}
+
+/// Runs every (from, to, min_bw) query against the reference search and
+/// returns the first disagreement, or "" when there is none.
+std::string first_disagreement(const sg::ResourceGraph& g,
+                               const std::vector<std::uint64_t>& thresholds = {
+                                   0, 50'000'000, 500'000'000, 950'000'000}) {
+  const testsupport::ReferenceShortestPath reference(g);
+  for (const std::uint64_t min_bw : thresholds) {
+    for (const auto& from : g.nodes()) {
+      for (const auto& to : g.nodes()) {
+        const auto want = reference.shortest_path(from.name, to.name, min_bw);
+        const auto got = g.shortest_path(from.name, to.name, min_bw);
+        if (got.has_value() != want.has_value() ||
+            (got && (got->nodes != want->nodes || got->link_indices != want->link_indices ||
+                     got->total_delay != want->total_delay))) {
+          return from.name + " -> " + to.name + " min_bw " + std::to_string(min_bw) +
+                 ": got " + describe(got) + ", want " + describe(want);
+        }
+      }
+    }
+  }
+  return "";
+}
+
+TEST(SamePaths, TiesBreakByNameNotInsertionOrder) {
+  // Two equal-delay routes from sap1 to sap2, through "zeta" (inserted
+  // first) and "alpha": the search settles alpha first, so it wins.
+  sg::ResourceGraph g;
+  g.add_sap("sap1").add_sap("sap2").add_switch("zeta").add_switch("alpha");
+  g.add_link("sap1", 0, "zeta", 0, 1'000'000'000, milliseconds(1));
+  g.add_link("sap1", 1, "alpha", 0, 1'000'000'000, milliseconds(1));
+  g.add_link("zeta", 1, "sap2", 0, 1'000'000'000, milliseconds(1));
+  g.add_link("alpha", 1, "sap2", 1, 1'000'000'000, milliseconds(1));
+  auto path = g.shortest_path("sap1", "sap2");
+  ASSERT_TRUE(path);
+  EXPECT_EQ(path->nodes, (std::vector<std::string>{"sap1", "alpha", "sap2"}));
+  EXPECT_EQ(path->link_indices, (std::vector<int>{1, 3}));
+  EXPECT_EQ(first_disagreement(g), "");
+}
+
+TEST(SamePaths, RingWithChords) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    sg::ResourceGraph g = ring_substrate(4 + static_cast<int>(seed % 4) * 4, rng);
+    EXPECT_EQ(first_disagreement(g), "") << "seed " << seed;
+    perturb(g, rng);
+    EXPECT_EQ(first_disagreement(g), "") << "perturbed, seed " << seed;
+  }
+}
+
+TEST(SamePaths, WorkloadFatTrees) {
+  const std::vector<std::uint64_t> thresholds = {0, 500'000'000};
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    for (const std::uint64_t spread : {0ULL, 3ULL}) {
+      sg::ResourceGraph g = fattree_substrate(seed, spread);
+      EXPECT_EQ(first_disagreement(g, thresholds), "") << "seed " << seed << " spread " << spread;
+      Rng rng(seed * 31 + spread);
+      perturb(g, rng);
+      EXPECT_EQ(first_disagreement(g, thresholds), "")
+          << "perturbed, seed " << seed << " spread " << spread;
+    }
+  }
+}
+
+TEST(SamePaths, LinearViews) {
+  for (const int n : {1, 3, 12}) {
+    sg::ResourceGraph g = linear_substrate(n);
+    EXPECT_EQ(first_disagreement(g), "") << n << " switches";
+    Rng rng(static_cast<std::uint64_t>(n));
+    perturb(g, rng);
+    EXPECT_EQ(first_disagreement(g), "") << "perturbed, " << n << " switches";
+  }
+}
+
+TEST(SamePaths, TangledViewsWithTies) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed);
+    sg::ResourceGraph g = tangled_substrate(rng);
+    EXPECT_EQ(first_disagreement(g), "") << "seed " << seed;
+    perturb(g, rng);
+    EXPECT_EQ(first_disagreement(g), "") << "perturbed, seed " << seed;
+  }
+}
+
+/// 64-bit FNV-1a over what a mapping decided.
+class MappingDigest {
+ public:
+  void mix(std::string_view bytes) {
+    for (char c : bytes) {
+      h_ ^= static_cast<unsigned char>(c);
+      h_ *= 0x100000001b3ULL;
+    }
+    mix_u64(bytes.size());
+  }
+  void mix_u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void mix(const Result<MappingResult>& r) {
+    if (!r.ok()) {
+      mix(r.error().code);
+      return;
+    }
+    for (const auto& [vnf, container] : r->placements) {
+      mix(vnf);
+      mix(container);
+    }
+    for (const auto& lm : r->link_mappings) {
+      mix(lm.sg_src);
+      mix(lm.sg_dst);
+      for (const auto& n : lm.path.nodes) mix(n);
+      for (int l : lm.path.link_indices) mix_u64(static_cast<std::uint64_t>(l));
+      mix_u64(static_cast<std::uint64_t>(lm.path.total_delay));
+      mix_u64(lm.bandwidth_bps);
+    }
+    mix_u64(static_cast<std::uint64_t>(r->total_path_delay));
+  }
+  /// The view's loads, bit for bit.
+  void mix(const sg::ResourceGraph& view) {
+    for (const auto& n : view.nodes()) {
+      mix_u64(std::bit_cast<std::uint64_t>(n.cpu_used));
+      mix_u64(n.vnf_slots_used);
+    }
+    for (const auto& l : view.links()) mix_u64(l.bandwidth_used);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// A seeded chain of `k` VNFs between `entry` and `exit`.
+sg::ServiceGraph seeded_chain(int k, Rng& rng, const std::string& entry = "sap1",
+                              const std::string& exit = "sap2") {
+  sg::ServiceGraph g("seeded");
+  g.add_sap(entry).add_sap(exit);
+  std::string prev = entry;
+  for (int i = 0; i < k; ++i) {
+    std::string id = "v" + std::to_string(i);
+    g.add_vnf(id, "monitor", {}, 0.1 + 0.05 * static_cast<double>(rng.next_below(4)));
+    g.add_link(prev, id, 1'000'000 * (1 + rng.next_below(10)));
+    prev = id;
+  }
+  g.add_link(prev, exit, 1'000'000);
+  return g;
+}
+
+// Pinned at the string-keyed search: every algorithm on seeded chains
+// of 1-6 VNFs, each on a fresh view and then admitted one after another
+// into one shared view until the first rejection. It covers the
+// placements, every segment's nodes, links and delay, the total delay,
+// and the loads each algorithm leaves in the shared view.
+TEST(SamePaths, MappingDigestIsPinned) {
+  MappingDigest digest;
+  std::size_t mapped = 0;
+  for (const char* name : {"greedy", "loadbalance", "delaygreedy", "backtracking"}) {
+    auto algo = MappingRegistry::global().create(name);
+    Rng substrate_rng(1234);
+    const sg::ResourceGraph ring = ring_substrate(6, substrate_rng);
+    const sg::ResourceGraph fattree = fattree_substrate(600, 3);
+    for (int k = 1; k <= 6; ++k) {
+      Rng rng(static_cast<std::uint64_t>(k));
+      sg::ResourceGraph view = ring;
+      digest.mix(algo->map(seeded_chain(k, rng), view));
+      sg::ResourceGraph tree_view = fattree;
+      digest.mix(algo->map(seeded_chain(k, rng, "h0_0_0", "h3_1_1"), tree_view));
+      mapped += 2;
+    }
+    sg::ResourceGraph shared = ring;
+    Rng chain_rng(7);
+    for (int i = 0; i < 40; ++i) {
+      auto r = algo->map(seeded_chain(1 + i % 3, chain_rng), shared);
+      digest.mix(r);
+      ++mapped;
+      if (!r.ok()) break;
+    }
+    digest.mix(shared);
+  }
+  EXPECT_EQ(mapped, 114u);
+  EXPECT_EQ(digest.value(), 0x7e1685128e1a5267ULL);
+}
+
+// --- exact rollback ----------------------------------------------------------------
+
+/// Every load of the view, as a failed mapping must leave it.
+struct Loads {
+  std::vector<double> cpu;
+  std::vector<std::size_t> slots;
+  std::vector<std::uint64_t> bandwidth;
+  explicit Loads(const sg::ResourceGraph& g) {
+    for (const auto& n : g.nodes()) {
+      cpu.push_back(n.cpu_used);
+      slots.push_back(n.vnf_slots_used);
+    }
+    for (const auto& l : g.links()) bandwidth.push_back(l.bandwidth_used);
+  }
+};
+
+// A mapping that fails after it reserved something leaves the view as
+// it found it, bit for bit. The containers already hold 0.1 CPU and each
+// VNF asks 0.2: 0.1 + 0.2 - 0.2 is not 0.1 in floating point, so a
+// rollback that subtracts what it added shows here.
+TEST(ExactRollback, FailedMappingsLeaveTheViewUnchanged) {
+  struct Case {
+    const char* what;
+    const char* code_greedy;
+    std::function<void(sg::ServiceGraph&, sg::ResourceGraph&)> setup;
+  };
+  const std::vector<Case> cases = {
+      {"no capacity for the second VNF", "mapping.no-capacity",
+       [](sg::ServiceGraph& g, sg::ResourceGraph&) { g.add_vnf("v1", "monitor", {}, 5.0); }},
+      {"delay budget violated", "mapping.delay-violated",
+       [](sg::ServiceGraph& g, sg::ResourceGraph&) {
+         g.add_vnf("v1", "monitor", {}, 0.2);
+         g.add_requirement({"sap1", "sap2", 0, microseconds(1)});
+       }},
+      {"no route to the exit SAP", "mapping.no-route",
+       [](sg::ServiceGraph& g, sg::ResourceGraph& view) {
+         g.add_vnf("v1", "monitor", {}, 0.2);
+         view.set_link_available("sap2", "s2", false);
+       }},
+  };
+  for (const Case& c : cases) {
+    for (const char* name : {"greedy", "loadbalance", "delaygreedy", "backtracking"}) {
+      sg::ResourceGraph view = testbed();
+      ASSERT_TRUE(view.reserve_vnf("c1", 0.1).ok());
+      ASSERT_TRUE(view.reserve_vnf("c2", 0.1).ok());
+      sg::RoutedPath access;
+      access.link_indices = {0, 3};
+      view.reserve_path(access, 333);
+      sg::ServiceGraph g("rollback");
+      g.add_sap("sap1").add_sap("sap2");
+      g.add_vnf("v0", "monitor", {}, 0.2);
+      c.setup(g, view);
+      g.add_link("sap1", "v0", 7'000'000).add_link("v0", "v1", 7'000'000);
+      g.add_link("v1", "sap2", 7'000'000);
+
+      const Loads before(view);
+      auto result = MappingRegistry::global().create(name)->map(g, view);
+      ASSERT_FALSE(result.ok()) << c.what << ", " << name;
+      EXPECT_EQ(result.error().code, std::string(name) == "backtracking"
+                                         ? "mapping.no-solution"
+                                         : c.code_greedy)
+          << c.what << ", " << name;
+      const Loads after(view);
+      for (std::size_t i = 0; i < before.cpu.size(); ++i) {
+        const std::string& node = view.nodes()[i].name;
+        EXPECT_EQ(after.cpu[i], before.cpu[i]) << c.what << ", " << name << ", " << node;
+        EXPECT_EQ(after.slots[i], before.slots[i]) << c.what << ", " << name << ", " << node;
+      }
+      EXPECT_EQ(after.bandwidth, before.bandwidth) << c.what << ", " << name;
+    }
+  }
 }
 
 }  // namespace
