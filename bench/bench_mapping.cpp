@@ -4,9 +4,14 @@
 // greedy family stays ~linear in chain length x containers while
 // backtracking explodes combinatorially; acceptance under load differs
 // per algorithm (loadbalance accepts more chains on tight CPU budgets).
+// What each case decided -- its path delay, the share of iterations it
+// accepted and the chains admitted until full -- is deterministic and
+// exported as bench_mapping_* gauges into BENCH_mapping.json, gated
+// exact against the committed baseline.
 #include "bench_common.hpp"
 #include <benchmark/benchmark.h>
 
+#include "obs/metrics.hpp"
 #include "orchestrator/mapping.hpp"
 #include "util/random.hpp"
 
@@ -69,23 +74,30 @@ void run_mapping_bench(benchmark::State& state, const char* algo_name) {
   auto algo = MappingRegistry::global().create(algo_name);
 
   std::uint64_t ok = 0, total = 0;
-  double delay_ms = 0;
+  SimDuration delay = 0;
   for (auto _ : state) {
     sg::ResourceGraph view = substrate;  // fresh budgets per iteration
     auto result = algo->map(graph, view);
     ++total;
     if (result.ok()) {
       ++ok;
-      delay_ms = static_cast<double>(result->total_path_delay) / timeunit::kMillisecond;
+      delay = result->total_path_delay;
     }
     benchmark::DoNotOptimize(result);
   }
-  state.counters["accepted_pct"] = total ? 100.0 * static_cast<double>(ok) /
-                                               static_cast<double>(total)
-                                         : 0;
-  state.counters["path_delay_ms"] = delay_ms;
+  const double accepted_pct =
+      total ? 100.0 * static_cast<double>(ok) / static_cast<double>(total) : 0;
+  state.counters["accepted_pct"] = accepted_pct;
+  state.counters["path_delay_ms"] = static_cast<double>(delay) / timeunit::kMillisecond;
   state.counters["chain_len"] = chain_len;
   state.counters["switches"] = n_switches;
+  const obs::Labels labels{{"algo", algo_name},
+                           {"chain_len", std::to_string(chain_len)},
+                           {"switches", std::to_string(n_switches)}};
+  auto& registry = obs::MetricsRegistry::global();
+  registry.gauge("bench_mapping_path_delay_us", labels)
+      .set(static_cast<double>(delay) / timeunit::kMicrosecond);
+  registry.gauge("bench_mapping_accepted_pct", labels).set(accepted_pct);
 }
 
 }  // namespace
@@ -123,6 +135,9 @@ static void BM_Map_AcceptanceUntilFull(benchmark::State& state) {
   }
   state.counters["admitted_chains"] = admitted;
   state.SetLabel(algo_name);
+  obs::MetricsRegistry::global()
+      .gauge("bench_mapping_admitted_chains", {{"algo", algo_name}})
+      .set(admitted);
 }
 BENCHMARK(BM_Map_AcceptanceUntilFull)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
