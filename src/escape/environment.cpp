@@ -244,7 +244,9 @@ Result<std::uint32_t> Environment::deploy(const sg::ServiceGraph& graph,
   if (!started_) return make_error("escape.not-started", "call start() before deploy()");
   auto embedding = embed(graph);
   if (!embedding.ok()) return embedding.error();
-  log_.info("mapping: ", embedding->mapping.to_string());
+  if (Logging::level() <= LogLevel::kInfo) {
+    log_.info("mapping: ", embedding->mapping.to_string());
+  }
 
   // Deployment: NETCONF bring-up + steering, pumped to completion.
   const std::uint32_t chain_id = next_chain_id_++;
@@ -751,7 +753,9 @@ void Environment::recover_chain(std::uint32_t chain_id) {
     dep.scale_instances = 1;
     dep.scale_generation = 0;
     dep.scale_anchor.reset();
-    log_.info("chain ", chain_id, " re-mapped: ", mapping.to_string());
+    if (Logging::level() <= LogLevel::kInfo) {
+      log_.info("chain ", chain_id, " re-mapped: ", mapping.to_string());
+    }
 
     // Injectable: a crash between the remap's reservation commit and the
     // redeploy -- the ledger-balance invariant watches this window.

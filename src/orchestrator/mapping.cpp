@@ -67,27 +67,75 @@ struct Candidate {
   double cpu_utilization;    // after placement
 };
 
-/// Enumerates feasible containers for placing `vnf` reachable from
-/// `prev` with `bw` free bandwidth.
+/// Enumerates feasible containers, in view order, for placing `vnf`
+/// reachable from `prev` with `bw` free bandwidth. One search from
+/// `prev` serves every container.
 std::vector<Candidate> feasible_containers(const sg::ResourceGraph& view,
                                            const std::string& prev, const sg::VnfNode& vnf,
                                            std::uint64_t bw) {
   std::vector<Candidate> out;
-  for (const auto& name : view.containers()) {
-    const sg::ResourceNode* node = view.node(name);
-    if (!node->available) continue;  // crashed / quarantined container
-    if (node->cpu_free() + 1e-9 < vnf.cpu_demand || node->slots_free() == 0) continue;
-    auto path = view.shortest_path(prev, name, bw);
+  const sg::ResourceGraph::PathTree tree = view.shortest_path_tree(prev, bw);
+  for (const sg::ResourceNode& node : view.nodes()) {
+    if (node.kind != sg::ResourceKind::kContainer) continue;
+    if (!node.available) continue;  // crashed / quarantined container
+    if (node.cpu_free() + 1e-9 < vnf.cpu_demand || node.slots_free() == 0) continue;
+    auto path = view.path_in(tree, node.name);
     if (!path) continue;
     Candidate c;
-    c.container = name;
+    c.container = node.name;
     c.path = std::move(*path);
     c.cpu_utilization =
-        node->cpu_capacity > 0 ? (node->cpu_used + vnf.cpu_demand) / node->cpu_capacity : 1.0;
+        node.cpu_capacity > 0 ? (node.cpu_used + vnf.cpu_demand) / node.cpu_capacity : 1.0;
     out.push_back(std::move(c));
   }
   return out;
 }
+
+/// Reservations made on the live view, each saving the loads it
+/// overwrites. Unless committed, they are written back in reverse order
+/// on destruction: restored, never subtracted, because `cpu_used` is a
+/// double and x + y - y need not be x.
+class UndoLog {
+ public:
+  explicit UndoLog(sg::ResourceGraph& view) : view_(view) {}
+  UndoLog(const UndoLog&) = delete;
+  UndoLog& operator=(const UndoLog&) = delete;
+  ~UndoLog() {
+    if (committed_) return;
+    for (auto it = links_.rbegin(); it != links_.rend(); ++it) {
+      view_.link(it->first).bandwidth_used = it->second;
+    }
+    for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
+      it->node->cpu_used = it->cpu_used;
+      it->node->vnf_slots_used = it->slots_used;
+    }
+  }
+
+  Status reserve_vnf(const std::string& container, double cpu) {
+    if (sg::ResourceNode* n = view_.node(container)) {
+      nodes_.push_back({n, n->cpu_used, n->vnf_slots_used});
+    }
+    return view_.reserve_vnf(container, cpu);
+  }
+  void reserve_path(const sg::RoutedPath& path, std::uint64_t bw) {
+    for (int idx : path.link_indices) {
+      links_.emplace_back(idx, view_.link(idx).bandwidth_used);
+    }
+    view_.reserve_path(path, bw);
+  }
+  void commit() { committed_ = true; }
+
+ private:
+  struct NodeLoad {
+    sg::ResourceNode* node;
+    double cpu_used;
+    std::size_t slots_used;
+  };
+  sg::ResourceGraph& view_;
+  std::vector<NodeLoad> nodes_;
+  std::vector<std::pair<int, std::uint64_t>> links_;
+  bool committed_ = false;
+};
 
 /// Shared greedy-family driver: `choose` picks among feasible candidates.
 Result<MappingResult> map_greedy(const sg::ServiceGraph& graph, sg::ResourceGraph& view,
@@ -97,7 +145,7 @@ Result<MappingResult> map_greedy(const sg::ServiceGraph& graph, sg::ResourceGrap
   auto spec = analyze(graph, view);
   if (!spec.ok()) return spec.error();
 
-  sg::ResourceGraph work = view;  // rollback = discard the copy
+  UndoLog reservations(view);  // any return before the commit rolls back
   MappingResult result;
   result.algorithm = std::string(algo_name);
 
@@ -111,12 +159,12 @@ Result<MappingResult> map_greedy(const sg::ServiceGraph& graph, sg::ResourceGrap
 
     if (graph.is_sap(node_id)) {
       // Final segment to the exit SAP.
-      auto path = work.shortest_path(prev_sub, node_id, bw);
+      auto path = view.shortest_path(prev_sub, node_id, bw);
       if (!path) {
         return make_error("mapping.no-route",
                           "no feasible route " + prev_sub + " -> " + node_id);
       }
-      work.reserve_path(*path, bw);
+      reservations.reserve_path(*path, bw);
       result.total_path_delay += path->total_delay;
       result.link_mappings.push_back(LinkMapping{prev_sg, node_id, std::move(*path), bw});
       prev_sg = prev_sub = node_id;
@@ -124,21 +172,21 @@ Result<MappingResult> map_greedy(const sg::ServiceGraph& graph, sg::ResourceGrap
     }
 
     const sg::VnfNode* vnf = graph.vnf(node_id);
-    auto candidates = feasible_containers(work, prev_sub, *vnf, bw);
+    auto candidates = feasible_containers(view, prev_sub, *vnf, bw);
     if (candidates.empty()) {
       return make_error("mapping.no-capacity",
                         "no feasible container for VNF '" + node_id + "'");
     }
-    const Candidate& chosen = candidates[choose(candidates)];
-    if (auto s = work.reserve_vnf(chosen.container, vnf->cpu_demand); !s.ok()) {
+    Candidate& chosen = candidates[choose(candidates)];
+    if (auto s = reservations.reserve_vnf(chosen.container, vnf->cpu_demand); !s.ok()) {
       return s.error();
     }
-    work.reserve_path(chosen.path, bw);
+    reservations.reserve_path(chosen.path, bw);
     result.total_path_delay += chosen.path.total_delay;
     result.placements[node_id] = chosen.container;
-    result.link_mappings.push_back(LinkMapping{prev_sg, node_id, chosen.path, bw});
+    result.link_mappings.push_back(LinkMapping{prev_sg, node_id, std::move(chosen.path), bw});
     prev_sg = node_id;
-    prev_sub = chosen.container;
+    prev_sub = std::move(chosen.container);
   }
 
   if (spec->delay_budget > 0 && result.total_path_delay > spec->delay_budget) {
@@ -149,7 +197,7 @@ Result<MappingResult> map_greedy(const sg::ServiceGraph& graph, sg::ResourceGrap
                                       static_cast<double>(spec->delay_budget) /
                                           timeunit::kMillisecond));
   }
-  view = std::move(work);  // commit
+  reservations.commit();
   return result;
 }
 
@@ -157,7 +205,8 @@ Result<MappingResult> map_greedy(const sg::ServiceGraph& graph, sg::ResourceGrap
 
 Result<MappingResult> GreedyFirstFit::map(const sg::ServiceGraph& graph,
                                           sg::ResourceGraph& view) {
-  // Candidates are generated in container-name order; first fit = index 0.
+  // Candidates come in view order (name order for a view built from a
+  // Network); first fit = index 0.
   return map_greedy(graph, view, name(), [](const std::vector<Candidate>&) { return 0u; });
 }
 

@@ -1,7 +1,6 @@
 #include "sg/resource_model.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <queue>
 #include <stdexcept>
 
@@ -13,6 +12,14 @@ ResourceGraph& ResourceGraph::add_node(ResourceNode node) {
   }
   index_[node.name] = nodes_.size();
   nodes_.push_back(std::move(node));
+  adjacency_.emplace_back();
+  // Name ranks order the search's ties; a new name shifts the ones after it.
+  rank_.resize(nodes_.size());
+  by_rank_.clear();
+  for (const auto& [name, idx] : index_) {
+    rank_[idx] = by_rank_.size();
+    by_rank_.push_back(idx);
+  }
   return *this;
 }
 
@@ -32,12 +39,14 @@ ResourceGraph& ResourceGraph::add_container(const std::string& name, double cpu_
 ResourceGraph& ResourceGraph::add_link(const std::string& a, std::uint16_t port_a,
                                        const std::string& b, std::uint16_t port_b,
                                        std::uint64_t bandwidth_bps, SimDuration delay) {
-  if (!index_.count(a)) throw std::invalid_argument("unknown resource node: " + a);
-  if (!index_.count(b)) throw std::invalid_argument("unknown resource node: " + b);
+  auto ia = index_.find(a);
+  auto ib = index_.find(b);
+  if (ia == index_.end()) throw std::invalid_argument("unknown resource node: " + a);
+  if (ib == index_.end()) throw std::invalid_argument("unknown resource node: " + b);
   const int idx = static_cast<int>(links_.size());
   links_.push_back(ResourceLink{a, b, port_a, port_b, bandwidth_bps, 0, delay});
-  adjacency_[a].emplace_back(idx, b);
-  adjacency_[b].emplace_back(idx, a);
+  adjacency_[ia->second].emplace_back(idx, ib->second);
+  adjacency_[ib->second].emplace_back(idx, ia->second);
   return *this;
 }
 
@@ -59,59 +68,79 @@ std::vector<std::string> ResourceGraph::containers() const {
   return out;
 }
 
-std::vector<std::pair<int, std::string>> ResourceGraph::neighbors(
-    const std::string& name) const {
-  auto it = adjacency_.find(name);
-  return it == adjacency_.end() ? std::vector<std::pair<int, std::string>>{} : it->second;
+ResourceGraph::PathTree ResourceGraph::shortest_path_tree(const std::string& from,
+                                                          std::uint64_t min_bw) const {
+  PathTree tree;
+  auto it = index_.find(from);
+  if (it == index_.end()) return tree;
+  tree.root = it->second;
+  grow(tree, min_bw, nodes_.size());
+  return tree;
+}
+
+std::optional<RoutedPath> ResourceGraph::path_in(const PathTree& tree,
+                                                 const std::string& to) const {
+  auto it = index_.find(to);
+  if (it == index_.end() || tree.dist.empty()) return std::nullopt;
+  return path_to(tree, it->second);
 }
 
 std::optional<RoutedPath> ResourceGraph::shortest_path(const std::string& from,
                                                        const std::string& to,
                                                        std::uint64_t min_bw) const {
-  if (!index_.count(from) || !index_.count(to)) return std::nullopt;
-  constexpr SimDuration kInf = std::numeric_limits<SimDuration>::max();
+  auto f = index_.find(from);
+  auto t = index_.find(to);
+  if (f == index_.end() || t == index_.end()) return std::nullopt;
+  PathTree tree;
+  tree.root = f->second;
+  grow(tree, min_bw, t->second);
+  return path_to(tree, t->second);
+}
 
-  std::map<std::string, SimDuration> dist;
-  std::map<std::string, std::pair<std::string, int>> prev;  // node -> (pred, link)
-  for (const auto& n : nodes_) dist[n.name] = kInf;
-  dist[from] = 0;
+void ResourceGraph::grow(PathTree& tree, std::uint64_t min_bw, std::size_t stop) const {
+  tree.dist.assign(nodes_.size(), PathTree::kUnreached);
+  tree.via.assign(nodes_.size(), {tree.root, -1});
+  tree.dist[tree.root] = 0;
 
-  using QEntry = std::pair<SimDuration, std::string>;
+  // Keyed (delay, name rank): the order of a queue keyed (delay, name).
+  using QEntry = std::pair<SimDuration, std::size_t>;
   std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> queue;
-  queue.push({0, from});
+  queue.push({0, rank_[tree.root]});
 
   while (!queue.empty()) {
-    auto [d, u] = queue.top();
+    const auto [d, rank] = queue.top();
     queue.pop();
-    if (d > dist[u]) continue;
-    if (u == to) break;
+    const std::size_t u = by_rank_[rank];
+    if (d > tree.dist[u]) continue;
+    if (u == stop) break;
     // Only switches forward transit traffic; SAPs and containers are
     // valid endpoints but never intermediate hops.
-    if (u != from && node(u)->kind != ResourceKind::kSwitch) continue;
-    for (const auto& [link_idx, v] : neighbors(u)) {
+    if (u != tree.root && nodes_[u].kind != ResourceKind::kSwitch) continue;
+    for (const auto& [link_idx, v] : adjacency_[u]) {
       const ResourceLink& l = links_[static_cast<std::size_t>(link_idx)];
       if (!l.available) continue;
       if (l.bandwidth_free() < min_bw) continue;
       const SimDuration nd = d + l.delay;
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        prev[v] = {u, link_idx};
-        queue.push({nd, v});
+      if (nd < tree.dist[v]) {
+        tree.dist[v] = nd;
+        tree.via[v] = {u, link_idx};
+        queue.push({nd, rank_[v]});
       }
     }
   }
-  if (dist[to] == kInf) return std::nullopt;
+}
 
+// A settled node's predecessor never changes (delays are non-negative),
+// so reading a full tree gives the path a search stopped at `to` gives.
+std::optional<RoutedPath> ResourceGraph::path_to(const PathTree& tree, std::size_t to) const {
+  if (tree.dist[to] == PathTree::kUnreached) return std::nullopt;
   RoutedPath path;
-  path.total_delay = dist[to];
-  std::string cur = to;
-  while (cur != from) {
-    auto [pred, link_idx] = prev[cur];
-    path.nodes.push_back(cur);
-    path.link_indices.push_back(link_idx);
-    cur = pred;
+  path.total_delay = tree.dist[to];
+  for (std::size_t cur = to; cur != tree.root; cur = tree.via[cur].first) {
+    path.nodes.push_back(nodes_[cur].name);
+    path.link_indices.push_back(tree.via[cur].second);
   }
-  path.nodes.push_back(from);
+  path.nodes.push_back(nodes_[tree.root].name);
   std::reverse(path.nodes.begin(), path.nodes.end());
   std::reverse(path.link_indices.begin(), path.link_indices.end());
   return path;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -79,11 +80,28 @@ class ResourceGraph {
 
   std::vector<std::string> containers() const;
 
-  /// Neighbors of `name` as (link index, peer name).
-  std::vector<std::pair<int, std::string>> neighbors(const std::string& name) const;
+  /// Shortest paths by delay from one root over the links with at least
+  /// `min_bw` free bandwidth: each node's distance and the (predecessor,
+  /// link) it is reached through, by node index. Unreached nodes read
+  /// kUnreached; a tree from an unknown root reaches nothing.
+  struct PathTree {
+    static constexpr SimDuration kUnreached = std::numeric_limits<SimDuration>::max();
+    std::size_t root = 0;
+    std::vector<SimDuration> dist;
+    std::vector<std::pair<std::size_t, int>> via;
+  };
 
-  /// Dijkstra by delay, using only links with at least `min_bw` free
-  /// bandwidth. Returns nullopt when unreachable.
+  /// Dijkstra by delay from `from`. Only switches forward transit
+  /// traffic: SAPs and containers are endpoints, `from` excepted. Equal
+  /// delays break by node name, so the tree is the same whatever order
+  /// the nodes were added in.
+  PathTree shortest_path_tree(const std::string& from, std::uint64_t min_bw = 0) const;
+
+  /// The path to `to` in `tree`; nullopt when `tree` does not reach it.
+  std::optional<RoutedPath> path_in(const PathTree& tree, const std::string& to) const;
+
+  /// The search of shortest_path_tree, stopped once `to` is settled.
+  /// Returns nullopt when unreachable.
   std::optional<RoutedPath> shortest_path(const std::string& from, const std::string& to,
                                           std::uint64_t min_bw = 0) const;
 
@@ -109,10 +127,17 @@ class ResourceGraph {
   void set_link_available(const std::string& a, const std::string& b, bool available);
 
  private:
+  /// Settles nodes from `tree.root` until `stop` is settled or none is
+  /// left; `tree` holds the root and nothing else yet.
+  void grow(PathTree& tree, std::uint64_t min_bw, std::size_t stop) const;
+  std::optional<RoutedPath> path_to(const PathTree& tree, std::size_t to) const;
+
   std::vector<ResourceNode> nodes_;
   std::vector<ResourceLink> links_;
   std::map<std::string, std::size_t> index_;
-  std::map<std::string, std::vector<std::pair<int, std::string>>> adjacency_;
+  std::vector<std::size_t> rank_;     // node index -> position in name order
+  std::vector<std::size_t> by_rank_;  // position in name order -> node index
+  std::vector<std::vector<std::pair<int, std::size_t>>> adjacency_;  // (link, peer), link order
 };
 
 }  // namespace escape::sg
