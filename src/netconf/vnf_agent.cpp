@@ -40,9 +40,10 @@ std::unique_ptr<xml::Element> VnfAgent::state_tree(bool include_handlers) const 
     vnf.add_leaf("type", info->vnf_type);
     vnf.add_leaf("cpu-share", strings::format("%.3f", info->cpu_share));
     vnf.add_leaf("status", std::string(netemu::vnf_status_name(info->status)));
-    for (const auto& dev : info->devices) {
+    for (const auto& [dev, port] : info->devices) {
       auto& conn = vnf.add_child("connection");
       conn.add_leaf("device", dev);
+      conn.add_leaf("port", std::to_string(port));
     }
     if (include_handlers) {
       for (const auto& [name, value] : info->handlers) {
@@ -223,7 +224,7 @@ void VnfAgent::register_operations() {
           h.add_leaf("name", name);
           h.add_leaf("value", value);
         }
-        for (const auto& dev : info->devices) out->add_leaf("device", dev);
+        for (const auto& [dev, _] : info->devices) out->add_leaf("device", dev);
         return out;
       });
 
@@ -417,7 +418,7 @@ void VnfAgentClient::get_vnf_info(const std::string& id, InfoCallback cb) {
       info.handlers[h->child_text("name")] = h->child_text("value");
     }
     for (const auto* d : info_el->children_named("device")) {
-      info.devices.push_back(d->text());
+      info.devices.emplace_back(d->text(), 0);
     }
     cb(std::move(info));
   });

@@ -229,7 +229,7 @@ Result<VnfInfo> VnfContainer::vnf_info(const std::string& vnf_id) const {
   info.cpu_share = inst->cpu_share;
   info.handlers =
       inst->status == VnfStatus::kRunning ? snapshot_handlers(*inst) : inst->final_handlers;
-  for (const auto& [dev, _] : inst->device_to_port) info.devices.push_back(dev);
+  info.devices.assign(inst->device_to_port.begin(), inst->device_to_port.end());
   return info;
 }
 

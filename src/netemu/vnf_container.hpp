@@ -33,7 +33,9 @@ struct VnfInfo {
   VnfStatus status = VnfStatus::kInitialized;
   double cpu_share = 0;
   std::map<std::string, std::string> handlers;  // "element.handler" -> value
-  std::vector<std::string> devices;             // connected device names
+  // Connected (device name, container port). The getVNFInfo reply names
+  // the devices only, so an info read over NETCONF has ports 0.
+  std::vector<std::pair<std::string, std::uint16_t>> devices;
 };
 
 class VnfContainer : public Node {

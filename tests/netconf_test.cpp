@@ -395,6 +395,35 @@ TEST_F(AgentFixture, GetReturnsSchemaValidState) {
   EXPECT_EQ(entries[0]->child_text("status"), "RUNNING");
 }
 
+// The escape-vnf module makes a connection's port mandatory, and <get>
+// validates its own reply, so a connected VNF must report its ports.
+TEST_F(AgentFixture, GetOnConnectedVnfIsSchemaValid) {
+  EXPECT_TRUE(do_call([&](auto cb) {
+                client->initiate_vnf("v1", "monitor", kMonitorConfig, 0.25, cb);
+              }).ok());
+  EXPECT_TRUE(do_call([&](auto cb) { client->start_vnf("v1", cb); }).ok());
+  EXPECT_TRUE(do_call([&](auto cb) { client->connect_vnf("v1", "in0", 4, cb); }).ok());
+  EXPECT_TRUE(do_call([&](auto cb) { client->connect_vnf("v1", "out0", 5, cb); }).ok());
+
+  std::unique_ptr<xml::Element> reply;
+  client->session().rpc(std::make_unique<xml::Element>("get"),
+                        [&](Result<std::unique_ptr<xml::Element>> r) {
+                          ASSERT_TRUE(r.ok()) << r.error().to_string();
+                          reply = std::move(*r);
+                        });
+  sched.run();
+  ASSERT_NE(reply, nullptr);
+  const xml::Element* vnf = reply->find("data/vnfs/vnf");
+  ASSERT_NE(vnf, nullptr);
+  EXPECT_TRUE(validate(*reply->find("data/vnfs"), vnf_module_schema()).ok());
+  auto connections = vnf->children_named("connection");
+  ASSERT_EQ(connections.size(), 2u);
+  EXPECT_EQ(connections[0]->child_text("device"), "in0");
+  EXPECT_EQ(connections[0]->child_text("port"), "4");
+  EXPECT_EQ(connections[1]->child_text("device"), "out0");
+  EXPECT_EQ(connections[1]->child_text("port"), "5");
+}
+
 TEST_F(AgentFixture, GetSchemaReturnsYangSource) {
   std::string schema_text;
   client->session().rpc(std::make_unique<xml::Element>("get-schema"),
@@ -563,8 +592,8 @@ TEST(WireOracle, ScriptedAgentSessionIsByteIdentical) {
   }
   EXPECT_EQ(notifications, 5u);
   EXPECT_EQ(script.frames.size(), 105u);
-  EXPECT_EQ(bytes, 29'933u);
-  EXPECT_EQ(testsupport::wire_digest(script.frames), 0x579b5c24ebf72c84ULL);
+  EXPECT_EQ(bytes, 30'073u);
+  EXPECT_EQ(testsupport::wire_digest(script.frames), 0xc6e2b137cfbdc349ULL);
 }
 
 }  // namespace

@@ -110,9 +110,8 @@ inline WireScript record_wire_script() {
     call([&](auto cb) { client.initiate_vnf(id, type, config, share, cb); });
     call([&](auto cb) { client.start_vnf(id, cb); });
   }
-  // <get> validates its reply against the YANG module, whose connection
-  // list wants a port the state tree does not carry: ask before the
-  // VNFs are connected.
+  // <get> before the VNFs are connected; the <get-config> below lists
+  // their connections with the ports.
   raw("get");
   for (std::size_t i = 0; i < types.size(); ++i) {
     const std::string id = id_of(types[i]);
