@@ -7,19 +7,16 @@
 namespace escape::sg {
 
 ResourceGraph& ResourceGraph::add_node(ResourceNode node) {
-  if (index_.count(node.name)) {
+  auto slot = name_slot(node.name);
+  if (slot != by_rank_.end() && nodes_[*slot].name == node.name) {
     throw std::invalid_argument("duplicate resource node: " + node.name);
   }
-  index_[node.name] = nodes_.size();
+  by_rank_.insert(slot, nodes_.size());
   nodes_.push_back(std::move(node));
   adjacency_.emplace_back();
   // Name ranks order the search's ties; a new name shifts the ones after it.
   rank_.resize(nodes_.size());
-  by_rank_.clear();
-  for (const auto& [name, idx] : index_) {
-    rank_[idx] = by_rank_.size();
-    by_rank_.push_back(idx);
-  }
+  for (std::size_t r = 0; r < by_rank_.size(); ++r) rank_[by_rank_[r]] = r;
   return *this;
 }
 
@@ -39,25 +36,35 @@ ResourceGraph& ResourceGraph::add_container(const std::string& name, double cpu_
 ResourceGraph& ResourceGraph::add_link(const std::string& a, std::uint16_t port_a,
                                        const std::string& b, std::uint16_t port_b,
                                        std::uint64_t bandwidth_bps, SimDuration delay) {
-  auto ia = index_.find(a);
-  auto ib = index_.find(b);
-  if (ia == index_.end()) throw std::invalid_argument("unknown resource node: " + a);
-  if (ib == index_.end()) throw std::invalid_argument("unknown resource node: " + b);
+  const std::size_t ia = find(a);
+  const std::size_t ib = find(b);
+  if (ia == kNoNode) throw std::invalid_argument("unknown resource node: " + a);
+  if (ib == kNoNode) throw std::invalid_argument("unknown resource node: " + b);
   const int idx = static_cast<int>(links_.size());
   links_.push_back(ResourceLink{a, b, port_a, port_b, bandwidth_bps, 0, delay});
-  adjacency_[ia->second].emplace_back(idx, ib->second);
-  adjacency_[ib->second].emplace_back(idx, ia->second);
+  adjacency_[ia].emplace_back(idx, ib);
+  adjacency_[ib].emplace_back(idx, ia);
   return *this;
 }
 
+std::vector<std::size_t>::const_iterator ResourceGraph::name_slot(const std::string& name) const {
+  return std::lower_bound(by_rank_.begin(), by_rank_.end(), name,
+                          [this](std::size_t i, const std::string& n) { return nodes_[i].name < n; });
+}
+
+std::size_t ResourceGraph::find(const std::string& name) const {
+  auto slot = name_slot(name);
+  return slot != by_rank_.end() && nodes_[*slot].name == name ? *slot : kNoNode;
+}
+
 ResourceNode* ResourceGraph::node(const std::string& name) {
-  auto it = index_.find(name);
-  return it == index_.end() ? nullptr : &nodes_[it->second];
+  const std::size_t i = find(name);
+  return i == kNoNode ? nullptr : &nodes_[i];
 }
 
 const ResourceNode* ResourceGraph::node(const std::string& name) const {
-  auto it = index_.find(name);
-  return it == index_.end() ? nullptr : &nodes_[it->second];
+  const std::size_t i = find(name);
+  return i == kNoNode ? nullptr : &nodes_[i];
 }
 
 std::vector<std::string> ResourceGraph::containers() const {
@@ -70,42 +77,31 @@ std::vector<std::string> ResourceGraph::containers() const {
 
 ResourceGraph::PathTree ResourceGraph::shortest_path_tree(const std::string& from,
                                                           std::uint64_t min_bw) const {
-  PathTree tree;
-  auto it = index_.find(from);
-  if (it == index_.end()) return tree;
-  tree.root = it->second;
-  grow(tree, min_bw, nodes_.size());
-  return tree;
-}
-
-std::optional<RoutedPath> ResourceGraph::path_in(const PathTree& tree,
-                                                 const std::string& to) const {
-  auto it = index_.find(to);
-  if (it == index_.end() || tree.dist.empty()) return std::nullopt;
-  return path_to(tree, it->second);
+  const std::size_t root = find(from);
+  return root == kNoNode ? PathTree{} : grow(root, min_bw, kNoNode);
 }
 
 std::optional<RoutedPath> ResourceGraph::shortest_path(const std::string& from,
                                                        const std::string& to,
                                                        std::uint64_t min_bw) const {
-  auto f = index_.find(from);
-  auto t = index_.find(to);
-  if (f == index_.end() || t == index_.end()) return std::nullopt;
-  PathTree tree;
-  tree.root = f->second;
-  grow(tree, min_bw, t->second);
-  return path_to(tree, t->second);
+  const std::size_t root = find(from);
+  const std::size_t stop = find(to);
+  if (root == kNoNode || stop == kNoNode) return std::nullopt;
+  return path_in(grow(root, min_bw, stop), to);
 }
 
-void ResourceGraph::grow(PathTree& tree, std::uint64_t min_bw, std::size_t stop) const {
+ResourceGraph::PathTree ResourceGraph::grow(std::size_t root, std::uint64_t min_bw,
+                                            std::size_t stop) const {
+  PathTree tree;
+  tree.root = root;
   tree.dist.assign(nodes_.size(), PathTree::kUnreached);
-  tree.via.assign(nodes_.size(), {tree.root, -1});
-  tree.dist[tree.root] = 0;
+  tree.via.assign(nodes_.size(), {root, -1});
+  tree.dist[root] = 0;
 
   // Keyed (delay, name rank): the order of a queue keyed (delay, name).
   using QEntry = std::pair<SimDuration, std::size_t>;
   std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> queue;
-  queue.push({0, rank_[tree.root]});
+  queue.push({0, rank_[root]});
 
   while (!queue.empty()) {
     const auto [d, rank] = queue.top();
@@ -115,7 +111,7 @@ void ResourceGraph::grow(PathTree& tree, std::uint64_t min_bw, std::size_t stop)
     if (u == stop) break;
     // Only switches forward transit traffic; SAPs and containers are
     // valid endpoints but never intermediate hops.
-    if (u != tree.root && nodes_[u].kind != ResourceKind::kSwitch) continue;
+    if (u != root && nodes_[u].kind != ResourceKind::kSwitch) continue;
     for (const auto& [link_idx, v] : adjacency_[u]) {
       const ResourceLink& l = links_[static_cast<std::size_t>(link_idx)];
       if (!l.available) continue;
@@ -128,15 +124,20 @@ void ResourceGraph::grow(PathTree& tree, std::uint64_t min_bw, std::size_t stop)
       }
     }
   }
+  return tree;
 }
 
 // A settled node's predecessor never changes (delays are non-negative),
 // so reading a full tree gives the path a search stopped at `to` gives.
-std::optional<RoutedPath> ResourceGraph::path_to(const PathTree& tree, std::size_t to) const {
-  if (tree.dist[to] == PathTree::kUnreached) return std::nullopt;
+std::optional<RoutedPath> ResourceGraph::path_in(const PathTree& tree,
+                                                 const std::string& to) const {
+  const std::size_t end = find(to);
+  if (end == kNoNode || tree.dist.empty() || tree.dist[end] == PathTree::kUnreached) {
+    return std::nullopt;
+  }
   RoutedPath path;
-  path.total_delay = tree.dist[to];
-  for (std::size_t cur = to; cur != tree.root; cur = tree.via[cur].first) {
+  path.total_delay = tree.dist[end];
+  for (std::size_t cur = end; cur != tree.root; cur = tree.via[cur].first) {
     path.nodes.push_back(nodes_[cur].name);
     path.link_indices.push_back(tree.via[cur].second);
   }

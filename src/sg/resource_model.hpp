@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -127,16 +126,20 @@ class ResourceGraph {
   void set_link_available(const std::string& a, const std::string& b, bool available);
 
  private:
-  /// Settles nodes from `tree.root` until `stop` is settled or none is
-  /// left; `tree` holds the root and nothing else yet.
-  void grow(PathTree& tree, std::uint64_t min_bw, std::size_t stop) const;
-  std::optional<RoutedPath> path_to(const PathTree& tree, std::size_t to) const;
+  static constexpr std::size_t kNoNode = std::numeric_limits<std::size_t>::max();
+
+  /// Where `name` is or would go in `by_rank_`.
+  std::vector<std::size_t>::const_iterator name_slot(const std::string& name) const;
+  /// The index of the node named `name`, or kNoNode.
+  std::size_t find(const std::string& name) const;
+  /// The tree from node `root`, grown until node `stop` is settled or
+  /// no node is left.
+  PathTree grow(std::size_t root, std::uint64_t min_bw, std::size_t stop) const;
 
   std::vector<ResourceNode> nodes_;
   std::vector<ResourceLink> links_;
-  std::map<std::string, std::size_t> index_;
-  std::vector<std::size_t> rank_;     // node index -> position in name order
-  std::vector<std::size_t> by_rank_;  // position in name order -> node index
+  std::vector<std::size_t> by_rank_;  // node indices in name order
+  std::vector<std::size_t> rank_;     // node index -> position in by_rank_
   std::vector<std::vector<std::pair<int, std::size_t>>> adjacency_;  // (link, peer), link order
 };
 
