@@ -3,6 +3,7 @@
 
 #include <bit>
 #include <functional>
+#include <iomanip>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -701,7 +702,9 @@ TEST(ExactRollback, FailedMappingsLeaveTheViewUnchanged) {
       const Loads after(view);
       for (std::size_t i = 0; i < before.cpu.size(); ++i) {
         const std::string& node = view.nodes()[i].name;
-        EXPECT_EQ(after.cpu[i], before.cpu[i]) << c.what << ", " << name << ", " << node;
+        EXPECT_EQ(after.cpu[i], before.cpu[i])
+            << c.what << ", " << name << ", " << node << std::setprecision(17) << ": "
+            << after.cpu[i] << " != " << before.cpu[i];
         EXPECT_EQ(after.slots[i], before.slots[i]) << c.what << ", " << name << ", " << node;
       }
       EXPECT_EQ(after.bandwidth, before.bandwidth) << c.what << ", " << name;
