@@ -49,7 +49,7 @@ class MappingAlgorithm {
 };
 
 /// First-fit greedy: walk the chain, place each VNF on the first
-/// container (in name order) with enough CPU/slots and a routable,
+/// container (in view order) with enough CPU/slots and a routable,
 /// bandwidth-feasible segment from the previous node.
 class GreedyFirstFit : public MappingAlgorithm {
  public:
